@@ -48,6 +48,28 @@ def normalize_inputs(raw: np.ndarray) -> np.ndarray:
     return (np.asarray(raw, dtype=float) - INPUT_MEANS) / INPUT_RANGES
 
 
+_INV_RANGES = 1.0 / INPUT_RANGES
+
+
+def _normalize(raw_lo: np.ndarray, raw_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Pre#``'s normalization ``(raw - mean) * (1 / range)`` over raw
+    ``(..., 5)`` endpoint arrays, rounded outward.
+
+    An input whose interval is exactly the point ``INPUT_MEANS[i]`` (the
+    scenario's constant speeds) maps to the exact point 0, which is
+    sound because ``(m - m) * (1/r) = 0``. The outward nudges would
+    instead give ``[-2**-1074, 2**-1074]``, and those subnormal
+    endpoints slow down every BLAS product of ``F#`` that reads them.
+    """
+    shifted_lo, shifted_hi = bsub(raw_lo, raw_hi, INPUT_MEANS, INPUT_MEANS)
+    out_lo, out_hi = bmul(shifted_lo, shifted_hi, _INV_RANGES, _INV_RANGES)
+    # sound: ok [S003] exact point test: only an input that is exactly the
+    # mean takes the exact result 0; every other input keeps the outward
+    # rounded endpoints
+    at_mean = (raw_lo == INPUT_MEANS) & (raw_hi == INPUT_MEANS)
+    return np.where(at_mean, 0.0, out_lo), np.where(at_mean, 0.0, out_hi)
+
+
 class AcasPre:
     """``Pre`` / ``Pre#``: cartesian -> cylindrical -> normalized.
 
@@ -75,11 +97,10 @@ class AcasPre:
         else:
             rho, theta = self._polar_affine(box)
         raw = [rho, theta, box[PSI], box[V_OWN], box[V_INT]]
-        normalized = [
-            (raw[i] - float(INPUT_MEANS[i])) * (1.0 / float(INPUT_RANGES[i]))
-            for i in range(5)
-        ]
-        return Box.from_intervals(normalized)
+        lo, hi = _normalize(
+            np.array([iv.lo for iv in raw]), np.array([iv.hi for iv in raw])
+        )
+        return Box(lo, hi)
 
     def abstract_batch(
         self, lo: np.ndarray, hi: np.ndarray
@@ -117,9 +138,7 @@ class AcasPre:
         raw_hi = np.stack(
             [rho_hi, theta_hi, hi[:, PSI], hi[:, V_OWN], hi[:, V_INT]], axis=1
         )
-        shifted_lo, shifted_hi = bsub(raw_lo, raw_hi, INPUT_MEANS, INPUT_MEANS)
-        inv_ranges = 1.0 / INPUT_RANGES
-        return bmul(shifted_lo, shifted_hi, inv_ranges, inv_ranges)
+        return _normalize(raw_lo, raw_hi)
 
     @staticmethod
     def _polar_interval(box: Box) -> tuple[Interval, Interval]:

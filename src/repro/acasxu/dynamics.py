@@ -118,16 +118,16 @@ class AcasXuAnalyticFlow(AnalyticFlow):
     def flow_box_batch(self, s0: BoxBatch, u_rows: np.ndarray, tau) -> BoxBatch:
         """Vectorized :meth:`flow_box` over a whole box batch.
 
-        Row ``i`` flows under turn rate ``u_rows[i, 0]``; the kernels in
-        :mod:`repro.intervals.batched` replicate the scalar op sequence
-        exactly, so every row is bitwise identical to the scalar path.
-        Rows with zero turn rate take the scalar limit branch via a
-        masked divisor and a rowwise select.
+        Row ``i`` flows under turn rate ``u_rows[i, 0]`` for time ``tau``
+        (shared) or ``tau[i]`` (an :class:`IntervalBatch`, one time per
+        row); the kernels in :mod:`repro.intervals.batched` replicate
+        the scalar op sequence exactly, so every row is bitwise
+        identical to the scalar path. Rows with zero turn rate take the
+        scalar limit branch via a masked divisor and a rowwise select.
         """
-        t = Interval.coerce(tau)
         count = s0.count
         turns = np.asarray(u_rows, dtype=float)[:, 0]
-        tb = IntervalBatch.coerce(t, (count,))
+        tb = IntervalBatch.coerce(tau, (count,))
         turn_b = IntervalBatch.point(turns)
         x0, y0, psi0, v_own, v_int = (s0.column(i) for i in range(STATE_DIM))
 

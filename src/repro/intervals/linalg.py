@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 _UNIT = np.finfo(float).eps / 2.0  # unit roundoff u = 2^-53
+_TINY = np.finfo(float).tiny
 
 
 def _gamma(n: int) -> float:
@@ -53,7 +54,9 @@ def interval_matvec(
     # sound: ok [S001] |W||x| majorizer feeding the gamma_n bound; gamma has
     # a 2x slack factor precisely to absorb its own rounding
     magnitude = abs_w @ np.maximum(np.abs(lo), np.abs(hi))
-    err = _gamma(n_terms) * magnitude + np.finfo(float).tiny
+    # sound: ok [S001] error majorizer: the 2x slack factor of gamma_n
+    # absorbs the rounding of this product and sum
+    err = _gamma(n_terms) * magnitude + _TINY
 
     out_lo = out_center - out_radius - err
     out_hi = out_center + out_radius + err
@@ -77,7 +80,9 @@ def dot_error_bound(a_abs: np.ndarray, b_abs: np.ndarray) -> np.ndarray:
         # Stacked operands: slice-by-slice GEMV, bitwise identical to
         # the per-row 2-D products.
         prod = np.matmul(a_abs, b_abs[..., None])[..., 0]
-    return _gamma(n_terms) * prod + np.finfo(float).tiny
+    # sound: ok [S001] error majorizer: the 2x slack factor of gamma_n
+    # absorbs the rounding of this product and sum
+    return _gamma(n_terms) * prod + _TINY
 
 
 def affine_bounds(

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from ..intervals import Box, BoxBatch
+from ..intervals import Box, BoxBatch, IntervalBatch
 from ..obs import get_recorder
 from .ivp import (
     EnclosureError,
@@ -287,12 +287,16 @@ class AnalyticFlow:
     def flow_box_batch(self, s0: BoxBatch, u_rows: np.ndarray, tau) -> BoxBatch:
         """Enclosure of ``Phi(row, tau)`` for every row of ``s0``.
 
-        Row ``i`` uses command ``u_rows[i]``. The default evaluates the
-        scalar :meth:`flow_box` per row; subclasses override with a
-        vectorized (bitwise-identical) kernel.
+        Row ``i`` uses command ``u_rows[i]`` and time ``tau`` (an
+        Interval/float shared by all rows) or ``tau[i]`` (an
+        :class:`IntervalBatch` with one time interval per row). The
+        default evaluates the scalar :meth:`flow_box` per row;
+        subclasses override with a vectorized (bitwise-identical)
+        kernel.
         """
+        taus = IntervalBatch.coerce(tau, (s0.count,))
         return BoxBatch.from_boxes(
-            [self.flow_box(s0.row(i), u_rows[i], tau) for i in range(s0.count)]
+            [self.flow_box(s0.row(i), u_rows[i], taus[i]) for i in range(s0.count)]
         )
 
     def step(self, t0: float, h: float, s0: Box, u: np.ndarray) -> ValidatedStep:
@@ -305,11 +309,26 @@ class AnalyticFlow:
     def step_batch(
         self, t0: float, h: float, s0: BoxBatch, u_rows: np.ndarray
     ) -> tuple[BoxBatch, BoxBatch]:
-        from ..intervals import Interval
+        """:meth:`step` for every row of ``s0``, from one flow evaluation.
 
-        range_b = self.flow_box_batch(s0, u_rows, Interval(0.0, h))
-        end_b = self.flow_box_batch(s0, u_rows, Interval.point(h))
-        return range_b, end_b
+        The range rows (``tau = [0, h]``) and the end rows (``tau =
+        [h, h]``) are stacked into one ``2B``-row batch with a per-row
+        ``tau``; the flow kernel is elementwise, so each half is
+        bitwise identical to its own ``flow_box_batch`` call.
+        """
+        count = s0.count
+        both = self.flow_box_batch(
+            BoxBatch(np.concatenate([s0.lo, s0.lo]), np.concatenate([s0.hi, s0.hi])),
+            np.concatenate([u_rows, u_rows]),
+            IntervalBatch(
+                np.concatenate([np.zeros(count), np.full(count, h)]),
+                np.full(2 * count, h),
+            ),
+        )
+        return (
+            BoxBatch(both.lo[:count], both.hi[:count]),
+            BoxBatch(both.lo[count:], both.hi[count:]),
+        )
 
     def integrate_batch(
         self,

@@ -86,6 +86,15 @@ class LinearBounds:
 
     def concretize(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sound concrete bounds of the forms over the box ``[lo, hi]``."""
+        out_lo, out_hi, _ = self._concretize(lo, hi, up_form_lower=False)
+        return out_lo, out_hi
+
+    def _concretize(
+        self, lo: np.ndarray, hi: np.ndarray, up_form_lower: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """:meth:`concretize`, plus (if ``up_form_lower``) the sound lower
+        bound of the *upper* form that ReluVal's ReLU rule tests, sharing
+        the sign splits and the rounding majorizer of the upper form."""
         lo_pos = np.maximum(self.lo_coeffs, 0.0)
         lo_neg = np.minimum(self.lo_coeffs, 0.0)
         up_pos = np.maximum(self.up_coeffs, 0.0)
@@ -100,7 +109,13 @@ class LinearBounds:
         out_lo = _matvec(lo_pos, lo) + _matvec(lo_neg, hi) + self.lo_const - err_lo - self.slack
         # sound: ok [S001] same majorizer argument as out_lo above
         out_hi = _matvec(up_pos, hi) + _matvec(up_neg, lo) + self.up_const + err_up + self.slack
-        return np.nextafter(out_lo, -np.inf), np.nextafter(out_hi, np.inf)
+        up_lo = None
+        if up_form_lower:
+            # sound: ok [S001] the upper form's lower bound, with the same
+            # err_up majorizer, slack and outward nextafter as out_lo above
+            up_lo = _matvec(up_pos, lo) + _matvec(up_neg, hi) + self.up_const - err_up - self.slack
+            up_lo = np.nextafter(up_lo, -np.inf)
+        return np.nextafter(out_lo, -np.inf), np.nextafter(out_hi, np.inf), up_lo
 
     def value_magnitude(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per-neuron magnitude bound of the forms over the box."""
@@ -140,40 +155,26 @@ def _relu_reluval(
     bounds: LinearBounds, lo: np.ndarray, hi: np.ndarray
 ) -> LinearBounds:
     """ReluVal's ReLU rule on the linear bounds."""
-    conc_lo, conc_hi = bounds.concretize(lo, hi)
-    up_only_lo, _ = LinearBounds(
-        bounds.up_coeffs, bounds.up_const, bounds.up_coeffs, bounds.up_const, bounds.slack
-    ).concretize(lo, hi)
+    conc_lo, conc_hi, up_form_lo = bounds._concretize(lo, hi, up_form_lower=True)
 
     inactive = conc_hi <= 0.0
     active = conc_lo >= 0.0
     unstable = ~inactive & ~active
-
-    new = LinearBounds(
-        bounds.lo_coeffs.copy(),
-        bounds.lo_const.copy(),
-        bounds.up_coeffs.copy(),
-        bounds.up_const.copy(),
-        bounds.slack.copy(),
+    # Inactive: the neuron is exactly 0. Unstable: relu(x) >= 0 (lower
+    # form -> 0); the upper form survives only if it is non-negative on
+    # the whole box, otherwise it is concretized to the constant upper
+    # bound.
+    concretize_up = unstable & (up_form_lo < 0.0)
+    drop_lo = inactive | unstable
+    drop_up = inactive | concretize_up
+    up_const = np.where(concretize_up, np.maximum(conc_hi, 0.0), bounds.up_const)
+    return LinearBounds(
+        np.where(drop_lo[..., None], 0.0, bounds.lo_coeffs),
+        np.where(drop_lo, 0.0, bounds.lo_const),
+        np.where(drop_up[..., None], 0.0, bounds.up_coeffs),
+        np.where(inactive, 0.0, up_const),
+        np.where(drop_up, 0.0, bounds.slack),
     )
-    # Inactive: the neuron is exactly 0.
-    new.lo_coeffs[inactive] = 0.0
-    new.lo_const[inactive] = 0.0
-    new.up_coeffs[inactive] = 0.0
-    new.up_const[inactive] = 0.0
-    new.slack[inactive] = 0.0
-    # Unstable: relu(x) >= 0 (lower form -> 0); the upper form survives
-    # only if it is non-negative on the whole box, otherwise it is
-    # concretized to the constant upper bound.
-    new.lo_coeffs[unstable] = 0.0
-    new.lo_const[unstable] = 0.0
-    concretize_up = unstable & (up_only_lo < 0.0)
-    new.up_coeffs[concretize_up] = 0.0
-    new.up_const[concretize_up] = np.maximum(conc_hi[concretize_up], 0.0)
-    new.slack[concretize_up] = 0.0
-    keep_up = unstable & ~concretize_up
-    new.slack[keep_up] = bounds.slack[keep_up]
-    return new
 
 
 def _relu_deeppoly(
@@ -239,6 +240,25 @@ class SymbolicPropagator:
         lo_out, hi_out = self.output_bounds(input_box)
         return Box(lo_out, hi_out)
 
+    def _propagate(
+        self, bounds: LinearBounds, lo: np.ndarray, hi: np.ndarray
+    ) -> LinearBounds:
+        """Push ``bounds`` through every layer (ReLU after all but the
+        last), timing each layer into ``verify.layer_seconds`` when the
+        recorder is on."""
+        network = self.network
+        relu_rule = _relu_reluval if self.relaxation == "reluval" else _relu_deeppoly
+        rec = get_recorder()
+        last = len(network.weights) - 1
+        for i, (w, b) in enumerate(zip(network.weights, network.biases)):
+            tick = time.perf_counter() if rec.enabled else 0.0
+            bounds = _affine_transform(bounds, w, b, lo, hi)
+            if i < last:
+                bounds = relu_rule(bounds, lo, hi)
+            if rec.enabled:
+                rec.observe("verify.layer_seconds", time.perf_counter() - tick)
+        return bounds
+
     def output_bounds(self, input_box: Box) -> tuple[np.ndarray, np.ndarray]:
         """Concrete output bounds (lower, upper arrays)."""
         network = self.network
@@ -248,28 +268,8 @@ class SymbolicPropagator:
                 f"{network.input_size}"
             )
         lo, hi = input_box.lo, input_box.hi
-        relu_rule = _relu_reluval if self.relaxation == "reluval" else _relu_deeppoly
-        rec = get_recorder()
-        bounds = LinearBounds.identity(network.input_size)
-        if rec.enabled:
-            rec.inc("verify.propagations")
-            for w, b in zip(network.weights[:-1], network.biases[:-1]):
-                tick = time.perf_counter()
-                bounds = _affine_transform(bounds, w, b, lo, hi)
-                bounds = relu_rule(bounds, lo, hi)
-                rec.observe("verify.layer_seconds", time.perf_counter() - tick)
-            tick = time.perf_counter()
-            bounds = _affine_transform(
-                bounds, network.weights[-1], network.biases[-1], lo, hi
-            )
-            rec.observe("verify.layer_seconds", time.perf_counter() - tick)
-        else:
-            for w, b in zip(network.weights[:-1], network.biases[:-1]):
-                bounds = _affine_transform(bounds, w, b, lo, hi)
-                bounds = relu_rule(bounds, lo, hi)
-            bounds = _affine_transform(
-                bounds, network.weights[-1], network.biases[-1], lo, hi
-            )
+        get_recorder().inc("verify.propagations")
+        bounds = self._propagate(LinearBounds.identity(network.input_size), lo, hi)
         out_lo, out_hi = bounds.concretize(lo, hi)
         # Safety net: bounds crossing by rounding noise would be a bug;
         # normalize the (never observed) pathological case soundly.
@@ -305,27 +305,10 @@ class SymbolicPropagator:
                 self.output_bounds(Box(lo[b], hi[b])) for b in range(lo.shape[0])
             ]
             return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs])
-        rec = get_recorder()
-        bounds = LinearBounds.identity_batch(network.input_size, lo.shape[0])
-        if rec.enabled:
-            rec.inc("verify.propagations", lo.shape[0])
-            for w, b in zip(network.weights[:-1], network.biases[:-1]):
-                tick = time.perf_counter()
-                bounds = _affine_transform(bounds, w, b, lo, hi)
-                bounds = _relu_reluval(bounds, lo, hi)
-                rec.observe("verify.layer_seconds", time.perf_counter() - tick)
-            tick = time.perf_counter()
-            bounds = _affine_transform(
-                bounds, network.weights[-1], network.biases[-1], lo, hi
-            )
-            rec.observe("verify.layer_seconds", time.perf_counter() - tick)
-        else:
-            for w, b in zip(network.weights[:-1], network.biases[:-1]):
-                bounds = _affine_transform(bounds, w, b, lo, hi)
-                bounds = _relu_reluval(bounds, lo, hi)
-            bounds = _affine_transform(
-                bounds, network.weights[-1], network.biases[-1], lo, hi
-            )
+        get_recorder().inc("verify.propagations", lo.shape[0])
+        bounds = self._propagate(
+            LinearBounds.identity_batch(network.input_size, lo.shape[0]), lo, hi
+        )
         out_lo, out_hi = bounds.concretize(lo, hi)
         out_hi = np.maximum(out_hi, out_lo)
         return out_lo, out_hi
@@ -334,15 +317,8 @@ class SymbolicPropagator:
         """Per-input influence scores (|coeff| magnitudes of the output
         forms), used by influence-guided splitting (Section 8 future
         work)."""
-        network = self.network
-        lo, hi = input_box.lo, input_box.hi
-        relu_rule = _relu_reluval if self.relaxation == "reluval" else _relu_deeppoly
-        bounds = LinearBounds.identity(network.input_size)
-        for w, b in zip(network.weights[:-1], network.biases[:-1]):
-            bounds = _affine_transform(bounds, w, b, lo, hi)
-            bounds = relu_rule(bounds, lo, hi)
-        bounds = _affine_transform(
-            bounds, network.weights[-1], network.biases[-1], lo, hi
+        bounds = self._propagate(
+            LinearBounds.identity(self.network.input_size), input_box.lo, input_box.hi
         )
         influence = np.abs(bounds.lo_coeffs) + np.abs(bounds.up_coeffs)
         return influence.sum(axis=0)

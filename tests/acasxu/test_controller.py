@@ -9,13 +9,17 @@ from repro.acasxu import (
     ADVISORIES,
     INPUT_MEANS,
     INPUT_RANGES,
+    PAPER_NUM_ARCS,
+    PAPER_NUM_HEADINGS,
     AcasPre,
     TURN_RATES_DEG,
     build_controller,
     command_set,
+    initial_cell,
+    initial_cells,
     normalize_inputs,
 )
-from repro.intervals import Box
+from repro.intervals import Box, Interval
 from repro.nn import Network
 
 
@@ -137,6 +141,102 @@ class TestAcasPreAbstract:
             want = pre.abstract(box)
             assert out_lo[r].tobytes() == want.lo.tobytes()
             assert out_hi[r].tobytes() == want.hi.tobytes()
+
+
+def _paper_cells() -> list[Box]:
+    """A spread of cells of the paper's 629 x 316 partition."""
+    arcs = np.linspace(-math.pi, math.pi, PAPER_NUM_ARCS + 1)
+    headings = np.linspace(-math.pi / 2.0, math.pi / 2.0, PAPER_NUM_HEADINGS + 1)
+    picks = [
+        (0, 0), (100, 315), (157, 158), (313, 40), (314, 200), (315, 3), (471, 250), (628, 315)
+    ]
+    return [
+        initial_cell(Interval(arcs[a], arcs[a + 1]), Interval(headings[h], headings[h + 1]))
+        for a, h in picks
+    ]
+
+
+def _tiny_cells() -> list[Box]:
+    return [box for box, _command, _tags in initial_cells(8, 3)]
+
+
+def _subnormal(values: np.ndarray) -> np.ndarray:
+    magnitude = np.abs(values)
+    return (magnitude > 0.0) & (magnitude < np.finfo(float).tiny)
+
+
+def _stacked(boxes: list[Box]) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([b.lo for b in boxes]), np.stack([b.hi for b in boxes])
+
+
+class TestPreExactMeans:
+    """An input whose interval is exactly its normalization mean (the
+    scenario's constant speeds) is normalized to the exact point 0
+    rather than nudged outward to subnormal endpoints."""
+
+    @pytest.mark.parametrize("cells", [_paper_cells, _tiny_cells], ids=["paper", "tiny"])
+    def test_constant_speeds_are_exact_zero(self, cells):
+        pre = AcasPre()
+        boxes = cells()
+        out_lo, out_hi = pre.abstract_batch(*_stacked(boxes))
+        zeros = np.zeros((len(boxes), 2))
+        assert out_lo[:, 3:].tobytes() == zeros.tobytes()
+        assert out_hi[:, 3:].tobytes() == zeros.tobytes()
+        for box in boxes:
+            out = pre.abstract(box)
+            assert out.lo[3:].tobytes() == zeros[0].tobytes()
+            assert out.hi[3:].tobytes() == zeros[0].tobytes()
+
+    @pytest.mark.parametrize("cells", [_paper_cells, _tiny_cells], ids=["paper", "tiny"])
+    def test_no_subnormal_endpoints_of_its_own(self, cells):
+        """``Pre#`` adds no subnormal endpoint. On the paper cells there
+        is none at all; a tiny cell whose arc ends at position angle 0
+        starts with a subnormal ``x`` endpoint (``isin(0) * 8000``),
+        which reaches ``theta`` and is the only source allowed."""
+        pre = AcasPre()
+        boxes = cells()
+        lo, hi = _stacked(boxes)
+        out_lo, out_hi = pre.abstract_batch(lo, hi)
+        produced = _subnormal(out_lo).any(axis=1) | _subnormal(out_hi).any(axis=1)
+        inherited = _subnormal(lo).any(axis=1) | _subnormal(hi).any(axis=1)
+        assert not np.any(produced & ~inherited)
+        if cells is _paper_cells:
+            assert not np.any(produced)
+
+    def test_rows_off_the_mean_keep_outward_rounding(self):
+        """Inputs that are not exactly the mean point (a speed interval,
+        or one with a single endpoint at the mean) are normalized by the
+        outward-rounded interval formula, bit for bit."""
+        pre = AcasPre()
+        boxes = [
+            Box([-500.0, 7000.0, 2.9, 690.0, 600.0], [500.0, 8000.0, 3.2, 710.0, 600.0]),
+            Box([-500.0, 7000.0, 2.9, 700.0, 595.0], [500.0, 8000.0, 3.2, 700.0, 600.0]),
+            Box([100.0, 4000.0, 1.5, 697.0, 600.0], [100.0, 4000.0, 1.5, 700.0, 612.0]),
+        ]
+        out_lo, out_hi = pre.abstract_batch(*_stacked(boxes))
+        for r, box in enumerate(boxes):
+            raw = [*AcasPre._polar_interval(box), box[2], box[3], box[4]]
+            for i, iv in enumerate(raw):
+                if iv.lo == iv.hi == INPUT_MEANS[i]:
+                    want = Interval(0.0, 0.0)
+                else:
+                    want = (iv - float(INPUT_MEANS[i])) * (1.0 / float(INPUT_RANGES[i]))
+                assert out_lo[r, i].tobytes() == np.float64(want.lo).tobytes()
+                assert out_hi[r, i].tobytes() == np.float64(want.hi).tobytes()
+        # The exact-mean inputs above: v_int of box 0 and v_own of box 1.
+        assert out_lo[0, 4] == out_hi[0, 4] == 0.0
+        assert out_lo[1, 3] == out_hi[1, 3] == 0.0
+        assert out_lo[1, 4] < 0.0 < out_hi[1, 4]
+        assert out_lo[2, 3] < 0.0 < out_hi[2, 3]
+
+    @pytest.mark.parametrize("cells", [_paper_cells, _tiny_cells], ids=["paper", "tiny"])
+    def test_contains_concrete(self, cells):
+        pre = AcasPre()
+        rng = np.random.default_rng(11)
+        for box in cells():
+            out = pre.abstract(box)
+            for s in box.sample(rng, 25):
+                assert out.contains_point(pre.concrete(s))
 
 
 class TestBuildController:

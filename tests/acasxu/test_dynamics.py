@@ -13,8 +13,8 @@ from repro.acasxu import (
     cartesian_from_polar,
     polar_from_cartesian,
 )
-from repro.intervals import Box, Interval
-from repro.ode import IntegratorSettings, TaylorIntegrator
+from repro.intervals import Box, BoxBatch, Interval, IntervalBatch
+from repro.ode import AnalyticFlow, IntegratorSettings, TaylorIntegrator
 
 
 def scipy_flow(state, u, t):
@@ -105,6 +105,64 @@ class TestAnalyticFlowExactness:
         pipe = flow.integrate(0.0, 1.0, box, np.array([0.0]), substeps=10)
         assert len(pipe.steps) == 10
         assert pipe.end_box[1].contains(8000.0 - 1300.0)
+
+
+def _mixed_batch() -> tuple[BoxBatch, np.ndarray]:
+    """Boxes under zero and nonzero turn rates, interleaved."""
+    rng = np.random.default_rng(21)
+    turns = [0.0, math.radians(1.5), 0.0, math.radians(-3.0), math.radians(3.0), 0.0]
+    boxes = []
+    for _ in turns:
+        x, y, psi = rng.uniform(-3000, 3000), rng.uniform(-3000, 3000), rng.uniform(-3, 3)
+        lo = np.array([x, y, psi, 700.0, 600.0])
+        width = np.array([rng.uniform(0, 200), rng.uniform(0, 200), rng.uniform(0, 0.05), 0.0, 0.0])
+        boxes.append(Box(lo, lo + width))
+    return BoxBatch.from_boxes(boxes), np.array([[t] for t in turns])
+
+
+def _same_bits(a: BoxBatch, b: BoxBatch) -> bool:
+    return a.lo.tobytes() == b.lo.tobytes() and a.hi.tobytes() == b.hi.tobytes()
+
+
+class TestAnalyticStepBatch:
+    """``step_batch`` evaluates the flow once per substep, on the range
+    and end rows stacked with a per-row ``tau``."""
+
+    H = 0.1
+
+    def test_equals_two_flow_box_batch_calls(self):
+        flow = AcasXuAnalyticFlow()
+        batch, u_rows = _mixed_batch()
+        range_b, end_b = flow.step_batch(0.3, self.H, batch, u_rows)
+        assert _same_bits(range_b, flow.flow_box_batch(batch, u_rows, Interval(0.0, self.H)))
+        assert _same_bits(end_b, flow.flow_box_batch(batch, u_rows, Interval.point(self.H)))
+
+    def test_equals_scalar_step_per_row(self):
+        flow = AcasXuAnalyticFlow()
+        batch, u_rows = _mixed_batch()
+        range_b, end_b = flow.step_batch(0.3, self.H, batch, u_rows)
+        for r in range(batch.count):
+            step = flow.step(0.3, self.H, batch.row(r), u_rows[r])
+            assert step.range_box.lo.tobytes() == range_b.lo[r].tobytes()
+            assert step.range_box.hi.tobytes() == range_b.hi[r].tobytes()
+            assert step.end_box.lo.tobytes() == end_b.lo[r].tobytes()
+            assert step.end_box.hi.tobytes() == end_b.hi[r].tobytes()
+
+    def test_per_row_tau(self):
+        """``flow_box_batch`` with one time interval per row matches the
+        scalar flow of each row under its own ``tau``, in the vectorized
+        kernel and in the base class's per-row default."""
+        flow = AcasXuAnalyticFlow()
+        batch, u_rows = _mixed_batch()
+        taus = IntervalBatch(
+            np.array([0.0, 0.1, 0.05, 0.1, 0.0, 0.02]), np.array([0.1, 0.1, 0.2, 0.1, 0.0, 0.3])
+        )
+        fast = flow.flow_box_batch(batch, u_rows, taus)
+        default = AnalyticFlow.flow_box_batch(flow, batch, u_rows, taus)
+        for r in range(batch.count):
+            want = flow.flow_box(batch.row(r), u_rows[r], taus[r])
+            assert want.lo.tobytes() == fast.lo[r].tobytes() == default.lo[r].tobytes()
+            assert want.hi.tobytes() == fast.hi[r].tobytes() == default.hi[r].tobytes()
 
 
 class TestAnalyticVsTaylor:
