@@ -30,11 +30,15 @@ integrator (cross-checked against it in the tests).
 from __future__ import annotations
 
 import math
+import time
+from typing import NamedTuple
 
 import numpy as np
 
 from ..intervals import Box, BoxBatch, Interval, IntervalBatch, icos, isin
-from ..ode import AnalyticFlow, ODESystem
+from ..intervals.batched import badd, bdiv, bmul, bneg, bsincos, bsub
+from ..obs import get_recorder
+from ..ode import AnalyticFlow, FlowPipeBatch, ODESystem
 from ..ode.ops import gcos, gsin
 
 STATE_DIM = 5
@@ -73,6 +77,12 @@ class AcasXuAnalyticFlow(AnalyticFlow):
     inertial space). Evaluating this expression with interval arguments
     — including an interval ``t`` — gives a sound enclosure over a time
     range in one shot.
+
+    The batched forms split the expression in two. The *turn terms*
+    (``u t``, its sine and cosine, ``v_int t`` and the ownship term)
+    depend only on the command, ``t`` and the speeds; the *state map*
+    applies the rest to ``(x0, y0, psi0)``. :meth:`integrate_batch`
+    evaluates the turn terms once per control period.
     """
 
     dim = STATE_DIM
@@ -120,61 +130,86 @@ class AcasXuAnalyticFlow(AnalyticFlow):
 
         Row ``i`` flows under turn rate ``u_rows[i, 0]`` for time ``tau``
         (shared) or ``tau[i]`` (an :class:`IntervalBatch`, one time per
-        row); the kernels in :mod:`repro.intervals.batched` replicate
-        the scalar op sequence exactly, so every row is bitwise
-        identical to the scalar path. Rows with zero turn rate take the
-        scalar limit branch via a masked divisor and a rowwise select.
+        row): the state map applied to the turn terms of those times.
+        The kernels in :mod:`repro.intervals.batched` replicate the
+        scalar op sequence exactly, so every row is bitwise identical
+        to the scalar path.
         """
-        count = s0.count
-        turns = np.asarray(u_rows, dtype=float)[:, 0]
-        tb = IntervalBatch.coerce(tau, (count,))
-        turn_b = IntervalBatch.point(turns)
-        x0, y0, psi0, v_own, v_int = (s0.column(i) for i in range(STATE_DIM))
+        tb = IntervalBatch.coerce(tau, (s0.count,))
+        terms = _turn_terms(s0, u_rows, tb.lo[None], tb.hi[None])
+        xy_lo, xy_hi, psi_lo, psi_hi = _state_map(
+            terms, s0.lo[:, X:PSI].T, s0.hi[:, X:PSI].T, s0.lo[:, PSI], s0.hi[:, PSI]
+        )
+        return BoxBatch(
+            np.concatenate([xy_lo[:, 0].T, psi_lo.T, s0.lo[:, V_OWN:]], axis=1),
+            np.concatenate([xy_hi[:, 0].T, psi_hi.T, s0.hi[:, V_OWN:]], axis=1),
+        )
 
-        ut = tb * turn_b
-        cos_ut = ut.cos()
-        sin_ut = ut.sin()
-        psi_t = psi0 - ut
+    def integrate_batch(
+        self,
+        t0: float,
+        t1: float,
+        s0: BoxBatch,
+        u_rows: np.ndarray,
+        substeps: int = 1,
+    ) -> FlowPipeBatch:
+        """Batched :meth:`integrate`: one flow tube per row of ``s0``.
 
-        # R(-u t) z0.
-        x_rot = cos_ut * x0 + sin_ut * y0
-        y_rot = -(sin_ut * x0) + cos_ut * y0
-
-        # Intruder straight-line displacement, expressed at time t.
-        sin_psi_t = psi_t.sin()
-        cos_psi_t = psi_t.cos()
-        x_int = -(v_int * tb * sin_psi_t)
-        y_int = v_int * tb * cos_psi_t
-
-        # Ownship displacement: the turn == 0 rows use the straight-line
-        # limit, everything else divides by the (masked) turn rate.
-        zero = turns == 0.0
-        if bool(np.all(zero)):
-            x_own = IntervalBatch.point(np.zeros(count))
-            y_own = v_own * tb
-        else:
-            safe = np.where(zero, 1.0, turns)
-            safe_b = IntervalBatch.point(safe)
-            x_own = v_own * ((1.0 - cos_ut) / safe_b)
-            y_own = v_own * (sin_ut / safe_b)
-            if bool(np.any(zero)):
-                y_straight = v_own * tb
-                x_own = IntervalBatch(
-                    np.where(zero, 0.0, x_own.lo), np.where(zero, 0.0, x_own.hi)
-                )
-                y_own = IntervalBatch(
-                    np.where(zero, y_straight.lo, y_own.lo),
-                    np.where(zero, y_straight.hi, y_own.hi),
-                )
-
-        return BoxBatch.from_columns(
-            [
-                x_rot + x_int - x_own,
-                y_rot + y_int - y_own,
-                psi_t,
-                v_own,
-                v_int,
-            ]
+        The speeds pass through every substep unchanged, so the turn
+        terms are loop-invariant: they are evaluated once, for the range
+        (``tau = [0, h]``) and the end (``tau = [h, h]``) on a leading
+        axis of length 2. Each substep then applies only the state map,
+        and its end row seeds the next substep. Every row is bitwise
+        identical to :meth:`integrate` on that row alone.
+        """
+        u_rows = np.asarray(u_rows, dtype=float)
+        if t1 <= t0:
+            raise ValueError("integration horizon must be positive")
+        if substeps < 1:
+            raise ValueError("substeps must be >= 1")
+        if u_rows.shape[0] != s0.count:
+            raise ValueError("one command row per box required")
+        rec = get_recorder()
+        h = (t1 - t0) / substeps
+        terms = _turn_terms(s0, u_rows, np.array([[0.0], [h]]), np.array([[h], [h]]))
+        # Substep i of row b: range box at [i, 0, b], end box at [i, 1, b].
+        tube_lo = np.empty((substeps, 2, s0.count, STATE_DIM))
+        tube_hi = np.empty_like(tube_lo)
+        # sound: ok [S004] result-buffer assembly: the arrays were freshly
+        # allocated above and are owned by this call; the speeds are the
+        # flow's exact pass-through columns, copied in unchanged
+        tube_lo[..., V_OWN:] = s0.lo[:, V_OWN:]
+        # sound: ok [S004] result-buffer assembly, see above
+        tube_hi[..., V_OWN:] = s0.hi[:, V_OWN:]
+        z_lo, z_hi = s0.lo[:, X:PSI].T, s0.hi[:, X:PSI].T
+        psi_lo, psi_hi = s0.lo[:, PSI], s0.hi[:, PSI]
+        for i in range(substeps):
+            tick = time.perf_counter()
+            xy_lo, xy_hi, psi_t_lo, psi_t_hi = _state_map(
+                terms, z_lo, z_hi, psi_lo, psi_hi
+            )
+            if rec.enabled:
+                rec.observe("ode.substep_seconds", time.perf_counter() - tick)
+                rec.inc("ode.substeps", s0.count)
+            # sound: ok [S004] result-buffer assembly: the validated
+            # endpoints of the state map are copied in unchanged
+            tube_lo[i, :, :, X:PSI] = xy_lo.transpose(1, 2, 0)
+            # sound: ok [S004] result-buffer assembly, see above
+            tube_hi[i, :, :, X:PSI] = xy_hi.transpose(1, 2, 0)
+            # sound: ok [S004] result-buffer assembly, see above
+            tube_lo[i, :, :, PSI] = psi_t_lo
+            # sound: ok [S004] result-buffer assembly, see above
+            tube_hi[i, :, :, PSI] = psi_t_hi
+            z_lo, z_hi = xy_lo[:, 1], xy_hi[:, 1]
+            psi_lo, psi_hi = psi_t_lo[1], psi_t_hi[1]
+        t_starts = t0 + np.arange(substeps) * h
+        return FlowPipeBatch(
+            t_starts=t_starts,
+            t_ends=t_starts + h,
+            range_lo=tube_lo[:, 0],
+            range_hi=tube_hi[:, 0],
+            end_lo=tube_lo[:, 1],
+            end_hi=tube_hi[:, 1],
         )
 
     def flow_point(self, state: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
@@ -196,6 +231,99 @@ class AcasXuAnalyticFlow(AnalyticFlow):
         return np.array(
             [x_rot + x_int - x_own, y_rot + y_int - y_own, psi_t, v_own, v_int]
         )
+
+
+class _TurnTerms(NamedTuple):
+    """The state-independent half of the closed form, at ``K`` times.
+
+    Every field is an ``(lo, hi)`` pair whose last two axes are time
+    (length ``K``) and row: ``ut = u*tau``; ``rot`` holds
+    ``((cos, sin), (sin, cos))(u*tau)``, the rotation ``R(-u*tau)``
+    paired with ``(x0, y0)``; ``vt = v_int*tau``; ``own`` stacks the
+    ownship displacement ``(x_own, y_own)``.
+    """
+
+    ut: tuple[np.ndarray, np.ndarray]
+    rot: tuple[np.ndarray, np.ndarray]
+    vt: tuple[np.ndarray, np.ndarray]
+    own: tuple[np.ndarray, np.ndarray]
+
+
+def _turn_terms(
+    s0: BoxBatch, u_rows: np.ndarray, tau_lo: np.ndarray, tau_hi: np.ndarray
+) -> _TurnTerms:
+    """The turn terms of every row of ``s0`` for the times ``tau``
+    (time axis first, broadcast against the rows). They read the state
+    only through the speeds, which the flow passes through unchanged."""
+    turns = np.asarray(u_rows, dtype=float)[:, 0]
+    v_own_lo, v_own_hi = s0.lo[:, V_OWN], s0.hi[:, V_OWN]
+    ut = bmul(tau_lo, tau_hi, turns, turns)
+    sin_lo, sin_hi, cos_lo, cos_hi = bsincos(*ut)
+    vt = bmul(s0.lo[:, V_INT], s0.hi[:, V_INT], tau_lo, tau_hi)
+
+    # Ownship displacement: (1 - cos, sin) * v_own / turn, with the
+    # divisor masked to 1 on the turn == 0 rows, which then take the
+    # straight-line limit (0, v_own * tau).
+    zero = turns == 0.0
+    safe = np.where(zero, 1.0, turns)
+    one_minus_cos = bsub(1.0, 1.0, cos_lo, cos_hi)
+    quot = bdiv(
+        np.array((one_minus_cos[0], sin_lo)),
+        np.array((one_minus_cos[1], sin_hi)),
+        safe,
+        safe,
+    )
+    own_lo, own_hi = bmul(v_own_lo, v_own_hi, *quot)
+    line_lo, line_hi = bmul(v_own_lo, v_own_hi, tau_lo, tau_hi)
+    return _TurnTerms(
+        ut=ut,
+        rot=(
+            np.array(((cos_lo, sin_lo), (sin_lo, cos_lo))),
+            np.array(((cos_hi, sin_hi), (sin_hi, cos_hi))),
+        ),
+        vt=vt,
+        own=(
+            np.where(zero, np.array((np.zeros_like(line_lo), line_lo)), own_lo),
+            np.where(zero, np.array((np.zeros_like(line_hi), line_hi)), own_hi),
+        ),
+    )
+
+
+def _state_map(
+    terms: _TurnTerms,
+    z_lo: np.ndarray,
+    z_hi: np.ndarray,
+    psi_lo: np.ndarray,
+    psi_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state-dependent half of the closed form.
+
+    ``z`` stacks ``(x0, y0)`` on a leading axis; ``z`` and ``psi0`` hold
+    one entry per row. Returns the endpoints of ``(x, y)`` at the turn
+    terms' times, shape ``(2, K, B)``, then those of ``psi_t``, shape
+    ``(K, B)``.
+    """
+    psi_t = bsub(psi_lo, psi_hi, *terms.ut)
+
+    # R(-u t) z0: (cos*x0, sin*y0) and (sin*x0, cos*y0) in one product.
+    prod_lo, prod_hi = bmul(*terms.rot, z_lo[:, None], z_hi[:, None])
+    neg_lo, neg_hi = bneg(prod_lo[1, 0], prod_hi[1, 0])
+    rot = badd(
+        np.array((prod_lo[0, 0], neg_lo)),
+        np.array((prod_hi[0, 0], neg_hi)),
+        prod_lo[:, 1],
+        prod_hi[:, 1],
+    )
+
+    # Intruder straight-line displacement, expressed at time t:
+    # v_int*t * (-sin(psi_t), cos(psi_t)).
+    sin_lo, sin_hi, cos_lo, cos_hi = bsincos(*psi_t)
+    int_lo, int_hi = bmul(
+        *terms.vt, np.array((sin_lo, cos_lo)), np.array((sin_hi, cos_hi))
+    )
+    neg_lo, neg_hi = bneg(int_lo[0], int_hi[0])
+    xy = badd(*rot, np.array((neg_lo, int_lo[1])), np.array((neg_hi, int_hi[1])))
+    return (*bsub(*xy, *terms.own), *psi_t)
 
 
 def polar_from_cartesian(state: np.ndarray) -> tuple[float, float]:

@@ -278,33 +278,56 @@ def bhypot(
     return bsqrt(slo, shi, clamp_tolerance=math.inf)
 
 
-def _phase_hits(lo: np.ndarray, hi: np.ndarray, phase: float) -> np.ndarray:
+#: Candidate extremum offsets ``k, k + 1, k + 2`` of the phase test.
+_PHASE_OFFSETS = np.array([0.0, 1.0, 2.0])
+
+
+def _phase_hits(lo: np.ndarray, hi: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Vectorized ``functions._contains_phase``: may ``phase + 2k*pi``
-    lie in ``[lo, hi]``? Conservative (errs toward True)."""
+    lie in ``[lo, hi]``? Conservative (errs toward True). ``phase``
+    broadcasts against the endpoints, one phase per stacked function."""
     # sound: ok [S001] one-sided predicate with the same slop as the scalar
     # version; a spurious True only widens the enclosure
     k = np.floor((lo - phase) / _TWO_PI - _PHASE_SLOP)
-    hit = np.zeros(np.shape(lo), dtype=bool)
-    for offset in (0.0, 1.0, 2.0):
-        x = phase + (k + offset) * _TWO_PI
-        # sound: ok [S001] slop-protected comparison, errs toward True
-        hit |= (lo - _PHASE_SLOP <= x) & (x <= hi + _PHASE_SLOP)
-    return hit
+    # sound: ok [S001] candidate extremum locations of the slop-protected
+    # test below, exactly as in the scalar version
+    x = phase + (k + _PHASE_OFFSETS.reshape((3,) + (1,) * k.ndim)) * _TWO_PI
+    # sound: ok [S001] slop-protected comparison, errs toward True
+    return np.logical_or.reduce((lo - _PHASE_SLOP <= x) & (x <= hi + _PHASE_SLOP))
+
+
+#: Extremum phases ``(max, min)`` on the leading axis: sine peaks at
+#: pi/2 and bottoms at -pi/2, cosine peaks at 0 and bottoms at pi.
+_SIN_PHASES = np.array([math.pi / 2.0, -math.pi / 2.0])
+_COS_PHASES = np.array([0.0, math.pi])
+#: Both functions at once, (sin, cos) on the second axis.
+_SINCOS_PHASES = np.stack([_SIN_PHASES, _COS_PHASES], axis=1)
+
+
+def _trig_endpoints(alo: np.ndarray, ahi: np.ndarray) -> np.ndarray:
+    """Both endpoints on a new leading axis, infinities mapped to 0
+    (their function values are unused: the wide fallback covers them)."""
+    ends = np.array((alo, ahi))
+    return np.where(np.isfinite(ends), ends, 0.0)
 
 
 def _trig_envelope(
-    alo: np.ndarray,
-    ahi: np.ndarray,
-    flo: np.ndarray,
-    fhi: np.ndarray,
-    max_phase: float,
-    min_phase: float,
+    alo: np.ndarray, ahi: np.ndarray, values: np.ndarray, phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared sin/cos postlude: extremum handling + wide-interval fallback."""
-    lo = np.minimum(_lib_down(flo), _lib_down(fhi))
-    hi = np.maximum(_lib_up(flo), _lib_up(fhi))
-    hi = np.where(_phase_hits(alo, ahi, max_phase), 1.0, hi)
-    lo = np.where(_phase_hits(alo, ahi, min_phase), -1.0, lo)
+    """Shared sin/cos postlude: extremum handling + wide-interval fallback.
+
+    ``values[0]``/``values[1]`` are the raw function values at the lower
+    and upper endpoints, optionally stacked over several functions;
+    ``phases[0]``/``phases[1]`` are the maximum/minimum phases of each
+    stacked function, broadcast over the argument's axes.
+    """
+    # sound: ok [S001] integer shape arithmetic (one broadcast axis per
+    # axis of the argument), not bound values
+    hits = _phase_hits(alo, ahi, phases.reshape(phases.shape + (1,) * np.ndim(alo)))
+    down = _lib_down(values)
+    up = _lib_up(values)
+    lo = np.where(hits[1], -1.0, np.minimum(down[0], down[1]))
+    hi = np.where(hits[0], 1.0, np.maximum(up[0], up[1]))
     # The one-ulp-down width test errs toward the full [-1, 1]
     # fallback, exactly like the scalar isin/icos.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,42 +341,32 @@ def _trig_envelope(
 
 def bsin(alo: np.ndarray, ahi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched interval sine (= ``functions.isin`` element by element)."""
-    with np.errstate(invalid="ignore"):
-        # sound: ok [S002] endpoint sines inflated by LIBM_ULPS inside
-        # _trig_envelope, matching the scalar isin
-        flo = np.sin(np.where(np.isfinite(alo), alo, 0.0))
-        # sound: ok [S002] same LIBM_ULPS inflation covers this endpoint
-        fhi = np.sin(np.where(np.isfinite(ahi), ahi, 0.0))
-    return _trig_envelope(alo, ahi, flo, fhi, math.pi / 2.0, -math.pi / 2.0)
+    # sound: ok [S002] endpoint sines inflated by LIBM_ULPS inside
+    # _trig_envelope, matching the scalar isin
+    values = np.sin(_trig_endpoints(alo, ahi))
+    return _trig_envelope(alo, ahi, values, _SIN_PHASES)
 
 
 def bcos(alo: np.ndarray, ahi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched interval cosine (= ``functions.icos`` element by element)."""
-    with np.errstate(invalid="ignore"):
-        # sound: ok [S002] endpoint cosines inflated by LIBM_ULPS inside
-        # _trig_envelope, matching the scalar icos
-        flo = np.cos(np.where(np.isfinite(alo), alo, 0.0))
-        # sound: ok [S002] same LIBM_ULPS inflation covers this endpoint
-        fhi = np.cos(np.where(np.isfinite(ahi), ahi, 0.0))
-    return _trig_envelope(alo, ahi, flo, fhi, 0.0, math.pi)
+    # sound: ok [S002] endpoint cosines inflated by LIBM_ULPS inside
+    # _trig_envelope, matching the scalar icos
+    values = np.cos(_trig_endpoints(alo, ahi))
+    return _trig_envelope(alo, ahi, values, _COS_PHASES)
 
 
 def bsincos(
     alo: np.ndarray, ahi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simultaneous batched sine and cosine (shares the endpoint prep)."""
-    safe_lo = np.where(np.isfinite(alo), alo, 0.0)
-    safe_hi = np.where(np.isfinite(ahi), ahi, 0.0)
-    with np.errstate(invalid="ignore"):
-        # sound: ok [S002] endpoint sin/cos inflated by LIBM_ULPS inside
-        # _trig_envelope, matching the scalar isin/icos
-        slo_raw, shi_raw = np.sin(safe_lo), np.sin(safe_hi)
-        # sound: ok [S002] endpoint cosines inflated by LIBM_ULPS inside
-        # _trig_envelope, matching the scalar icos
-        clo_raw, chi_raw = np.cos(safe_lo), np.cos(safe_hi)
-    slo, shi = _trig_envelope(alo, ahi, slo_raw, shi_raw, math.pi / 2.0, -math.pi / 2.0)
-    clo, chi = _trig_envelope(alo, ahi, clo_raw, chi_raw, 0.0, math.pi)
-    return slo, shi, clo, chi
+    """Simultaneous batched sine and cosine (= ``functions.isin`` and
+    ``icos`` element by element): the sine and cosine endpoint values
+    are stacked and share one :func:`_trig_envelope` pass."""
+    ends = _trig_endpoints(alo, ahi)
+    # sound: ok [S002] endpoint sin/cos inflated by LIBM_ULPS inside
+    # _trig_envelope, matching the scalar isin/icos
+    values = np.array((np.sin(ends), np.cos(ends))).swapaxes(0, 1)
+    lo, hi = _trig_envelope(alo, ahi, values, _SINCOS_PHASES)
+    return lo[0], hi[0], lo[1], hi[1]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from ..intervals import Box, BoxBatch, IntervalBatch
+from ..intervals import Box, BoxBatch
 from ..obs import get_recorder
 from .ivp import (
     EnclosureError,
@@ -32,7 +32,7 @@ from .taylor import taylor_step_bounds, taylor_step_bounds_batch
 def _integrate_batch_driver(
     stepper, t0: float, t1: float, s0: BoxBatch, u_rows: np.ndarray, substeps: int
 ) -> FlowPipeBatch:
-    """Shared ``M``-substep driver over a whole box batch.
+    """``M``-substep driver over a whole box batch.
 
     ``stepper.step_batch(start, h, batch, u_rows)`` must return the
     ``(range_batch, end_batch)`` pair for one substep; the endpoint
@@ -144,6 +144,7 @@ class TaylorIntegrator:
         bisection path. Results are bitwise identical to :meth:`step`
         row by row.
         """
+        # sound: ok [S003] integer dimension metadata, not a bound value
         if s0.dim != self.system.dim:
             raise ValueError(
                 f"state dimension {s0.dim} != system dimension {self.system.dim}"
@@ -157,6 +158,7 @@ class TaylorIntegrator:
 
         groups: dict[bytes, list[int]] = {}
         for r in range(s0.count):
+            # sound: ok [S008] row indices grouped by command, not bounds
             groups.setdefault(u_rows[r].tobytes(), []).append(r)
 
         for rows in groups.values():
@@ -194,6 +196,7 @@ class TaylorIntegrator:
                     # sound: ok [S004] SoA result-buffer assembly, see above
                     out_end_hi[r] = second.end_box.hi
                     continue
+                # sound: ok [S008] a row index, not a bound value
                 plain_rows.append(r)
                 enclosures.append(enc)
             if not plain_rows:
@@ -275,7 +278,9 @@ class AnalyticFlow:
     the exact flow map over a time interval; the integrator interface
     then matches :class:`TaylorIntegrator`, letting the reachability
     core swap integrators freely (used by the ACAS Xu plant, where the
-    piecewise-constant-turn kinematics integrates in closed form).
+    piecewise-constant-turn kinematics integrates in closed form). A
+    subclass may add a vectorized ``integrate_batch``; without one,
+    :meth:`repro.core.system.Plant.flow_batch` integrates row by row.
     """
 
     dim: int
@@ -284,64 +289,12 @@ class AnalyticFlow:
         """Enclosure of ``Phi(s0, tau)`` with ``tau`` an Interval/float."""
         raise NotImplementedError
 
-    def flow_box_batch(self, s0: BoxBatch, u_rows: np.ndarray, tau) -> BoxBatch:
-        """Enclosure of ``Phi(row, tau)`` for every row of ``s0``.
-
-        Row ``i`` uses command ``u_rows[i]`` and time ``tau`` (an
-        Interval/float shared by all rows) or ``tau[i]`` (an
-        :class:`IntervalBatch` with one time interval per row). The
-        default evaluates the scalar :meth:`flow_box` per row;
-        subclasses override with a vectorized (bitwise-identical)
-        kernel.
-        """
-        taus = IntervalBatch.coerce(tau, (s0.count,))
-        return BoxBatch.from_boxes(
-            [self.flow_box(s0.row(i), u_rows[i], taus[i]) for i in range(s0.count)]
-        )
-
     def step(self, t0: float, h: float, s0: Box, u: np.ndarray) -> ValidatedStep:
         from ..intervals import Interval
 
         range_box = self.flow_box(s0, u, Interval(0.0, h))
         end_box = self.flow_box(s0, u, Interval.point(h))
         return ValidatedStep(t_start=t0, t_end=t0 + h, range_box=range_box, end_box=end_box)
-
-    def step_batch(
-        self, t0: float, h: float, s0: BoxBatch, u_rows: np.ndarray
-    ) -> tuple[BoxBatch, BoxBatch]:
-        """:meth:`step` for every row of ``s0``, from one flow evaluation.
-
-        The range rows (``tau = [0, h]``) and the end rows (``tau =
-        [h, h]``) are stacked into one ``2B``-row batch with a per-row
-        ``tau``; the flow kernel is elementwise, so each half is
-        bitwise identical to its own ``flow_box_batch`` call.
-        """
-        count = s0.count
-        both = self.flow_box_batch(
-            BoxBatch(np.concatenate([s0.lo, s0.lo]), np.concatenate([s0.hi, s0.hi])),
-            np.concatenate([u_rows, u_rows]),
-            IntervalBatch(
-                np.concatenate([np.zeros(count), np.full(count, h)]),
-                np.full(2 * count, h),
-            ),
-        )
-        return (
-            BoxBatch(both.lo[:count], both.hi[:count]),
-            BoxBatch(both.lo[count:], both.hi[count:]),
-        )
-
-    def integrate_batch(
-        self,
-        t0: float,
-        t1: float,
-        s0: BoxBatch,
-        u_rows: np.ndarray,
-        substeps: int = 1,
-    ) -> FlowPipeBatch:
-        """Batched :meth:`integrate`: one flow tube per row of ``s0``."""
-        return _integrate_batch_driver(
-            self, t0, t1, s0, np.asarray(u_rows, dtype=float), substeps
-        )
 
     def integrate(
         self, t0: float, t1: float, s0: Box, u: np.ndarray, substeps: int = 1

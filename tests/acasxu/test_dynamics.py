@@ -11,10 +11,12 @@ from repro.acasxu import (
     AcasXuAnalyticFlow,
     acasxu_rhs,
     cartesian_from_polar,
+    initial_cell,
     polar_from_cartesian,
 )
 from repro.intervals import Box, BoxBatch, Interval, IntervalBatch
-from repro.ode import AnalyticFlow, IntegratorSettings, TaylorIntegrator
+from repro.obs import Recorder, use_recorder
+from repro.ode import IntegratorSettings, TaylorIntegrator
 
 
 def scipy_flow(state, u, t):
@@ -107,62 +109,145 @@ class TestAnalyticFlowExactness:
         assert pipe.end_box[1].contains(8000.0 - 1300.0)
 
 
-def _mixed_batch() -> tuple[BoxBatch, np.ndarray]:
-    """Boxes under zero and nonzero turn rates, interleaved."""
+TURNS = [math.radians(r) for r in (0.0, 1.5, -1.5, 3.0, -3.0)]
+
+
+def _cells(kind: str) -> list[Box]:
+    """Initial boxes of one shape class, six or more per kind."""
     rng = np.random.default_rng(21)
-    turns = [0.0, math.radians(1.5), 0.0, math.radians(-3.0), math.radians(3.0), 0.0]
-    boxes = []
-    for _ in turns:
-        x, y, psi = rng.uniform(-3000, 3000), rng.uniform(-3000, 3000), rng.uniform(-3, 3)
-        lo = np.array([x, y, psi, 700.0, 600.0])
-        width = np.array([rng.uniform(0, 200), rng.uniform(0, 200), rng.uniform(0, 0.05), 0.0, 0.0])
-        boxes.append(Box(lo, lo + width))
-    return BoxBatch.from_boxes(boxes), np.array([[t] for t in turns])
+    if kind == "paper":
+        # 0.01 rad arcs of the paper's partition, drifted like a later step.
+        boxes = []
+        for phi in rng.uniform(-math.pi, math.pi, 6):
+            cell = initial_cell(Interval(phi, phi + 0.01), Interval(-0.1, -0.09))
+            shift = np.array([*rng.uniform(-3000.0, 3000.0, 2), 0.0, 0.0, 0.0])
+            boxes.append(Box(cell.lo + shift, cell.hi + shift))
+        return boxes
+    if kind == "tiny":
+        # The 8-arc grid; the arcs next to position angle 0 start with
+        # x = -1.6e-319 or end with x = +1.6e-319.
+        return [
+            initial_cell(Interval(k * math.pi / 4.0, (k + 1) * math.pi / 4.0), Interval(-0.5, 0.5))
+            for k in range(-4, 4)
+        ]
+    if kind == "wide":
+        # Heading widths at and past 2*pi take the [-1, 1] trig fallback.
+        boxes = []
+        for psi_width in (0.5, 3.0, 2.0 * math.pi, 7.0, 20.0, 1e-12):
+            x, y, psi = rng.uniform(-5000.0, 5000.0), rng.uniform(-5000.0, 5000.0), rng.uniform(-4, 4)
+            lo = np.array([x, y, psi, 700.0, 600.0])
+            boxes.append(Box(lo, lo + np.array([9000.0, 4000.0, psi_width, 0.0, 0.0])))
+        return boxes
+    if kind == "signed-zero":
+        return [
+            Box([-0.0, 0.0, -0.0, 700.0, 600.0], [0.0, 0.0, 0.0, 700.0, 600.0]),
+            Box([0.0, -0.0, 0.0, 700.0, 600.0], [0.0, -0.0, 0.0, 700.0, 600.0]),
+            Box([-0.0, -100.0, -0.0, 700.0, 600.0], [50.0, -0.0, 1.0, 700.0, 600.0]),
+            Box([-25.0, 0.0, -1.0, 700.0, 600.0], [-0.0, 8000.0, -0.0, 700.0, 600.0]),
+            Box([0.0, 0.0, math.pi, 700.0, 600.0], [0.0, 0.0, math.pi, 700.0, 600.0]),
+            Box([-0.0, 5e-324, -math.pi / 2.0, 600.0, 500.0], [5e-324, 1.0, 0.0, 800.0, 700.0]),
+        ]
+    raise ValueError(kind)
 
 
-def _same_bits(a: BoxBatch, b: BoxBatch) -> bool:
-    return a.lo.tobytes() == b.lo.tobytes() and a.hi.tobytes() == b.hi.tobytes()
+KINDS = ("paper", "tiny", "wide", "signed-zero")
 
 
-class TestAnalyticStepBatch:
-    """``step_batch`` evaluates the flow once per substep, on the range
-    and end rows stacked with a per-row ``tau``."""
+def _turn_rows(count: int, mode: str) -> np.ndarray:
+    if mode == "all-zero":
+        turns = [0.0] * count
+    elif mode == "no-zero":
+        turns = [TURNS[1 + i % 4] for i in range(count)]
+    else:
+        turns = [TURNS[(3 * i) % 5] for i in range(count)]
+    return np.array([[t] for t in turns])
 
-    H = 0.1
 
-    def test_equals_two_flow_box_batch_calls(self):
+def _batch(kind: str, mode: str = "mixed") -> tuple[BoxBatch, np.ndarray]:
+    boxes = _cells(kind)
+    return BoxBatch.from_boxes(boxes), _turn_rows(len(boxes), mode)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAnalyticIntegrateBatch:
+    """``integrate_batch`` evaluates the turn terms once per call and
+    only the state map per substep; every output bit must equal the
+    scalar ``integrate`` run on each row alone."""
+
+    @pytest.mark.parametrize("mode", ["mixed", "all-zero", "no-zero"])
+    @pytest.mark.parametrize(
+        "substeps,t0", [(1, 0.0), (4, 2.5), (10, 7.0)], ids=["M1", "M4-t0", "M10-t0"]
+    )
+    def test_equals_scalar_integrate(self, substeps, t0, mode):
         flow = AcasXuAnalyticFlow()
-        batch, u_rows = _mixed_batch()
-        range_b, end_b = flow.step_batch(0.3, self.H, batch, u_rows)
-        assert _same_bits(range_b, flow.flow_box_batch(batch, u_rows, Interval(0.0, self.H)))
-        assert _same_bits(end_b, flow.flow_box_batch(batch, u_rows, Interval.point(self.H)))
+        for kind in KINDS:
+            batch, u_rows = _batch(kind, mode)
+            pipe = flow.integrate_batch(t0, t0 + 1.0, batch, u_rows, substeps=substeps)
+            assert pipe.substep_count == substeps and pipe.count == batch.count
+            for r in range(batch.count):
+                want = flow.integrate(t0, t0 + 1.0, batch.row(r), u_rows[r], substeps=substeps)
+                for k, step in enumerate(want.steps):
+                    assert pipe.t_starts[k] == step.t_start
+                    assert pipe.t_ends[k] == step.t_end
+                    assert _same_bits(pipe.range_lo[k, r], step.range_box.lo), (kind, r, k)
+                    assert _same_bits(pipe.range_hi[k, r], step.range_box.hi), (kind, r, k)
+                    assert _same_bits(pipe.end_lo[k, r], step.end_box.lo), (kind, r, k)
+                    assert _same_bits(pipe.end_hi[k, r], step.end_box.hi), (kind, r, k)
 
-    def test_equals_scalar_step_per_row(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_substeps_equal_flow_box_batch(self, kind):
+        """Substep ``k`` is ``flow_box_batch`` of the previous end boxes
+        over ``[0, h]`` (range) and at ``h`` (end)."""
         flow = AcasXuAnalyticFlow()
-        batch, u_rows = _mixed_batch()
-        range_b, end_b = flow.step_batch(0.3, self.H, batch, u_rows)
-        for r in range(batch.count):
-            step = flow.step(0.3, self.H, batch.row(r), u_rows[r])
-            assert step.range_box.lo.tobytes() == range_b.lo[r].tobytes()
-            assert step.range_box.hi.tobytes() == range_b.hi[r].tobytes()
-            assert step.end_box.lo.tobytes() == end_b.lo[r].tobytes()
-            assert step.end_box.hi.tobytes() == end_b.hi[r].tobytes()
+        batch, u_rows = _batch(kind)
+        h = 0.1
+        pipe = flow.integrate_batch(0.3, 1.3, batch, u_rows, substeps=10)
+        current = batch
+        for k in range(10):
+            range_b = flow.flow_box_batch(current, u_rows, Interval(0.0, h))
+            end_b = flow.flow_box_batch(current, u_rows, Interval.point(h))
+            assert _same_bits(pipe.range_lo[k], range_b.lo)
+            assert _same_bits(pipe.range_hi[k], range_b.hi)
+            assert _same_bits(pipe.end_lo[k], end_b.lo)
+            assert _same_bits(pipe.end_hi[k], end_b.hi)
+            current = end_b
 
-    def test_per_row_tau(self):
+    def test_flow_box_batch_per_row_tau(self):
         """``flow_box_batch`` with one time interval per row matches the
-        scalar flow of each row under its own ``tau``, in the vectorized
-        kernel and in the base class's per-row default."""
+        scalar flow of each row under its own ``tau``."""
         flow = AcasXuAnalyticFlow()
-        batch, u_rows = _mixed_batch()
+        batch, u_rows = _batch("paper")
         taus = IntervalBatch(
             np.array([0.0, 0.1, 0.05, 0.1, 0.0, 0.02]), np.array([0.1, 0.1, 0.2, 0.1, 0.0, 0.3])
         )
         fast = flow.flow_box_batch(batch, u_rows, taus)
-        default = AnalyticFlow.flow_box_batch(flow, batch, u_rows, taus)
         for r in range(batch.count):
             want = flow.flow_box(batch.row(r), u_rows[r], taus[r])
-            assert want.lo.tobytes() == fast.lo[r].tobytes() == default.lo[r].tobytes()
-            assert want.hi.tobytes() == fast.hi[r].tobytes() == default.hi[r].tobytes()
+            assert _same_bits(fast.lo[r], want.lo) and _same_bits(fast.hi[r], want.hi)
+
+    def test_rejects_bad_arguments(self):
+        flow = AcasXuAnalyticFlow()
+        batch, u_rows = _batch("paper")
+        with pytest.raises(ValueError, match="horizon"):
+            flow.integrate_batch(1.0, 1.0, batch, u_rows, substeps=10)
+        with pytest.raises(ValueError, match="substeps"):
+            flow.integrate_batch(0.0, 1.0, batch, u_rows, substeps=0)
+        with pytest.raises(ValueError, match="command row"):
+            flow.integrate_batch(0.0, 1.0, batch, u_rows[:-1], substeps=10)
+
+    def test_substep_counters(self):
+        """One ``ode.substeps`` increment of B and one timing sample per
+        substep, like the per-row ``integrate``."""
+        flow = AcasXuAnalyticFlow()
+        batch, u_rows = _batch("tiny")
+        rec = Recorder()
+        with use_recorder(rec):
+            flow.integrate_batch(0.0, 1.0, batch, u_rows, substeps=10)
+        assert rec.metrics.counters["ode.substeps"] == 10 * batch.count
+        assert rec.metrics.histograms["ode.substep_seconds"].count == 10
 
 
 class TestAnalyticVsTaylor:

@@ -99,6 +99,28 @@ def assert_bitwise(
     assert got_hi == want_hi
 
 
+#: Ways to lay a flat endpoint array out as 1-D, 2-D or 3-D kernel input:
+#: stacked (reshaped, transposed) or broadcast (zero-stride views).
+LAYOUTS = {
+    "1d": lambda a: a,
+    "2d-stacked": lambda a: a.reshape(-1, 1),
+    "2d-transposed": lambda a: np.stack([a, a[::-1]]).T,
+    "2d-broadcast": lambda a: np.broadcast_to(a, (2, a.size)),
+    "3d-stacked": lambda a: a.reshape(1, -1, 1),
+    "3d-broadcast": lambda a: np.broadcast_to(a.reshape(-1, 1), (3, a.size, 2)),
+}
+
+
+def assert_elementwise(out, op, lo: np.ndarray, hi: np.ndarray) -> None:
+    """The endpoint pair ``out`` equals the scalar ``op`` on the
+    intervals ``[lo, hi]`` (any shape) element by element, and keeps
+    their shape."""
+    out_lo, out_hi = out
+    assert out_lo.shape == out_hi.shape == lo.shape
+    scalars = [op(Interval(float(a), float(b))) for a, b in zip(lo.ravel(), hi.ravel())]
+    assert_bitwise(out_lo.ravel(), out_hi.ravel(), scalars)
+
+
 class TestBinaryKernels:
     def pairs(self) -> tuple[list[Interval], list[Interval]]:
         a = random_intervals(200) + EDGE_INTERVALS
@@ -221,14 +243,20 @@ class TestUnaryKernels:
             center = k * math.pi / 4.0
             xs.append(Interval(center - 1e-10, center + 1e-10))
             xs.append(Interval(center, center + 2.0))
+        # Endpoints exactly at the extremum phases, and widths >= 2*pi.
+        half_pi = math.pi / 2.0
+        for a, b in [(-half_pi, half_pi), (half_pi, math.pi), (-math.pi, -half_pi), (0.0, math.pi)]:
+            xs += [Interval(a, a), Interval(b, b), Interval(a, b)]
+        two_pi = 2.0 * math.pi
+        xs += [Interval(0.0, two_pi), Interval(-1.0, two_pi - 1.0), Interval(-3.0, 3.3), Interval(1.0, 100.0)]
         lo0, hi0 = batch_of(xs)
-        lo, hi = bsin(lo0, hi0)
-        assert_bitwise(lo, hi, [isin(x) for x in xs])
-        lo, hi = bcos(lo0, hi0)
-        assert_bitwise(lo, hi, [icos(x) for x in xs])
-        slo, shi, clo, chi = bsincos(lo0, hi0)
-        assert_bitwise(slo, shi, [isin(x) for x in xs])
-        assert_bitwise(clo, chi, [icos(x) for x in xs])
+        for shape in LAYOUTS.values():
+            lo, hi = shape(lo0), shape(hi0)
+            assert_elementwise(bsin(lo, hi), isin, lo, hi)
+            assert_elementwise(bcos(lo, hi), icos, lo, hi)
+            slo, shi, clo, chi = bsincos(lo, hi)
+            assert_elementwise((slo, shi), isin, lo, hi)
+            assert_elementwise((clo, chi), icos, lo, hi)
 
     def test_sqrt_bitwise(self) -> None:
         xs = [
@@ -417,17 +445,20 @@ class TestPropertyEquivalence:
         assert_bitwise(lo, hi, [x / y for x, y in zip(xs, ys)])
 
     @settings(max_examples=200, deadline=None)
-    @given(xs=interval_lists())
-    def test_unary_kernels_bitwise(self, xs) -> None:
+    @given(xs=interval_lists(), layout=st.sampled_from(sorted(LAYOUTS)))
+    def test_unary_kernels_bitwise(self, xs, layout) -> None:
         alo, ahi = batch_of(xs)
+        alo, ahi = LAYOUTS[layout](alo), LAYOUTS[layout](ahi)
         for kernel, op in [
             (bneg, lambda x: -x),
             (babs, lambda x: x.abs()),
             (bsin, isin),
             (bcos, icos),
         ]:
-            lo, hi = kernel(alo, ahi)
-            assert_bitwise(lo, hi, [op(x) for x in xs])
+            assert_elementwise(kernel(alo, ahi), op, alo, ahi)
+        slo, shi, clo, chi = bsincos(alo, ahi)
+        assert_elementwise((slo, shi), isin, alo, ahi)
+        assert_elementwise((clo, chi), icos, alo, ahi)
 
     @settings(max_examples=200, deadline=None)
     @given(
