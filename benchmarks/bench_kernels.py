@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import ReachSettings
 from repro.core.symbolic import SymbolicSet, SymbolicState, resize
-from repro.intervals import Box, BoxBatch
+from repro.intervals import Box, BoxBatch, hull_of_boxes
 
 
 def _wave_boxes(tiny_system, rows: int) -> tuple[list[Box], np.ndarray]:
@@ -104,12 +104,14 @@ def test_nn_propagation_batch(benchmark, tiny_system, rows):
     benchmark.extra_info["rows"] = rows
 
 
-@pytest.mark.parametrize("states", [8, 15, 30])
-def test_join_resize(benchmark, tiny_system, states):
-    """Algorithm 2 joins down to Gamma=5 from an oversized symbolic set."""
+@pytest.mark.parametrize("states, commands", [(8, 3), (15, 3), (30, 3), (25, 5)])
+def test_join_resize(benchmark, tiny_system, states, commands):
+    """Algorithm 2 joins down to Gamma=5 from an oversized symbolic set.
+    25 states over 5 commands is lockstep's dominant shape on coarse
+    cells: every cluster collapses to its hull."""
     boxes, _u = _wave_boxes(tiny_system, states)
     base = [
-        SymbolicState(box, i % 3) for i, box in enumerate(boxes)
+        SymbolicState(box, i % commands) for i, box in enumerate(boxes)
     ]
 
     def run():
@@ -120,7 +122,12 @@ def test_join_resize(benchmark, tiny_system, states):
     result, joins = benchmark(run)
     assert len(result) == 5
     assert joins == states - 5
+    if commands == 5:
+        for joined in result:
+            inputs = [s.box for s in base if s.command == joined.command]
+            assert joined.box == hull_of_boxes(inputs)
     benchmark.extra_info["states"] = states
+    benchmark.extra_info["commands"] = commands
     benchmark.extra_info["joins"] = joins
 
 

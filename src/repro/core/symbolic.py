@@ -9,6 +9,7 @@ index into the system's :class:`~repro.core.system.CommandSet`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -106,6 +107,21 @@ def resize(symbolic_set: SymbolicSet, threshold: int) -> int:
     Returns the number of joins performed. Requires ``threshold`` to be
     at least the number of distinct commands present (Remark 3),
     because states with different commands can never be joined.
+
+    Each join takes the first strict minimum of the squared center
+    distance (Definition 9) in enumeration order: clusters in order of
+    first appearance in the current list, pairs ``(a, b)`` in list
+    order within a cluster. A NaN distance (from unbounded boxes) wins
+    only as the enumeration-first pair. The joined state is
+    ``states[a].join(states[b])`` with ``a`` the earlier position
+    (``Box.hull`` keeps the second operand on ±0 ties); both are
+    removed and the join is appended.
+
+    Incremental: centers and pair distances are computed once per
+    call. A join changes only its own cluster, so only that cluster's
+    best pair is recomputed. Every state gets a slot number in list
+    order; deletions and appends keep the list in slot order, so slots
+    order pairs exactly as positions do.
     """
     distinct = len(symbolic_set.commands())
     if threshold < distinct:
@@ -113,58 +129,85 @@ def resize(symbolic_set: SymbolicSet, threshold: int) -> int:
             f"threshold {threshold} below the {distinct} distinct commands "
             "present; no sequence of joins can reach it (Remark 3)"
         )
-    joins = 0
-    if len(symbolic_set) <= threshold:
+    states = symbolic_set.states
+    if len(states) <= threshold:
         return 0
-    # Vectorized closest-pair search. The scalar loop evaluated
-    # d = sum((center_a - center_b)**2) per candidate pair and kept the
-    # first strict minimum in enumeration order (clusters in
-    # first-appearance order, (a, b) lexicographic). The batched version
-    # computes the same distances columnwise — numpy's elementwise ops
-    # and the left-to-right accumulation reproduce the scalar floats bit
-    # for bit, and np.argmin returns the first occurrence of the
-    # minimum, which is exactly the strict-< tie-break. Box centers are
-    # cached across iterations: a join only removes two rows and
-    # appends one.
-    centers: list[np.ndarray] = [s.box.center for s in symbolic_set.states]
-    while len(symbolic_set) > threshold:
-        groups = symbolic_set.group_by_command()
-        pair_a: list[int] = []
-        pair_b: list[int] = []
-        for indices in groups.values():
-            for a in range(len(indices)):
-                ia = indices[a]
-                for b in range(a + 1, len(indices)):
-                    pair_a.append(ia)
-                    pair_b.append(indices[b])
-        if not pair_a:  # pragma: no cover - excluded by the threshold check
-            break
-        cm = np.stack(centers)
-        diff = cm[pair_a] - cm[pair_b]
-        sq = diff * diff
-        # sound: ok [S001] join-ordering heuristic, not a bound
-        # computation; the accumulation order matches the scalar
-        # np.sum(diff * diff) exactly (sequential for short vectors).
-        dist = sq[:, 0].copy()
-        for k in range(1, sq.shape[1]):
-            dist = dist + sq[:, k]
-        if np.isnan(dist).any():  # pragma: no cover - degenerate boxes
-            # Replicate the scalar strict-< scan, whose NaN comparisons
-            # are all False (np.argmin would pick the first NaN instead).
-            best_idx = 0
-            for idx in range(1, dist.shape[0]):
-                if dist[idx] < dist[best_idx]:
-                    best_idx = idx
-        else:
-            best_idx = int(np.argmin(dist))
-        i, j = pair_a[best_idx], pair_b[best_idx]
-        joined = symbolic_set[i].join(symbolic_set[j])
-        # Remove the higher index first to keep the lower one valid.
-        del symbolic_set.states[j]
-        del symbolic_set.states[i]
-        del centers[j]
-        del centers[i]
-        symbolic_set.add(joined)
-        centers.append(joined.box.center)
+    slots = list(range(len(states)))
+    centers = [_center(s.box) for s in states]
+    clusters = symbolic_set.group_by_command()
+    dist: dict[tuple[int, int], float] = {}
+    best = {c: _cluster_best(m, centers, dist) for c, m in clusters.items()}
+    joins = 0
+    while len(states) > threshold:
+        # Clusters that still have a pair, in first-appearance order.
+        order = sorted((m[0], c) for c, m in clusters.items() if len(m) > 1)
+        first = clusters[order[0][1]]
+        a, b = first[0], first[1]
+        if dist[a, b] == dist[a, b]:
+            # Unless the enumeration-first pair is NaN (then it wins:
+            # nothing compares below it), take the first strict minimum
+            # of the clusters' bests; min() keeps the first equal key.
+            found = [best[c] for _, c in order]
+            _, a, b = min(
+                (f for f in found if f is not None), key=lambda f: f[0]
+            )
+        i = bisect_left(slots, a)
+        j = bisect_left(slots, b)
+        joined = states[i].join(states[j])
+        del states[j]
+        del states[i]
+        del slots[j]
+        del slots[i]
+        slots.append(len(centers))
+        states.append(joined)
+        centers.append(_center(joined.box))
+        members = clusters[joined.command]
+        members.remove(a)
+        members.remove(b)
+        members.append(slots[-1])
+        best[joined.command] = _cluster_best(members, centers, dist)
         joins += 1
     return joins
+
+
+def _center(box: Box) -> list[float]:
+    """``box.center`` in Python floats, bit for bit: ``np.clip(m, lo,
+    hi)`` is ``m if (m != m or m > lo) else lo``, then the same with
+    ``<`` against ``hi`` (also on ±0, ±inf and NaN)."""
+    out = []
+    for lo, hi in zip(box.lo.tolist(), box.hi.tolist()):
+        m = 0.5 * (lo + hi)
+        m = m if (m != m or m > lo) else lo
+        out.append(m if (m != m or m < hi) else hi)
+    return out
+
+
+def _distance_sq(p: list[float], q: list[float]) -> float:
+    """Definition 9 on two centers: squared differences summed left to
+    right (``Box.center_distance_sq``'s ``np.sum`` agrees below 8
+    dimensions)."""
+    x = p[0] - q[0]
+    d = x * x
+    for k in range(1, len(p)):
+        x = p[k] - q[k]
+        d = d + x * x
+    return d
+
+
+def _cluster_best(
+    members: list[int],
+    centers: list[list[float]],
+    dist: dict[tuple[int, int], float],
+) -> tuple[float, int, int] | None:
+    """The cluster's first strict minimum over its non-NaN pairs, in
+    list order, or None when it has no such pair. Distances missing
+    from ``dist`` are computed and cached."""
+    found = None
+    for x, a in enumerate(members):
+        for b in members[x + 1 :]:
+            d = dist.get((a, b))
+            if d is None:
+                d = dist[a, b] = _distance_sq(centers[a], centers[b])
+            if d == d and (found is None or d < found[0]):
+                found = (d, a, b)
+    return found

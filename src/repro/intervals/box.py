@@ -27,9 +27,9 @@ class Box:
         hi_arr = np.asarray(hi, dtype=float).copy()
         if lo_arr.shape != hi_arr.shape or lo_arr.ndim != 1:
             raise ValueError("box endpoints must be 1-D arrays of equal length")
-        if np.any(np.isnan(lo_arr)) or np.any(np.isnan(hi_arr)):
+        if np.isnan(lo_arr).any() or np.isnan(hi_arr).any():
             raise ValueError("box endpoints must not be NaN")
-        if np.any(lo_arr > hi_arr):
+        if (lo_arr > hi_arr).any():
             bad = int(np.argmax(lo_arr > hi_arr))
             raise ValueError(
                 f"invalid box: dimension {bad} has lo={lo_arr[bad]} > hi={hi_arr[bad]}"
@@ -220,10 +220,11 @@ class Box:
         """Squared Euclidean distance between box centers (Definition 9)."""
         self._check_dim(other)
         diff = self.center - other.center
-        # Join-ordering heuristic, not a verified bound. np.sum
-        # (pairwise, sequential for short vectors) rather than np.dot
-        # (BLAS multi-accumulator) so the batched join kernel can
-        # reproduce the exact same floats with columnwise accumulation.
+        # Join-ordering heuristic, not a verified bound. np.sum rather
+        # than np.dot (BLAS, several accumulators): below 8 dimensions
+        # np.sum adds left to right, the order resize uses on its
+        # Python-float centers, so both give the same floats there.
+        # From 8 dimensions on np.sum adds in pairwise blocks.
         return float(np.sum(diff * diff))
 
     def scaled(self, scale: Sequence[float], offset: Sequence[float]) -> "Box":

@@ -6,6 +6,12 @@ import pytest
 from repro.intervals import Box, EmptyIntersectionError, Interval, hull_of_boxes
 
 
+def assert_box_error(lo, hi, message):
+    with pytest.raises(ValueError) as raised:
+        Box(lo, hi)
+    assert str(raised.value) == message
+
+
 @pytest.fixture
 def unit_box():
     return Box([0.0, 0.0], [1.0, 1.0])
@@ -23,16 +29,23 @@ class TestConstruction:
         assert box.contains_point([1.0, 2.0, 3.0])
 
     def test_invalid_endpoints_raise(self):
-        with pytest.raises(ValueError):
-            Box([1.0], [0.0])
+        # The message names the first dimension with lo > hi.
+        assert_box_error(
+            [0.0, 3.0, 5.0], [1.0, 2.0, 4.0], "invalid box: dimension 1 has lo=3.0 > hi=2.0"
+        )
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            Box([np.nan], [1.0])
+        message = "box endpoints must not be NaN"
+        assert_box_error([np.nan], [1.0], message)
+        assert_box_error([0.0, 0.0], [1.0, np.nan], message)
+        # NaN is reported before lo > hi, even when lo > hi comes first.
+        assert_box_error([2.0, 0.0], [1.0, np.nan], message)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Box([0.0, 0.0], [1.0])
+        message = "box endpoints must be 1-D arrays of equal length"
+        assert_box_error([0.0, 0.0], [1.0], message)
+        assert_box_error([[0.0]], [[1.0]], message)
+        assert_box_error(0.0, 1.0, message)
 
     def test_hull_of_points(self):
         pts = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 0.5]])
