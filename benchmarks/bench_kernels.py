@@ -1,13 +1,14 @@
 """K1 — SoA interval kernels: batched vs scalar on the three hot paths.
 
 The lockstep reachability driver spends its time in three kernels:
-the validated interval Taylor step (``Plant.flow_batch``), symbolic NN
+the validated flow over a control period (``Plant.flow_batch``, here
+the ACAS Xu analytic flow's ``integrate_batch``), symbolic NN
 propagation (``SymbolicPropagator.output_bounds_batch`` behind
 ``Controller.execute_abstract_batch``), and the reach-set join
 (``resize`` + ``Box.hull``). Each bench here runs the batched kernel
 and its scalar per-row equivalent over the same inputs, records both
-timings, and asserts bitwise-identical outputs — the contract the
-whole ``batch_cells`` mode rests on.
+timings, and asserts bitwise-identical outputs — the contract that
+lets one ``reach_many`` serve lockstep waves and single cells alike.
 
 Run with::
 
@@ -31,8 +32,8 @@ def _wave_boxes(tiny_system, rows: int) -> tuple[list[Box], np.ndarray]:
     commands: list[int] = []
     for r in range(rows):
         box, command, _tags = cells[r % len(cells)]
-        # Deterministic wobble so rows are distinct (memo can't collapse
-        # them) while staying inside the scenario's plausible region.
+        # Deterministic wobble so rows are distinct boxes while staying
+        # inside the scenario's plausible region.
         shift = 1e-3 * (r // len(cells))
         boxes.append(Box(box.lo + shift, box.hi + shift))
         commands.append(command)
@@ -50,7 +51,7 @@ def _has_subnormal(values: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4, 16, 64])
-def test_taylor_step_batch(benchmark, tiny_system, rows):
+def test_flow_batch(benchmark, tiny_system, rows):
     """One control period of validated integration over a whole wave
     (1-2 rows is the per-cell path's shape, 16-64 lockstep's)."""
     settings = ReachSettings(substeps=10, max_symbolic_states=5)
@@ -138,13 +139,8 @@ def test_controller_execute_batch(benchmark, tiny_system):
     commands = [i % 3 for i in range(len(boxes))]
     controller = tiny_system.controller
 
-    def run():
-        controller._memo.clear()
-        return controller.execute_abstract_batch(boxes, commands)
+    batch_out = benchmark(controller.execute_abstract_batch, boxes, commands)
 
-    batch_out = benchmark(run)
-
-    controller._memo.clear()
     scalar_out = [
         controller.execute_abstract(b, c) for b, c in zip(boxes, commands)
     ]

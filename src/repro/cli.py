@@ -170,15 +170,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         recorder = Recorder()
         set_recorder(recorder)
 
-    batch_mode = getattr(args, "batch", "auto")
-    lockstep_ok = (
+    # Lockstep waves whenever the campaign is serial and unbudgeted;
+    # budgets are enforced per dispatched cell.
+    lockstep = (
         args.workers == 1
         and args.cell_timeout is None
         and args.deadline is None
-    )
-    batch_cells = batch_mode == "cells" or (batch_mode == "auto" and lockstep_ok)
-    batch_states = batch_mode == "states" or (
-        batch_mode == "auto" and not lockstep_ok
     )
 
     # Settings validation lives in RunnerSettings.__post_init__ — one
@@ -189,19 +186,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reach=ReachSettings(
                 substeps=args.substeps,
                 max_symbolic_states=args.gamma,
-                batch_states=batch_states,
             ),
             refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=args.depth),
             workers=args.workers,
             cell_timeout=args.cell_timeout,
             deadline=args.deadline,
             max_retries=args.max_retries,
-            batch_cells=batch_cells,
+            batch_cells=lockstep,
         )
     except ValueError as error:
         print(
             f"error: {error} (check --workers, --cell-timeout, --deadline, "
-            "--max-retries, --batch)",
+            "--max-retries)",
             file=sys.stderr,
         )
         return 2
@@ -1017,15 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries", type=int, default=1,
         help="retries for a cell whose worker crashed before it is "
         "quarantined as aborted",
-    )
-    p_verify.add_argument(
-        "--batch", choices=["auto", "cells", "states", "off"], default="auto",
-        help="SoA kernel batching: `cells` runs the whole partition in "
-        "lockstep waves (requires --workers 1 and no wall-clock budgets), "
-        "`states` batches within each cell, `off` forces the scalar path, "
-        "`auto` picks `cells` when compatible and `states` otherwise. "
-        "Verdicts are bitwise identical either way; REPRO_BATCHED=0 "
-        "overrides everything to scalar",
     )
     p_verify.add_argument(
         "--distributed", nargs="?", const="auto", default=None, metavar="N",

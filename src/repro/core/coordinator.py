@@ -208,9 +208,6 @@ class Coordinator:
         self.welcome_config.setdefault("substeps", self.settings.reach.substeps)
         self.welcome_config.setdefault("gamma", self.settings.reach.max_symbolic_states)
         self.welcome_config.setdefault(
-            "batch_states", self.settings.reach.batch_states
-        )
-        self.welcome_config.setdefault(
             "depth",
             self.settings.refinement.max_depth if self.settings.refinement else 0,
         )

@@ -328,7 +328,6 @@ def _reach_from_config(config: dict):
     return ReachSettings(
         substeps=int(config.get("substeps", 10)),
         max_symbolic_states=int(config.get("gamma", 5)),
-        batch_states=bool(config.get("batch_states", False)),
     )
 
 

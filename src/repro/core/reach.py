@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..intervals import Box, BoxBatch, batching_enabled
+from ..intervals import Box, BoxBatch
 from ..obs import get_recorder
 from ..sets import resolve_for_command
 from .symbolic import SymbolicSet, SymbolicState, resize
@@ -70,9 +70,8 @@ class ReachSettings:
     early_exit_on_unsafe: bool = True
     #: Record the per-step symbolic sets and flow tubes in the result.
     record_sets: bool = False
-    #: Route :func:`reach` through the lockstep driver so all symbolic
-    #: states of a step share one batched integrator call (bitwise
-    #: identical to the scalar path; ``REPRO_BATCHED=0`` overrides).
+    #: Accepted and ignored: every run takes the one lockstep driver.
+    #: Kept only because the campaign benchmark still passes it.
     batch_states: bool = False
 
     def __post_init__(self) -> None:
@@ -127,127 +126,9 @@ def reach(
     initial: SymbolicSet,
     settings: ReachSettings | None = None,
 ) -> ReachResult:
-    """Run Algorithm 3 from the initial symbolic set ``R_0 ⊇ I``."""
-    settings = settings or ReachSettings()
-    if settings.batch_states and batching_enabled():
-        return reach_many(system, [initial], settings)[0]
-    num_commands = len(system.commands)
-    if settings.max_symbolic_states < num_commands:
-        raise ValueError(
-            f"Γ = {settings.max_symbolic_states} must be at least the number "
-            f"of commands P = {num_commands} (Remark 3)"
-        )
-    if len(initial) == 0:
-        raise ValueError("the initial symbolic set is empty")
-
-    rec = get_recorder()
-    started = time.perf_counter()
-    result = ReachResult(
-        verdict=Verdict.SAFE_WITHIN_HORIZON,
-        has_terminated=False,
-        termination_step=None,
-        steps_completed=0,
-    )
-
-    current = initial.copy()
-    period = system.period
-    target = system.target
-    erroneous = system.erroneous
-    unsafe_found = False
-
-    if settings.record_sets:
-        result.step_sets.append(current.copy())
-
-    for j in range(system.horizon_steps):
-        with rec.span("join", step=j, states=len(current)):
-            joins = resize(current, settings.max_symbolic_states)
-        result.joins_performed += joins
-        if joins:
-            rec.inc("reach.joins", joins)
-
-        # E and T may be command-dependent (subsets of R^l x U,
-        # Section 4.1): resolve them against each state's concrete
-        # command (exact, since symbolic states carry commands).
-        with rec.span("terminate", step=j):
-            active = [
-                s
-                for s in current
-                if not resolve_for_command(target, s.command).contains_box(s.box)
-            ]
-        if not active:
-            result.has_terminated = True
-            result.termination_step = j
-            break
-
-        next_set = SymbolicSet()
-        for state in active:
-            erroneous_now = resolve_for_command(erroneous, state.command)
-            command_value = system.commands.value(state.command)
-            with rec.span("integrate", step=j, command=state.command):
-                pipe = system.plant.flow(
-                    j * period,
-                    (j + 1) * period,
-                    state.box,
-                    command_value,
-                    settings.substeps,
-                )
-            result.integrations += len(pipe.steps)
-            rec.inc("reach.integrations", len(pipe.steps))
-            for step in pipe.steps:
-                if settings.record_sets:
-                    result.tube.append(
-                        TubeSegment(step.t_start, step.t_end, step.range_box, state.command)
-                    )
-                if not erroneous_now.disjoint_box(step.range_box):
-                    unsafe_found = True
-                    rec.event(
-                        "reach.unsafe",
-                        step=j,
-                        t=step.t_start,
-                        command=state.command,
-                    )
-                    if result.unsafe_time is None:
-                        result.unsafe_time = step.t_start
-                        result.unsafe_command = state.command
-                    if settings.early_exit_on_unsafe:
-                        result.verdict = Verdict.POSSIBLY_UNSAFE
-                        result.steps_completed = j
-                        result.elapsed_seconds = time.perf_counter() - started
-                        return result
-
-            with rec.span("controller", step=j, command=state.command):
-                next_commands = system.controller.execute_abstract(
-                    state.box, state.command
-                )
-            result.controller_evaluations += 1
-            rec.inc("reach.controller_evaluations")
-            end_box = pipe.end_box
-            for command in next_commands:
-                next_set.add(SymbolicState(end_box, command))
-
-        current = next_set
-        result.steps_completed = j + 1
-        rec.inc("reach.steps")
-        if settings.record_sets:
-            result.step_sets.append(current.copy())
-
-        # Algorithm 3 line 23: all fresh states inside T => terminated.
-        if all(
-            resolve_for_command(target, s.command).contains_box(s.box)
-            for s in current
-        ):
-            result.has_terminated = True
-            result.termination_step = j + 1
-            break
-
-    if unsafe_found:
-        result.verdict = Verdict.POSSIBLY_UNSAFE
-    elif result.has_terminated:
-        result.verdict = Verdict.PROVED_SAFE
-    else:
-        result.verdict = Verdict.SAFE_WITHIN_HORIZON
-    result.elapsed_seconds = time.perf_counter() - started
-    return result
+    """Run Algorithm 3 from the initial symbolic set ``R_0 ⊇ I``: a
+    one-row :func:`reach_many`."""
+    return reach_many(system, [initial], settings)[0]
 
 
 @dataclass
@@ -274,17 +155,15 @@ def reach_many(
     All runs advance through the control steps together: at step ``j``
     every live run's active symbolic states are concatenated into one
     :class:`~repro.intervals.batched.BoxBatch` and flowed through a
-    single ``Plant.flow_batch`` call, amortizing the per-operation numpy
-    dispatch overhead across the whole wave (the batched kernels are
-    bitwise identical to the scalar path row by row, so each returned
-    :class:`ReachResult` matches what :func:`reach` would have produced
-    for that initial set alone — same verdicts, same boxes, same join
-    and controller decisions).
+    single ``Plant.flow_batch`` call, and every surviving state goes
+    through one ``execute_abstract_batch`` call. Joins, termination and
+    the unsafe scan stay per run, so each :class:`ReachResult` is the
+    one its initial set gets alone (:func:`reach` is the one-row call).
 
-    Per-cell ``elapsed_seconds`` is attributed by measuring each run's
-    own bookkeeping and splitting the shared integrator call
-    proportionally to its row count (an approximation; the scalar path
-    measures each cell exactly).
+    ``elapsed_seconds`` is exact for a run alone in its call. In a
+    wave of several runs, each run is charged its own bookkeeping plus
+    a row-proportional share of the shared integrator and controller
+    calls.
     """
     settings = settings or ReachSettings()
     num_commands = len(system.commands)
@@ -298,6 +177,7 @@ def reach_many(
             raise ValueError("an initial symbolic set is empty")
 
     rec = get_recorder()
+    started = time.perf_counter()
     period = system.period
     target = system.target
     erroneous = system.erroneous
@@ -320,7 +200,7 @@ def reach_many(
         if not live:
             break
 
-        # --- join + termination filter, per cell (cheap, scalar-shaped)
+        # --- join + termination filter, per cell
         batch_rows = 0
         for cell in live:
             tick = time.perf_counter()
@@ -331,6 +211,9 @@ def reach_many(
             result.joins_performed += joins
             if joins:
                 rec.inc("reach.joins", joins)
+            # E and T may be command-dependent (subsets of R^l x U,
+            # Section 4.1): resolve them against each state's concrete
+            # command (exact, since symbolic states carry commands).
             with rec.span("terminate", step=j):
                 active = [
                     s
@@ -389,7 +272,7 @@ def reach_many(
                             Box(range_lo[k], range_hi[k])
                         )
 
-        # --- per-cell unsafe bookkeeping, replicating the scalar loop
+        # --- per-cell unsafe bookkeeping, state by state in set order
         survivor_states: list[SymbolicState] = []
         survivor_rows: list[int] = []
         for cell in live:
@@ -433,12 +316,12 @@ def reach_many(
                 survivor_states.append(state)
                 survivor_rows.append(row)
                 cell.survivors += 1
-            # On early exit the cell keeps its survivor rows: the scalar
-            # path evaluates the controller for every state processed
-            # before the unsafe one (and only then returns), so those
-            # rows stay in the controller batch to keep
-            # reach.controller_evaluations identical between the two
-            # paths. Their successors are discarded during assembly.
+            # On early exit the cell keeps its survivor rows: Algorithm 3
+            # evaluates the controller for every state processed before
+            # the unsafe one (and only then returns), so those rows stay
+            # in the controller batch and count in
+            # reach.controller_evaluations. Their successors are
+            # discarded during assembly.
             cell.elapsed += time.perf_counter() - tick
 
         # --- one batched controller evaluation over every surviving state
@@ -492,6 +375,7 @@ def reach_many(
             rec.inc("reach.steps")
             if settings.record_sets:
                 result.step_sets.append(next_set.copy())
+            # Algorithm 3 line 23: all fresh states inside T => terminated.
             if all(
                 resolve_for_command(target, s.command).contains_box(s.box)
                 for s in next_set
@@ -501,6 +385,7 @@ def reach_many(
                 cell.finished = True
             cell.elapsed += time.perf_counter() - tick
 
+    wall = time.perf_counter() - started
     for cell in cells:
         result = cell.result
         if cell.unsafe_found:
@@ -509,7 +394,7 @@ def reach_many(
             result.verdict = Verdict.PROVED_SAFE
         else:
             result.verdict = Verdict.SAFE_WITHIN_HORIZON
-        result.elapsed_seconds = cell.elapsed
+        result.elapsed_seconds = wall if len(cells) == 1 else cell.elapsed
     return [cell.result for cell in cells]
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..intervals import Box, batching_enabled
+from ..intervals import Box
 from ..obs import get_recorder
 from ..obs.live import HeartbeatReporter, get_bus
 from .partition import RefinementPolicy
@@ -79,13 +79,13 @@ class RunnerSettings:
     witness_timeout: float | None = None
     #: Verify the partition in lockstep *waves*: all cells (and, per
     #: refinement round, all child cells) advance through the control
-    #: steps together, so every step issues one batched integrator call
-    #: over the whole wave's symbolic states (the SoA kernels in
-    #: :mod:`repro.intervals.batched`). Verdicts are bitwise identical
-    #: to the scalar path. Serial mode only (``workers == 1``) and
-    #: incompatible with the per-cell/campaign wall-clock budgets,
-    #: which are enforced per dispatched cell. ``REPRO_BATCHED=0``
-    #: falls back to the scalar per-cell loop.
+    #: steps together in one :func:`~repro.core.reach.reach_many` call,
+    #: so every step issues one batched integrator call over the whole
+    #: wave's symbolic states. Otherwise each cell runs on its own, one
+    #: :func:`~repro.core.reach.reach` per refinement node; verdicts and
+    #: result trees are the same either way. Serial mode only
+    #: (``workers == 1``) and incompatible with the per-cell/campaign
+    #: wall-clock budgets, which are enforced per dispatched cell.
     batch_cells: bool = False
 
     def __post_init__(self) -> None:
@@ -261,7 +261,7 @@ def _verify_cells_lockstep(
             )
             rec.inc(f"runner.verdict.{outcome.verdict.value}")
             # Keep the "cell" phase populated for dashboards and the
-            # ledger: the scalar driver gets it from the per-cell span,
+            # ledger: the per-cell driver gets it from its "cell" span,
             # here it is the wave-proportional elapsed attribution.
             rec.observe("cell.seconds", outcome.elapsed_seconds)
             witnessed = False
@@ -386,7 +386,7 @@ def verify_partition(
     )
     interrupted: str | None = None
     results: list[CellResult]
-    if settings.workers == 1 and settings.batch_cells and batching_enabled():
+    if settings.batch_cells:
         # Lockstep wave mode: every control step issues one batched
         # integrator call over all live cells. No per-cell dispatch,
         # budgets or interrupt draining — the wave runs to completion

@@ -14,7 +14,6 @@ plain simulator and the falsifier) and its *abstract* semantics
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from ..intervals import Box, BoxBatch
 from ..nn import Network
-from ..obs import get_recorder
 from ..sets import SetSpec
 from ..verify import SymbolicPropagator, possible_argmin
 
@@ -172,7 +170,6 @@ class Controller:
         post: PostProcessing | None = None,
         selector: Callable[[int], int] | None = None,
         propagator_factory: Callable[[Network], object] = SymbolicPropagator,
-        memo_size: int = 4096,
     ):
         if not networks:
             raise ValueError("a controller needs at least one network")
@@ -188,17 +185,6 @@ class Controller:
                 raise ValueError(
                     f"selector maps command {index} to invalid network {chosen}"
                 )
-        # Content-keyed LRU memo over the whole abstract pipeline
-        # (Pre# -> F# -> Post#). The abstract step is a pure function of
-        # the selected network and the input box, and the reach loop
-        # re-propagates the same boxes often (joined states stabilize,
-        # sibling cells share post-join boxes), so memoizing on the
-        # exact endpoint bytes is safe and cheap. ``memo_size=0``
-        # disables caching.
-        self._memo_size = int(memo_size)
-        self._memo: OrderedDict[tuple[int, bytes, bytes], tuple[int, ...]] = (
-            OrderedDict()
-        )
 
     # Concrete semantics -------------------------------------------------
     def execute(self, state: np.ndarray, previous_command: int) -> int:
@@ -212,21 +198,9 @@ class Controller:
     def execute_abstract(self, box: Box, previous_command: int) -> list[int]:
         """Sound superset of next command indices from a state box."""
         index = self.selector(previous_command)
-        if self._memo_size > 0:
-            key = (index, box.lo.tobytes(), box.hi.tobytes())
-            cached = self._memo.get(key)
-            if cached is not None:
-                self._memo.move_to_end(key)
-                get_recorder().inc("verify.memo_hits")
-                return list(cached)
         x_box = self.pre.abstract(box)
         y_box = self.propagators[index](x_box)
-        out = self.post.abstract(y_box)
-        if self._memo_size > 0:
-            self._memo[key] = tuple(out)
-            if len(self._memo) > self._memo_size:
-                self._memo.popitem(last=False)
-        return out
+        return self.post.abstract(y_box)
 
     def execute_abstract_batch(
         self, boxes: Sequence[Box], previous_commands: Sequence[int]
@@ -237,20 +211,11 @@ class Controller:
         pre-processor offers ``abstract_batch`` (``Post#`` stays per-row
         — it is cheap and branch-heavy). Row ``i`` of the result is
         identical to ``execute_abstract(boxes[i], previous_commands[i])``
-        — the batched propagator is bitwise-exact per row — and the memo
-        is consulted and filled exactly as in the scalar path."""
+        — the batched propagator is bitwise-exact per row."""
         out: list[list[int] | None] = [None] * len(boxes)
         by_network: dict[int, list[int]] = {}
-        for i, (box, previous) in enumerate(zip(boxes, previous_commands)):
+        for i, previous in enumerate(previous_commands):
             index = self.selector(previous)
-            if self._memo_size > 0:
-                key = (index, box.lo.tobytes(), box.hi.tobytes())
-                cached = self._memo.get(key)
-                if cached is not None:
-                    self._memo.move_to_end(key)
-                    get_recorder().inc("verify.memo_hits")
-                    out[i] = list(cached)
-                    continue
             by_network.setdefault(index, []).append(i)
         for index, rows in by_network.items():
             propagator = self.propagators[index]
@@ -271,13 +236,7 @@ class Controller:
             else:
                 y_boxes = [propagator(self.pre.abstract(boxes[i])) for i in rows]
             for i, y_box in zip(rows, y_boxes):
-                commands = self.post.abstract(y_box)
-                if self._memo_size > 0:
-                    key = (index, boxes[i].lo.tobytes(), boxes[i].hi.tobytes())
-                    self._memo[key] = tuple(commands)
-                    if len(self._memo) > self._memo_size:
-                        self._memo.popitem(last=False)
-                out[i] = commands
+                out[i] = self.post.abstract(y_box)
         return out  # type: ignore[return-value]
 
     def abstract_scores(self, box: Box, previous_command: int) -> Box:
@@ -319,8 +278,8 @@ class Plant:
         substeps: int,
     ):
         """Batched :meth:`flow`: one tube per row of ``boxes``, with
-        per-row commands. Falls back to row-by-row integration when the
-        integrator has no batched driver."""
+        per-row commands. Integrators without an ``integrate_batch``
+        (Taylor, mean-value) are integrated row by row."""
         batched = getattr(self.integrator, "integrate_batch", None)
         if batched is not None:
             return batched(t0, t1, boxes, u_rows, substeps=substeps)

@@ -2,7 +2,7 @@
 vectorized interval linear algebra and affine arithmetic."""
 
 from .affine import AffineForm, atan2_affine, fresh_symbol
-from .batched import BoxBatch, IntervalBatch, batching_enabled
+from .batched import BoxBatch, IntervalBatch
 from .box import Box, hull_of_boxes
 from .functions import (
     iatan,
@@ -41,7 +41,6 @@ __all__ = [
     "ZERO",
     "affine_bounds",
     "atan2_affine",
-    "batching_enabled",
     "fresh_symbol",
     "hull_of_boxes",
     "iatan",

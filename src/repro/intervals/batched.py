@@ -20,7 +20,7 @@ Two thin containers ride on top of the raw kernels:
 
 * :class:`IntervalBatch` — an operator-complete batch of intervals
   (shape-``(B,)`` or any shape), duck-type compatible with
-  :class:`Interval` so jets and generic right-hand sides evaluate over
+  :class:`Interval` so generic interval expressions evaluate over
   whole batches unchanged;
 * :class:`BoxBatch` — ``(B, n)`` endpoint matrices for ``B`` boxes,
   the unit of work for batched flow, propagation and join kernels.
@@ -29,7 +29,6 @@ Two thin containers ride on top of the raw kernels:
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "BoxBatch",
     "IntervalBatch",
     "babs",
-    "batching_enabled",
     "badd",
     "bdiv",
     "bhull",
@@ -61,15 +59,6 @@ __all__ = [
 
 ArrayLike = Union[np.ndarray, float, int]
 
-
-def batching_enabled() -> bool:
-    """Global kill switch for the batched hot paths.
-
-    ``REPRO_BATCHED=0`` forces every batched entry point (lockstep
-    verification, batched reach, batched flow) back onto the scalar
-    path — a diagnostics escape hatch, since both paths are bitwise
-    identical by construction."""
-    return os.environ.get("REPRO_BATCHED", "1") != "0"
 
 _TWO_PI = 2.0 * math.pi
 # Same one-ulp-down constant the scalar isin/icos use.
@@ -378,12 +367,11 @@ BatchLike = Union["IntervalBatch", Interval, int, float, np.ndarray]
 class IntervalBatch:
     """A batch of closed intervals stored as paired endpoint arrays.
 
-    Duck-type compatible with :class:`Interval` for the operations the
-    jets and generic right-hand sides use (``+ - * / ** neg``, ``sin``,
-    ``cos``, ``sqrt``, ``sq``), so code written against scalar
-    intervals evaluates over whole batches unchanged. Every operation
-    delegates to the raw kernels above and is therefore bitwise
-    identical to the scalar path, row by row.
+    Duck-type compatible with :class:`Interval` for the arithmetic
+    operators and ``sin``, ``cos``, ``sqrt``, ``sq``, so code written
+    against scalar intervals evaluates over whole batches unchanged.
+    Every operation delegates to the raw kernels above and is therefore
+    bitwise identical to the scalar path, row by row.
     """
 
     __slots__ = ("lo", "hi")
@@ -570,17 +558,6 @@ class BoxBatch:
 
     def boxes(self) -> list[Box]:
         return [self.row(i) for i in range(self.count)]
-
-    def column(self, j: int) -> IntervalBatch:
-        """Dimension ``j`` across the whole batch, as an interval batch."""
-        return IntervalBatch(self.lo[:, j], self.hi[:, j])
-
-    @staticmethod
-    def from_columns(columns: Sequence[IntervalBatch]) -> "BoxBatch":
-        return BoxBatch(
-            np.stack([c.lo for c in columns], axis=-1),
-            np.stack([c.hi for c in columns], axis=-1),
-        )
 
     def hull_all(self) -> Box:
         """Single box enclosing every row (exact min/max reduction)."""

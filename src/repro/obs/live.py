@@ -148,9 +148,11 @@ class TelemetryBus(NullTelemetryBus):
                 self._subscribers.remove(fn)
 
     def publish(self, kind: str, **fields) -> None:
-        event = {"ts": time.time(), "kind": kind}
-        event.update(fields)
         with self._lock:
+            # Stamped under the lock, so subscribers see events in
+            # timestamp order whichever thread publishes them.
+            event = {"ts": time.time(), "kind": kind}
+            event.update(fields)
             for fn in list(self._subscribers):
                 try:
                     fn(event)

@@ -15,11 +15,7 @@ from .ivp import (
 from .jet import Jet
 from .ops import gcos, gsin, gsq, gsqrt
 from .picard import a_priori_enclosure, picard_operator
-from .taylor import (
-    ode_taylor_coefficients,
-    taylor_step_bounds,
-    taylor_step_bounds_batch,
-)
+from .taylor import ode_taylor_coefficients, taylor_step_bounds
 from .variational import (
     jacobian_enclosure,
     rhs_jacobian,
@@ -51,6 +47,5 @@ __all__ = [
     "refine_crossing_time",
     "rhs_jacobian",
     "taylor_step_bounds",
-    "taylor_step_bounds_batch",
     "variational_taylor_coefficients",
 ]

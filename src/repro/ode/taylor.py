@@ -16,40 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..intervals import Box, BoxBatch, Interval, IntervalBatch
+from ..intervals import Box, Interval
 from .ivp import ODESystem
 from .jet import Jet
-
-
-def _taylor_recurrence(
-    system: ODESystem,
-    t0: float,
-    coeffs: list[list],
-    u: np.ndarray,
-    order: int,
-) -> list[list]:
-    """Shared jet recurrence ``s_{k+1} = f(t, s)_k / (k + 1)``.
-
-    ``coeffs[i]`` starts as ``[s_0]`` for component ``i``; entries may
-    be scalar :class:`Interval` or :class:`IntervalBatch` columns — the
-    jets evaluate either elementwise, and the batched case is bitwise
-    identical to running the scalar case row by row.
-    """
-    dim = system.dim
-    for k in range(order):
-        jets = [Jet(coeffs[i]) for i in range(dim)]
-        t_jet = Jet.variable(t0, k)
-        derivative = system.rhs(t_jet, jets, u)
-        for i in range(dim):
-            d = derivative[i]
-            if isinstance(d, Jet):
-                f_k = d.coeff(k)
-            elif k == 0:
-                f_k = d if isinstance(d, IntervalBatch) else Interval.coerce(d)
-            else:
-                f_k = Interval(0.0, 0.0)
-            coeffs[i].append(f_k / float(k + 1))
-    return coeffs
 
 
 def ode_taylor_coefficients(
@@ -69,10 +38,22 @@ def ode_taylor_coefficients(
     evaluating the right-hand side on jets of increasing truncation
     order.
     """
-    coeffs: list[list] = [
-        [Interval.coerce(state[i])] for i in range(system.dim)
-    ]
-    return _taylor_recurrence(system, t0, coeffs, u, order)
+    dim = system.dim
+    coeffs = [[Interval.coerce(state[i])] for i in range(dim)]
+    for k in range(order):
+        jets = [Jet(coeffs[i]) for i in range(dim)]
+        t_jet = Jet.variable(t0, k)
+        derivative = system.rhs(t_jet, jets, u)
+        for i in range(dim):
+            d = derivative[i]
+            if isinstance(d, Jet):
+                f_k = d.coeff(k)
+            elif k == 0:
+                f_k = Interval.coerce(d)
+            else:
+                f_k = Interval(0.0, 0.0)
+            coeffs[i].append(f_k / float(k + 1))
+    return coeffs
 
 
 def taylor_step_bounds(
@@ -120,52 +101,6 @@ def taylor_step_bounds(
     return range_box, end_box
 
 
-def taylor_step_bounds_batch(
-    system: ODESystem,
-    t0: float,
-    h: float,
-    s0: BoxBatch,
-    enclosure: BoxBatch,
-    u: np.ndarray,
-    order: int,
-) -> tuple[BoxBatch, BoxBatch]:
-    """Batched :func:`taylor_step_bounds`: one jet sweep for many boxes.
-
-    All rows share the step ``[t0, t0 + h]`` and the command ``u``; the
-    per-row results are bitwise identical to the scalar function.
-    """
-    count = s0.count
-    poly = _taylor_recurrence(
-        system, t0, [[s0.column(i)] for i in range(system.dim)], u, order
-    )
-    remainder = _taylor_recurrence(
-        system,
-        t0,
-        [[enclosure.column(i)] for i in range(system.dim)],
-        u,
-        order + 1,
-    )
-
-    h_point = Interval.point(h)
-    h_range = Interval(0.0, h)
-
-    end_cols: list[IntervalBatch] = []
-    range_cols: list[IntervalBatch] = []
-    for i in range(system.dim):
-        series = poly[i]
-        rem = remainder[i][order + 1]
-        end = _horner(series, h_point) + rem * h_point ** (order + 1)
-        rng = _horner(series, h_range) + rem * h_range ** (order + 1)
-        end_cols.append(IntervalBatch.coerce(end, (count,)))
-        range_cols.append(IntervalBatch.coerce(rng, (count,)))
-
-    end_b = BoxBatch.from_columns(end_cols)
-    range_b = BoxBatch.from_columns(range_cols)
-    range_b = _safe_intersect_batch(range_b, enclosure)
-    end_b = _safe_intersect_batch(end_b, range_b)
-    return range_b, end_b
-
-
 def _horner(coeffs: list[Interval], t: Interval) -> Interval:
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
@@ -184,13 +119,3 @@ def _safe_intersect(a: Box, b: Box) -> Box:
         return a.intersect(b)
     except Exception:
         return a
-
-
-def _safe_intersect_batch(a: BoxBatch, b: BoxBatch) -> BoxBatch:
-    """Rowwise :func:`_safe_intersect`: rows whose intersection comes up
-    empty in any dimension fall back to the corresponding row of ``a``,
-    exactly like the scalar per-box fallback."""
-    lo = np.maximum(a.lo, b.lo)
-    hi = np.minimum(a.hi, b.hi)
-    bad = np.any(lo > hi, axis=1, keepdims=True)
-    return BoxBatch(np.where(bad, a.lo, lo), np.where(bad, a.hi, hi))

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..intervals import Box
 from ..nn import Network
@@ -67,6 +66,10 @@ class _Polytope:
 
     def minimize(self, cost: np.ndarray) -> tuple[float, bool]:
         """Exact minimum of ``cost @ x`` (value, feasible)."""
+        # Imported here: SciPy costs ~0.4 s and ~40 MB to load, and only
+        # this ablation verifier needs it.
+        from scipy.optimize import linprog
+
         result = linprog(
             cost, A_ub=self.a, b_ub=self.b, bounds=self.bounds, method="highs"
         )

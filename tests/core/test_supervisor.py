@@ -281,8 +281,10 @@ class TestPoolTelemetry:
         assert len(outcome.results) == 4
 
     def test_crash_publishes_retry_then_quarantine(self):
+        # cell-0 crashes once too: with both first cells crashing, work
+        # is still pending at the first reap, so the respawn is certain.
         outcome, events = self.collect(
-            faults="crash:cell-1:*", max_retries=1, retry_backoff=0.01
+            faults="crash:cell-0:1,crash:cell-1:*", max_retries=1, retry_backoff=0.01
         )
         kinds = [e["kind"] for e in events]
         assert "worker.crash" in kinds

@@ -368,18 +368,6 @@ class TestContainers:
         assert tuple(hull.lo) == tuple(want.lo)
         assert tuple(hull.hi) == tuple(want.hi)
 
-    def test_box_batch_columns(self) -> None:
-        boxes = [
-            Box(np.array([0.0, -1.0]), np.array([1.0, 2.0])),
-            Box(np.array([-3.0, 0.5]), np.array([0.25, 0.75])),
-        ]
-        bb = BoxBatch.from_boxes(boxes)
-        col = bb.column(1)
-        assert col.intervals() == [Interval(-1.0, 2.0), Interval(0.5, 0.75)]
-        rebuilt = BoxBatch.from_columns([bb.column(0), bb.column(1)])
-        assert np.array_equal(rebuilt.lo, bb.lo)
-        assert np.array_equal(rebuilt.hi, bb.hi)
-
 
 # ----------------------------------------------------------------------
 # Property-based equivalence (hypothesis): the bitwise and enclosure

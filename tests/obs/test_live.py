@@ -81,6 +81,65 @@ class TestTelemetryBus:
         bus.publish("a")
         assert seen == []
 
+    def test_concurrent_publishers_deliver_in_timestamp_order(self, monkeypatch):
+        """A publisher parked between its timestamp and its fan-out must
+        not let a later-stamped event overtake it (a heartbeat thread and
+        the main thread share one events.jsonl)."""
+        bus = TelemetryBus()
+        seen = []
+        queued = threading.Event()
+        written = threading.Event()
+        stamped = threading.Event()
+
+        def subscriber(event):
+            seen.append(event)
+            if event["kind"] == "second":
+                written.set()
+
+        bus.subscribe(subscriber)
+        first = threading.Thread(target=bus.publish, args=("first",))
+        second = threading.Thread(target=bus.publish, args=("second",))
+        inner = bus._lock
+        owner = []
+
+        class TrackedLock:
+            def __enter__(self):
+                if threading.current_thread() is second:
+                    queued.set()
+                inner.acquire()
+                owner.append(threading.get_ident())
+
+            def __exit__(self, *exc):
+                owner.pop()
+                inner.release()
+
+        class Clock:
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def time(self):
+                if threading.current_thread() is second:
+                    return 2.0
+                if threading.current_thread() is not first:
+                    return time.time()
+                stamped.set()
+                # Park until the second publisher has written, or, if this
+                # thread stamps under the bus lock (so the second cannot
+                # write first), until the second is queued on that lock.
+                holds_lock = bool(owner) and owner[-1] == threading.get_ident()
+                assert (queued if holds_lock else written).wait(10.0)
+                return 1.0
+
+        bus._lock = TrackedLock()
+        monkeypatch.setattr("repro.obs.live.time", Clock())
+        first.start()
+        assert stamped.wait(10.0)
+        second.start()
+        first.join(10.0)
+        second.join(10.0)
+        assert not first.is_alive() and not second.is_alive()
+        assert [(e["kind"], e["ts"]) for e in seen] == [("first", 1.0), ("second", 2.0)]
+
     def test_null_bus_is_inert_and_ambient_by_default(self):
         assert get_bus() is NULL_BUS
         assert not NULL_BUS.enabled
@@ -537,8 +596,12 @@ class TestLiveTelemetryEndToEnd:
     def test_quarantine_counts_match_report(self, tmp_path):
         """A crash-quarantined cell shows the same count live as in the
         final VerificationReport (acceptance criterion)."""
+        # Both workers crash on their first cell, so cells 2 and 3 are
+        # still pending when the first crash is reaped and the pool must
+        # respawn. Crashing on a later cell needed a respawn only if the
+        # surviving worker had not finished the rest before the reap.
         live, report = self.run_campaign(
-            tmp_path, workers=2, faults="crash:cell-2:*",
+            tmp_path, workers=2, faults="crash:cell-0:*,crash:cell-1:1",
             max_retries=1, retry_backoff=0.01,
         )
         final = json.loads(live.status_path.read_text())

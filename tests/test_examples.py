@@ -1,9 +1,9 @@
 """Smoke tests for the example scripts.
 
 Light examples run end-to-end in a subprocess; heavyweight ones (full
-partition runs, multi-agent reachability) are compile-checked and their
-entry points imported, with the full runs exercised by the benchmarks
-and the CLI tests instead.
+partition runs) are compile-checked and their entry points imported,
+with the full runs exercised by the benchmarks and the CLI tests
+instead.
 """
 
 import os
@@ -80,3 +80,13 @@ class TestNNProperties:
         out = run_example("nn_properties.py")
         assert "local robustness" in out
         assert "tighter" in out
+
+
+class TestMultiUav:
+    def test_runs_two_agent_reachability(self):
+        # A Taylor plant whose right-hand side applies gsin/gcos to the
+        # state, under a controller with no batch form.
+        out = run_example("multi_uav.py", timeout=180)
+        assert "joint command set: 25 advisory pairs" in out
+        assert "verdict: proved-safe (terminated at step 2, 36 validated integrations)" in out
+        assert "verdict: possibly-unsafe (first possible E-entry at t = 7.0s)" in out

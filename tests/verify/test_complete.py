@@ -1,5 +1,10 @@
 """Tests for the complete (LP-based) small-network verifier."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,3 +99,22 @@ class TestTightnessGap:
         net = relu_identity_2d()
         with pytest.raises(ValueError):
             tightness_gap(net, Box([0.5, 0.5], [0.5, 0.5]))
+
+
+class TestLazyScipy:
+    def test_campaign_imports_do_not_load_scipy(self):
+        """Only the LP verifier needs SciPy; importing the campaign
+        stack must not pay for it."""
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.acasxu, repro.core, repro.experiments, repro.obs\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(len(loaded), loaded[:5])\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.split()[0] == "0", out.stdout
