@@ -7,12 +7,15 @@ each finished cell is written immediately, and a restart skips every
 cell already journaled (validated against the cell geometry, so a
 changed partition invalidates stale entries).
 
-The execution layer is the same fault-tolerant machinery as
-:func:`~repro.core.runner.verify_partition`: with ``workers > 1`` the
-uncached cells run on the supervised pool
+The execution layer is the same as
+:func:`~repro.core.runner.verify_partition`'s: the uncached cells run
+on :func:`~repro.core.supervisor.run_serial` (lockstep waves with
+``batch_cells``, else the guarded per-cell loop) or, with
+``workers > 1``, on the supervised pool
 (:func:`~repro.core.supervisor.run_supervised`), so worker crashes,
 per-cell budgets, the campaign deadline and SIGINT/SIGTERM draining
-all compose with resumability. Quarantined cells (``ABORTED`` /
+all compose with resumability. Each top-level cell is journaled when
+its whole refinement tree has finished. Quarantined cells (``ABORTED`` /
 ``TIMED_OUT``) are deliberately *not* journaled: a restarted campaign
 retries them instead of trusting a verdict that only says "something
 went wrong last time".
@@ -29,16 +32,11 @@ from typing import Callable, Sequence
 
 from ..intervals import Box
 from ..obs import get_recorder
-from ..obs.live import HeartbeatReporter, get_bus
+from ..obs.live import get_bus
 from ..testing.faults import get_fault_injector
 from .result import CellResult, VerificationReport
 from .runner import RunnerSettings, _notify_progress, _settings_summary
-from .supervisor import (
-    merge_worker_traces,
-    run_cell_guarded,
-    run_supervised,
-    trap_shutdown_signals,
-)
+from .supervisor import run_serial, run_supervised
 
 logger = logging.getLogger("repro.core.checkpoint")
 
@@ -227,8 +225,9 @@ def verify_partition_checkpointed(
     """Like :func:`~repro.core.runner.verify_partition`, resumable.
 
     Cells found in the journal are reused verbatim; the rest are
-    verified — serially or on the supervised pool, per
-    ``settings.workers`` — and journaled as soon as they finish.
+    verified — serially (in lockstep with ``settings.batch_cells``) or
+    on the supervised pool, per ``settings.workers`` — and journaled as
+    soon as they finish.
     Quarantined cells are excluded from the journal so a restart
     retries them. After an interruption (deadline or SIGINT/SIGTERM)
     the report covers only the finished cells and
@@ -261,7 +260,6 @@ def verify_partition_checkpointed(
     total = len(parsed)
     done = 0
     skipped = 0
-    interrupted: str | None = None
     results: dict[int, CellResult] = {}
     bus = get_bus()
     bus.publish(
@@ -299,94 +297,16 @@ def verify_partition_checkpointed(
 
     with open(journal_path, "a") as handle:
         journal = _JournalWriter(handle, fsync)
-        if remaining and settings.workers == 1:
-            system = system_factory()
-            reporter = None
-            if bus.enabled:
-                bus.publish("worker.ready", worker=0, pid=os.getpid())
-                reporter = HeartbeatReporter(
-                    lambda p: bus.publish("worker.heartbeat", worker=0, **p),
-                    bus.heartbeat_interval or 1.0,
-                ).start()
-            try:
-                with trap_shutdown_signals() as stop:
-                    deadline_at = (
-                        time.monotonic() + settings.deadline
-                        if settings.deadline
-                        else None
-                    )
-                    for n, i in enumerate(remaining):
-                        if stop.requested:
-                            interrupted = stop.reason
-                        elif (
-                            deadline_at is not None
-                            and time.monotonic() >= deadline_at
-                        ):
-                            interrupted = "deadline"
-                        if interrupted:
-                            rec.event(
-                                "campaign.interrupted",
-                                reason=interrupted,
-                                dropped_cells=len(remaining) - n,
-                            )
-                            bus.publish(
-                                "campaign.interrupted",
-                                reason=interrupted,
-                                dropped_cells=len(remaining) - n,
-                            )
-                            logger.warning(
-                                "campaign interrupted (%s): %d cells not run",
-                                interrupted, len(remaining) - n,
-                            )
-                            break
-                        box, command, tags = parsed[i]
-                        bus.publish(
-                            "cell.dispatched",
-                            worker=0,
-                            cell_id=f"cell-{i}",
-                            seq=i,
-                            attempt=0,
-                        )
-                        if reporter is not None:
-                            reporter.begin_cell(f"cell-{i}")
-                        result = run_cell_guarded(
-                            system, box, command, settings, f"cell-{i}"
-                        )
-                        result.tags.update(tags)
-                        if reporter is not None:
-                            reporter.end_cell()
-                        bus.publish(
-                            "cell.finished",
-                            worker=0,
-                            cell_id=f"cell-{i}",
-                            seq=i,
-                            verdict=result.verdict.value,
-                            verdict_class=result.verdict_class(),
-                            elapsed=result.elapsed_seconds,
-                        )
-                        journal.append(keys[i], result)
-                        results[i] = result
-                        notify(result)
-            finally:
-                if reporter is not None:
-                    reporter.stop()
-        elif remaining:
-            sub_tasks = [
-                (f"cell-{i}", parsed[i][0], parsed[i][1], parsed[i][2])
-                for i in remaining
-            ]
+        sub_tasks = [(f"cell-{i}", *parsed[i]) for i in remaining]
 
-            def on_result(seq: int, result: CellResult) -> None:
-                i = remaining[seq]
-                journal.append(keys[i], result)
-                results[i] = result
-                notify(result)
+        def on_result(seq: int, result: CellResult) -> None:
+            i = remaining[seq]
+            journal.append(keys[i], result)
+            results[i] = result
+            notify(result)
 
-            outcome = run_supervised(
-                system_factory, sub_tasks, settings, on_result=on_result
-            )
-            interrupted = outcome.interrupted
-            merge_worker_traces(rec)
+        executor = run_serial if settings.workers == 1 else run_supervised
+        outcome = executor(system_factory, sub_tasks, settings, on_result=on_result)
 
     if skipped:
         logger.info(
@@ -395,13 +315,13 @@ def verify_partition_checkpointed(
 
     report = VerificationReport(cells=[results[i] for i in sorted(results)])
     report.wall_seconds = time.perf_counter() - run_started
-    report.settings_summary = _settings_summary(settings, interrupted)
+    report.settings_summary = _settings_summary(settings, outcome.interrupted)
     report.settings_summary["journal"] = str(journal_path)
     if rec.enabled:
         report.metrics = rec.metrics.snapshot()
     bus.publish(
         "campaign.finished",
-        interrupted=interrupted,
+        interrupted=outcome.interrupted,
         verdicts=report.verdict_counts(),
         coverage=report.coverage_percent(),
         wall_seconds=report.wall_seconds,

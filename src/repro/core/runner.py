@@ -5,7 +5,8 @@ verification problems, so the partition is embarrassingly parallel.
 :func:`verify_partition` distributes cells over a *supervised* worker
 pool (:mod:`repro.core.supervisor` — fork-based, so the closed-loop
 system object does not need to be picklable) and applies split
-refinement to cells that fail. The execution layer is fault-tolerant:
+refinement to cells that fail, each refinement round as one lockstep
+wave of reach runs. The execution layer is fault-tolerant:
 worker crashes are retried and then quarantined as ``ABORTED``, cells
 exceeding their wall-clock budget become ``TIMED_OUT``, a campaign
 deadline or SIGINT/SIGTERM drains in-flight cells and returns a
@@ -24,19 +25,12 @@ import numpy as np
 
 from ..intervals import Box
 from ..obs import get_recorder
-from ..obs.live import HeartbeatReporter, get_bus
+from ..obs.live import get_bus
 from .partition import RefinementPolicy
-from .reach import ReachSettings, Verdict, reach_from_box, reach_many
+from .reach import ReachSettings, Verdict, reach_many
 from .symbolic import SymbolicSet, SymbolicState
 from .result import CellResult, VerificationReport
-from .supervisor import (
-    BudgetExceeded,
-    budget_guard,
-    merge_worker_traces,
-    run_cell_guarded,
-    run_supervised,
-    trap_shutdown_signals,
-)
+from .supervisor import BudgetExceeded, budget_guard, run_serial, run_supervised
 from .system import ClosedLoopSystem
 
 logger = logging.getLogger("repro.core.runner")
@@ -77,12 +71,13 @@ class RunnerSettings:
     #: (None = unbounded); a timed-out search counts as "no witness
     #: found" and refinement proceeds.
     witness_timeout: float | None = None
-    #: Verify the partition in lockstep *waves*: all cells (and, per
-    #: refinement round, all child cells) advance through the control
-    #: steps together in one :func:`~repro.core.reach.reach_many` call,
-    #: so every step issues one batched integrator call over the whole
-    #: wave's symbolic states. Otherwise each cell runs on its own, one
-    #: :func:`~repro.core.reach.reach` per refinement node; verdicts and
+    #: Verify the whole partition in lockstep *waves*: all top-level
+    #: cells (and, per refinement round, all their children) advance
+    #: through the control steps together in one
+    #: :func:`~repro.core.reach.reach_many` call, so every step issues
+    #: one batched integrator call over the whole wave's symbolic
+    #: states. Otherwise each top-level cell is dispatched on its own
+    #: and only its own refinement rounds share a wave; verdicts and
     #: result trees are the same either way. Serial mode only
     #: (``workers == 1``) and incompatible with the per-cell/campaign
     #: wall-clock budgets, which are enforced per dispatched cell.
@@ -155,103 +150,81 @@ def verify_cell(
     command: int,
     settings: RunnerSettings,
     cell_id: str = "cell",
-    depth: int = 0,
 ) -> CellResult:
     """Verify one initial cell, split-refining on failure (Section 7.1).
 
-    The refinement recursion matches the paper: a cell that cannot be
-    proved safe is bisected (per the policy) and every child is retried,
-    down to ``max_depth``.
+    The refinement matches the paper: a cell that cannot be proved safe
+    is bisected (per the policy) and every child is retried, down to
+    ``max_depth``. This is the one-cell call of the lockstep driver, so
+    each refinement round of the cell (all children of one depth) runs
+    as one :func:`~repro.core.reach.reach_many` wave.
     """
-    rec = get_recorder()
-    started = time.perf_counter()
-    with rec.span("cell", cell_id=cell_id, depth=depth, command=command):
-        outcome = reach_from_box(system, box, command, settings.reach)
-    elapsed = time.perf_counter() - started
-    result = CellResult(
-        cell_id=cell_id,
-        box=box,
-        command=command,
-        verdict=outcome.verdict,
-        depth=depth,
-        elapsed_seconds=elapsed,
-        steps_completed=outcome.steps_completed,
-        joins_performed=outcome.joins_performed,
-        integrations=outcome.integrations,
-    )
-    rec.inc(f"runner.verdict.{outcome.verdict.value}")
-    if result.verdict is not Verdict.PROVED_SAFE and settings.witness_search:
-        if _search_witness(system, result, settings, depth):
-            return result
-    policy = settings.refinement
-    if (
-        result.verdict is not Verdict.PROVED_SAFE
-        and policy is not None
-        and depth < policy.max_depth
-    ):
-        rec.inc("runner.refinements")
-        with rec.span("refine", cell_id=cell_id, depth=depth + 1):
-            for i, child_box in enumerate(policy.children(box)):
-                result.children.append(
-                    verify_cell(
-                        system,
-                        child_box,
-                        command,
-                        settings,
-                        cell_id=f"{cell_id}.{i}",
-                        depth=depth + 1,
-                    )
-                )
-    return result
+    return _verify_cells_lockstep(system, [(cell_id, box, command, {})], settings)[0]
 
 
 # ----------------------------------------------------------------------
 # Lockstep (batched) driver
 # ----------------------------------------------------------------------
+def _record_tree_spans(rec, node: CellResult) -> None:
+    """Write one finished tree's spans: a ``cell`` span per node (its
+    ``elapsed_seconds``) and a ``refine`` span per refined node (its
+    descendants' summed ``elapsed_seconds``)."""
+    rec.record_span(
+        "cell",
+        node.elapsed_seconds,
+        cell_id=node.cell_id,
+        depth=node.depth,
+        command=node.command,
+    )
+    for child in node.children:
+        _record_tree_spans(rec, child)
+    if node.children:
+        below = sum(child.total_elapsed() for child in node.children)
+        rec.record_span("refine", below, cell_id=node.cell_id, depth=node.depth + 1)
+
+
 def _verify_cells_lockstep(
     system: ClosedLoopSystem,
     tasks: Sequence[tuple[str, Box, int, dict]],
     settings: RunnerSettings,
+    on_tree: Callable[[int, CellResult], None] | None = None,
 ) -> list[CellResult]:
-    """Verify every cell in lockstep waves (``batch_cells`` mode).
+    """Verify every cell in lockstep waves.
 
     Wave 0 holds the top-level cells; each refinement round collects
     every failed cell's children into the next wave. Within a wave,
     :func:`~repro.core.reach.reach_many` advances all cells through the
     control steps together, so each step issues one batched integrator
-    call over the whole wave. Verdicts, refinement decisions and the
-    result tree are identical to the sequential :func:`verify_cell`
-    recursion; only the grouping of work (and hence the per-cell
-    ``elapsed_seconds`` attribution) differs.
+    call over the whole wave. A cell's children keep their index order,
+    so its result tree does not depend on what else shares its waves;
+    only the per-cell ``elapsed_seconds`` attribution does.
+
+    As soon as the last node of a top-level tree finishes, the tree's
+    ``cell`` and ``refine`` spans are recorded and ``on_tree(index,
+    result)`` is called, so campaign progress arrives tree by tree.
+    Returns the top-level results in task order.
     """
     rec = get_recorder()
     policy = settings.refinement
-    top_results: list[CellResult] = []
-    wave: list[dict] = []
-    for slot, (cell_id, box, command, _tags) in enumerate(tasks):
-        wave.append(
-            {
-                "cell_id": cell_id,
-                "box": box,
-                "command": command,
-                "depth": 0,
-                "parent": None,
-                "slot": slot,
-            }
-        )
-        top_results.append(None)  # type: ignore[arg-type]
+    roots: list[CellResult | None] = [None] * len(tasks)
+    # Unfinished nodes per top-level tree: a tree is done at zero.
+    pending = [1] * len(tasks)
+    # (cell_id, box, command, depth, parent result, top-level index)
+    wave = [
+        (cell_id, box, command, 0, None, slot)
+        for slot, (cell_id, box, command, _tags) in enumerate(tasks)
+    ]
     while wave:
         initials = [
-            SymbolicSet([SymbolicState(t["box"], t["command"])]) for t in wave
+            SymbolicSet([SymbolicState(box, command)]) for _, box, command, *_ in wave
         ]
         outcomes = reach_many(system, initials, settings.reach)
-        next_wave: list[dict] = []
-        for task, outcome in zip(wave, outcomes):
-            depth = task["depth"]
+        next_wave = []
+        for (cell_id, box, command, depth, parent, slot), outcome in zip(wave, outcomes):
             result = CellResult(
-                cell_id=task["cell_id"],
-                box=task["box"],
-                command=task["command"],
+                cell_id=cell_id,
+                box=box,
+                command=command,
                 verdict=outcome.verdict,
                 depth=depth,
                 elapsed_seconds=outcome.elapsed_seconds,
@@ -260,10 +233,10 @@ def _verify_cells_lockstep(
                 integrations=outcome.integrations,
             )
             rec.inc(f"runner.verdict.{outcome.verdict.value}")
-            # Keep the "cell" phase populated for dashboards and the
-            # ledger: the per-cell driver gets it from its "cell" span,
-            # here it is the wave-proportional elapsed attribution.
-            rec.observe("cell.seconds", outcome.elapsed_seconds)
+            if parent is None:
+                roots[slot] = result
+            else:
+                parent.children.append(result)
             witnessed = False
             if result.verdict is not Verdict.PROVED_SAFE and settings.witness_search:
                 witnessed = _search_witness(system, result, settings, depth)
@@ -274,27 +247,22 @@ def _verify_cells_lockstep(
                 and depth < policy.max_depth
             ):
                 rec.inc("runner.refinements")
-                for i, child_box in enumerate(policy.children(task["box"])):
+                for i, child_box in enumerate(policy.children(box)):
                     next_wave.append(
-                        {
-                            "cell_id": f"{task['cell_id']}.{i}",
-                            "box": child_box,
-                            "command": task["command"],
-                            "depth": depth + 1,
-                            "parent": result,
-                            "slot": None,
-                        }
+                        (f"{cell_id}.{i}", child_box, command, depth + 1, result, slot)
                     )
-            if task["parent"] is None:
-                top_results[task["slot"]] = result
-            else:
-                task["parent"].children.append(result)
+                    pending[slot] += 1
+            pending[slot] -= 1
+            if pending[slot] == 0:
+                _record_tree_spans(rec, roots[slot])
+                if on_tree is not None:
+                    on_tree(slot, roots[slot])
         wave = next_wave
-    return top_results
+    return roots  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
-# Parallel driver
+# Campaign driver
 # ----------------------------------------------------------------------
 def _notify_progress(progress, done: int, total: int, result: CellResult) -> None:
     """Feed either callback style: rich (``update(done, total, result)``,
@@ -356,11 +324,14 @@ def verify_partition(
     ``progress`` is either a bare ``(done, total)`` callable or a rich
     observer with an ``update(done, total, result)`` method (see
     :class:`repro.obs.CampaignProgress` for rate/ETA/verdict counts).
+    It is fed as each top-level cell's tree finishes.
 
-    With ``settings.workers > 1`` the cells run on the supervised pool
-    (:func:`repro.core.supervisor.run_supervised`): crashes retry then
-    quarantine as ``ABORTED``, budget overruns become ``TIMED_OUT``,
-    and a deadline or SIGINT/SIGTERM yields a partial report
+    ``settings.workers`` picks the executor: this process
+    (:func:`repro.core.supervisor.run_serial`) or the supervised pool
+    (:func:`repro.core.supervisor.run_supervised`, where worker crashes
+    retry then quarantine as ``ABORTED``). A cell that raises becomes
+    ``ABORTED``, budget overruns become ``TIMED_OUT``, and a deadline
+    or SIGINT/SIGTERM yields a partial report
     (``settings_summary["interrupted"]`` names the reason).
 
     When a live :class:`repro.obs.Recorder` is installed, workers
@@ -384,114 +355,24 @@ def verify_partition(
         workers=settings.workers,
         pid=os.getpid(),
     )
-    interrupted: str | None = None
-    results: list[CellResult]
-    if settings.batch_cells:
-        # Lockstep wave mode: every control step issues one batched
-        # integrator call over all live cells. No per-cell dispatch,
-        # budgets or interrupt draining — the wave runs to completion
-        # (RunnerSettings rejects batch_cells + budgets up front).
-        system = system_factory()
-        if bus.enabled:
-            bus.publish("worker.ready", worker=0, pid=os.getpid())
-        results = _verify_cells_lockstep(system, tasks, settings)
-        for i, ((cell_id, _box, _command, tags), result) in enumerate(
-            zip(tasks, results)
-        ):
-            result.tags.update(tags)
-            bus.publish(
-                "cell.finished",
-                worker=0,
-                cell_id=cell_id,
-                seq=i,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=result.elapsed_seconds,
-            )
-            _notify_progress(progress, i + 1, len(tasks), result)
-    elif settings.workers == 1:
-        system = system_factory()
-        results = []
-        # The serial driver is its own "worker 0": a heartbeat thread
-        # beats from this process so stall detection (`repro watch`)
-        # works for single-worker campaigns too.
-        reporter = None
-        if bus.enabled:
-            bus.publish("worker.ready", worker=0, pid=os.getpid())
-            reporter = HeartbeatReporter(
-                lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-                bus.heartbeat_interval or 1.0,
-            ).start()
-        try:
-            with trap_shutdown_signals() as stop:
-                deadline_at = (
-                    time.monotonic() + settings.deadline if settings.deadline else None
-                )
-                for i, (cell_id, box, command, tags) in enumerate(tasks):
-                    if stop.requested:
-                        interrupted = stop.reason
-                    elif deadline_at is not None and time.monotonic() >= deadline_at:
-                        interrupted = "deadline"
-                    if interrupted:
-                        rec.event(
-                            "campaign.interrupted",
-                            reason=interrupted,
-                            dropped_cells=len(tasks) - i,
-                        )
-                        bus.publish(
-                            "campaign.interrupted",
-                            reason=interrupted,
-                            dropped_cells=len(tasks) - i,
-                        )
-                        logger.warning(
-                            "campaign interrupted (%s): %d cells not run",
-                            interrupted, len(tasks) - i,
-                        )
-                        break
-                    bus.publish(
-                        "cell.dispatched", worker=0, cell_id=cell_id, seq=i, attempt=0
-                    )
-                    if reporter is not None:
-                        reporter.begin_cell(cell_id)
-                    result = run_cell_guarded(system, box, command, settings, cell_id)
-                    result.tags.update(tags)
-                    if reporter is not None:
-                        reporter.end_cell()
-                    bus.publish(
-                        "cell.finished",
-                        worker=0,
-                        cell_id=cell_id,
-                        seq=i,
-                        verdict=result.verdict.value,
-                        verdict_class=result.verdict_class(),
-                        elapsed=result.elapsed_seconds,
-                    )
-                    results.append(result)
-                    _notify_progress(progress, i + 1, len(tasks), result)
-        finally:
-            if reporter is not None:
-                reporter.stop()
-    else:
-        done = 0
+    done = 0
 
-        def on_result(seq: int, result: CellResult) -> None:
-            nonlocal done
-            done += 1
-            _notify_progress(progress, done, len(tasks), result)
+    def on_result(seq: int, result: CellResult) -> None:
+        nonlocal done
+        done += 1
+        _notify_progress(progress, done, len(tasks), result)
 
-        outcome = run_supervised(system_factory, tasks, settings, on_result=on_result)
-        interrupted = outcome.interrupted
-        results = [outcome.results[i] for i in sorted(outcome.results)]
-        merge_worker_traces(rec)
+    executor = run_serial if settings.workers == 1 else run_supervised
+    outcome = executor(system_factory, tasks, settings, on_result=on_result)
 
-    report = VerificationReport(cells=results)
+    report = VerificationReport(cells=[outcome.results[i] for i in sorted(outcome.results)])
     report.wall_seconds = time.perf_counter() - run_started
-    report.settings_summary = _settings_summary(settings, interrupted)
+    report.settings_summary = _settings_summary(settings, outcome.interrupted)
     if rec.enabled:
         report.metrics = rec.metrics.snapshot()
     bus.publish(
         "campaign.finished",
-        interrupted=interrupted,
+        interrupted=outcome.interrupted,
         verdicts=report.verdict_counts(),
         coverage=report.coverage_percent(),
         wall_seconds=report.wall_seconds,

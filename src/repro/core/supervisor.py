@@ -26,6 +26,10 @@ on one duplex pipe per worker:
   in-flight cells (a second signal aborts the drain), flush traces,
   and return the partial results so journals and ledgers stay intact.
 
+:func:`run_serial` is the same contract in one process, the executor
+for ``workers == 1``: the guarded per-cell loop, or with
+``batch_cells`` one lockstep wave driver call over every cell.
+
 Cells must degrade to an explicit quarantine verdict; they must never
 take the process down. The recovery paths are exercised
 deterministically by :mod:`repro.testing.faults`.
@@ -294,6 +298,20 @@ def trap_shutdown_signals() -> Iterator[ShutdownFlag]:
             signal.signal(sig, prev)
 
 
+def _interruption(stop: ShutdownFlag, deadline_at: float | None) -> str | None:
+    """Why a campaign must stop dispatching now (None = keep going)."""
+    if stop.requested:
+        return stop.reason
+    if deadline_at is not None and time.monotonic() >= deadline_at:
+        return "deadline"
+    return None
+
+
+def _announce_interruption(reason: str, dropped: int) -> None:
+    get_recorder().event("campaign.interrupted", reason=reason, dropped_cells=dropped)
+    get_bus().publish("campaign.interrupted", reason=reason, dropped_cells=dropped)
+
+
 # ----------------------------------------------------------------------
 # The worker process
 # ----------------------------------------------------------------------
@@ -417,7 +435,7 @@ class _WorkerHandle:
 
 @dataclass
 class SupervisorOutcome:
-    """What :func:`run_supervised` produced.
+    """What :func:`run_supervised` or :func:`run_serial` produced.
 
     ``results`` maps task index -> :class:`CellResult` for every cell
     that finished (organically or by quarantine). With no interruption
@@ -663,25 +681,13 @@ def run_supervised(
 
                 # -- interruption: stop dispatching, drain in-flight --
                 if not draining:
-                    if stop.requested:
-                        outcome.interrupted = stop.reason
-                    elif deadline_at is not None and now >= deadline_at:
-                        outcome.interrupted = "deadline"
+                    outcome.interrupted = _interruption(stop, deadline_at)
                     if outcome.interrupted:
                         draining = True
                         dropped = len(pending) + len(retry_heap)
                         pending.clear()
                         retry_heap.clear()
-                        rec.event(
-                            "campaign.interrupted",
-                            reason=outcome.interrupted,
-                            dropped_cells=dropped,
-                        )
-                        bus.publish(
-                            "campaign.interrupted",
-                            reason=outcome.interrupted,
-                            dropped_cells=dropped,
-                        )
+                        _announce_interruption(outcome.interrupted, dropped)
                         logger.warning(
                             "campaign interrupted (%s): %d cells not dispatched; "
                             "draining %d in-flight",
@@ -818,4 +824,85 @@ def run_supervised(
 
     if fatal is not None:
         raise fatal
+    return outcome
+
+
+def run_serial(
+    system_factory: Callable[[], object],
+    tasks: Sequence[Task],
+    settings,
+    on_result: Callable[[int, CellResult], None] | None = None,
+) -> SupervisorOutcome:
+    """Run ``tasks`` in this process, with :func:`run_supervised`'s
+    contract: ``system_factory`` is called once (and only if there is a
+    task), ``on_result(task_index, result)`` is called in completion
+    order, and ``interrupted`` names why a partial run stopped.
+
+    With ``settings.batch_cells`` every task goes into one lockstep
+    wave driver call and each top-level cell is delivered as soon as
+    its tree finishes. Otherwise the cells run one at a time through
+    :func:`run_cell_guarded` (budgets, quarantine), with a heartbeat
+    thread, and the campaign deadline and SIGINT/SIGTERM are checked
+    between cells.
+    """
+    from .runner import _verify_cells_lockstep  # deferred: runner imports this module
+
+    bus = get_bus()
+    outcome = SupervisorOutcome()
+    if not tasks:
+        return outcome
+    system = system_factory()
+    # This process is the campaign's only worker, "worker 0".
+    bus.publish("worker.ready", worker=0, pid=os.getpid())
+
+    def finish(seq: int, result: CellResult) -> None:
+        cell_id, _box, _command, tags = tasks[seq]
+        result.tags.update(tags)
+        bus.publish(
+            "cell.finished",
+            worker=0,
+            cell_id=cell_id,
+            seq=seq,
+            verdict=result.verdict.value,
+            verdict_class=result.verdict_class(),
+            elapsed=result.elapsed_seconds,
+        )
+        outcome.results[seq] = result
+        if on_result is not None:
+            on_result(seq, result)
+
+    if settings.batch_cells:
+        _verify_cells_lockstep(system, tasks, settings, on_tree=finish)
+        return outcome
+
+    # A heartbeat thread beats from this process so stall detection
+    # (`repro watch`) works for serial campaigns too.
+    reporter = None
+    if bus.enabled:
+        reporter = HeartbeatReporter(
+            lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
+            bus.heartbeat_interval or 1.0,
+        ).start()
+    try:
+        with trap_shutdown_signals() as stop:
+            deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
+            for seq, (cell_id, box, command, _tags) in enumerate(tasks):
+                outcome.interrupted = _interruption(stop, deadline_at)
+                if outcome.interrupted:
+                    _announce_interruption(outcome.interrupted, len(tasks) - seq)
+                    logger.warning(
+                        "campaign interrupted (%s): %d cells not run",
+                        outcome.interrupted, len(tasks) - seq,
+                    )
+                    break
+                bus.publish("cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0)
+                if reporter is not None:
+                    reporter.begin_cell(cell_id)
+                result = run_cell_guarded(system, box, command, settings, cell_id)
+                if reporter is not None:
+                    reporter.end_cell()
+                finish(seq, result)
+    finally:
+        if reporter is not None:
+            reporter.stop()
     return outcome

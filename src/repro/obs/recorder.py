@@ -64,6 +64,9 @@ class NullRecorder:
     def span(self, name: str, **fields) -> _NullSpan:
         return _NULL_SPAN
 
+    def record_span(self, name: str, duration: float, **fields) -> None:
+        return None
+
     def event(self, name: str, **fields) -> None:
         return None
 
@@ -126,6 +129,11 @@ class Recorder(NullRecorder):
     # -- spans and events ----------------------------------------------
     def span(self, name: str, **fields) -> _Span:
         return _Span(self, name, fields)
+
+    def record_span(self, name: str, duration: float, **fields) -> None:
+        """A span whose duration was measured elsewhere (e.g. a cell's
+        share of the lockstep waves it ran in)."""
+        self._finish_span(name, duration, fields, None)
 
     def _finish_span(
         self, name: str, duration: float, fields: dict, exc_type

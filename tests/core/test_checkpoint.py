@@ -5,11 +5,18 @@ import json
 import pytest
 
 from repro.core import (
+    DistributedSettings,
+    RefinementPolicy,
+    RunnerSettings,
+    canonical_journal_bytes,
     grid_partition,
     load_journal,
+    run_distributed,
     verify_partition,
     verify_partition_checkpointed,
 )
+from repro.core import runner as runner_module
+from repro.core.reach import reach_many
 from repro.intervals import Box
 
 from .fixtures import make_system
@@ -105,3 +112,58 @@ class TestCheckpointing:
             lambda: make_system(), cells(), journal
         )
         assert report.cells[2].tags["idx"] == 2
+
+
+class TestExecutorsAgree:
+    """Every executor journals the same cell trees."""
+
+    @staticmethod
+    def factory():
+        # A near error bound: the upper cells fail and are refined.
+        return make_system(horizon_steps=3, error_bound=3.0)
+
+    @staticmethod
+    def partition():
+        return [(box, 1, {"idx": i}) for i, box in enumerate(
+            grid_partition(Box([1.6], [3.0]), [4])
+        )]
+
+    def test_journals_identical_across_executors(self, tmp_path, monkeypatch):
+        policy = RefinementPolicy(dims=(0,), max_depth=1)
+        waves = []
+
+        def recording_reach_many(system, initial_sets, settings):
+            waves.append(len(initial_sets))
+            return reach_many(system, initial_sets, settings)
+
+        monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
+        lockstep = verify_partition_checkpointed(
+            self.factory, self.partition(), tmp_path / "lockstep.jsonl",
+            RunnerSettings(refinement=policy, batch_cells=True),
+        )
+        monkeypatch.undo()
+        refined = [c for c in lockstep.cells if c.children]
+        assert refined and len(refined) < 4
+        # One reach_many call per wave: the 4 cells, then every child.
+        assert waves == [4, 2 * len(refined)]
+
+        verify_partition_checkpointed(
+            self.factory, self.partition(), tmp_path / "per-cell.jsonl",
+            RunnerSettings(refinement=policy, cell_timeout=60.0),
+        )
+        verify_partition_checkpointed(
+            self.factory, self.partition(), tmp_path / "pool.jsonl",
+            RunnerSettings(refinement=policy, workers=2),
+        )
+        run_distributed(
+            self.factory, self.partition(), tmp_path / "distributed.jsonl",
+            settings=RunnerSettings(refinement=policy),
+            dist=DistributedSettings(num_shards=1, expected_nodes=1),
+            nodes=1, workers_per_node=2,
+        )
+        journals = {
+            name: canonical_journal_bytes(tmp_path / f"{name}.jsonl")
+            for name in ("lockstep", "per-cell", "pool", "distributed")
+        }
+        assert len(load_journal(tmp_path / "lockstep.jsonl")) == 4
+        assert len(set(journals.values())) == 1, sorted(journals)

@@ -23,12 +23,19 @@ def cells(n=4):
     ]
 
 
+#: The two serial executors: the guarded per-cell loop and lockstep
+#: waves over the whole partition. Both write the same span names.
+SERIAL = pytest.mark.parametrize("batch_cells", [False, True], ids=["per-cell", "lockstep"])
+
+
 class TestInstrumentedRunner:
-    def test_serial_run_collects_phases_and_report_metrics(self, tmp_path):
+    @SERIAL
+    def test_serial_run_collects_phases_and_report_metrics(self, tmp_path, batch_cells):
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
+        settings = RunnerSettings(batch_cells=batch_cells)
         with use_recorder(rec):
-            report = verify_partition(lambda: make_system(), cells())
+            report = verify_partition(lambda: make_system(), cells(), settings)
         rec.close()
 
         counters = report.metrics["counters"]
@@ -66,11 +73,13 @@ class TestInstrumentedRunner:
         assert progress.done == progress.total == 4
         assert progress.proved + progress.unproved + progress.witnessed == 4
 
-    def test_refinement_spans_present(self, tmp_path):
+    @SERIAL
+    def test_refinement_spans_present(self, tmp_path, batch_cells):
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
         settings = RunnerSettings(
-            refinement=RefinementPolicy(dims=(0,), max_depth=1)
+            refinement=RefinementPolicy(dims=(0,), max_depth=1),
+            batch_cells=batch_cells,
         )
         bad = [(Box([4.0], [4.8]), 0, {})]  # drives toward the error bound
         with use_recorder(rec):
