@@ -245,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.distributed is not None:
             report = _run_distributed_experiment(config, args, run_id, progress)
         else:
-            report = run_experiment(config, progress=progress)
+            report = run_experiment(config, progress=progress, journal=args.journal)
     wall = time.perf_counter() - started
     print(render_report(report))
 
@@ -282,6 +282,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ("trace", args.trace_out),
             ("metrics", args.metrics_out),
             ("report", args.out),
+            ("journal", report.settings_summary.get("journal")),
         )
         if value
     }
@@ -1023,8 +1024,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--journal", metavar="PATH",
-        help="with --distributed: checkpoint journal path (default "
-        ".repro/distributed/<run-id>.jsonl); an existing journal resumes",
+        help="checkpoint journal path: each finished cell is appended, and "
+        "an existing journal resumes (with --distributed the default is "
+        ".repro/distributed/<run-id>.jsonl)",
     )
     p_verify.add_argument(
         "--num-shards", type=int, default=None, metavar="K",

@@ -2,12 +2,7 @@
 model, the reachability procedure (Algorithms 1-3), partitioning with
 split refinement, the parallel runner, and runtime monitoring."""
 
-from .checkpoint import (
-    canonical_journal_bytes,
-    load_journal,
-    load_lease_records,
-    verify_partition_checkpointed,
-)
+from .checkpoint import canonical_journal_bytes, load_journal, load_lease_records
 from .compose import StateView, SynchronousProductController
 from .coordinator import (
     Coordinator,
@@ -104,5 +99,4 @@ __all__ = [
     "trap_shutdown_signals",
     "verify_cell",
     "verify_partition",
-    "verify_partition_checkpointed",
 ]

@@ -1,24 +1,16 @@
-"""Checkpointed partition verification for long campaigns.
+"""The campaign journal: resumable state for long campaigns.
 
 The paper's full experiment ran for ~12 days; any run at that scale
-needs to survive interruption. :func:`verify_partition_checkpointed`
-wraps the partition drivers with an append-only JSON-lines journal:
-each finished cell is written immediately, and a restart skips every
-cell already journaled (validated against the cell geometry, so a
-changed partition invalidates stale entries).
-
-The execution layer is the same as
-:func:`~repro.core.runner.verify_partition`'s: the uncached cells run
-on :func:`~repro.core.supervisor.run_serial` (lockstep waves with
-``batch_cells``, else the guarded per-cell loop) or, with
-``workers > 1``, on the supervised pool
-(:func:`~repro.core.supervisor.run_supervised`), so worker crashes,
-per-cell budgets, the campaign deadline and SIGINT/SIGTERM draining
-all compose with resumability. Each top-level cell is journaled when
-its whole refinement tree has finished. Quarantined cells (``ABORTED`` /
-``TIMED_OUT``) are deliberately *not* journaled: a restarted campaign
-retries them instead of trusting a verdict that only says "something
-went wrong last time".
+needs to survive interruption. Both campaign drivers —
+:func:`~repro.core.runner.verify_partition` with ``journal=`` and the
+distributed :class:`~repro.core.coordinator.Coordinator` — keep an
+append-only JSON-lines journal in this format: each top-level cell is
+written as soon as its whole refinement tree has finished, and a
+restart replays every cell already journaled (:func:`replay_journal`,
+matched by cell geometry, so a changed partition invalidates stale
+entries). Quarantined cells (``ABORTED`` / ``TIMED_OUT``) are
+deliberately *not* journaled: a restarted campaign retries them instead
+of trusting a verdict that only says "something went wrong last time".
 """
 
 from __future__ import annotations
@@ -26,17 +18,13 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..intervals import Box
 from ..obs import get_recorder
-from ..obs.live import get_bus
 from ..testing.faults import get_fault_injector
-from .result import CellResult, VerificationReport
-from .runner import RunnerSettings, _notify_progress, _settings_summary
-from .supervisor import run_serial, run_supervised
+from .result import CellResult
 
 logger = logging.getLogger("repro.core.checkpoint")
 
@@ -91,6 +79,26 @@ def load_journal(path: str | Path) -> dict[str, CellResult]:
                 continue
             finished[key] = result
     return finished
+
+
+def replay_journal(path: str | Path, keys: Sequence[str]) -> dict[int, CellResult]:
+    """The journaled results of a partition, by partition index.
+
+    ``keys`` holds each cell's :func:`_cell_key`; journal entries for
+    other cells (a changed partition) are ignored. Each reused cell
+    counts as ``checkpoint.cells_skipped``, and a non-empty replay
+    emits ``journal.resume``.
+    """
+    finished = load_journal(path)
+    replayed = {i: finished[key] for i, key in enumerate(keys) if key in finished}
+    if replayed:
+        rec = get_recorder()
+        rec.inc("checkpoint.cells_skipped", len(replayed))
+        rec.event("journal.resume", path=str(path), finished_cells=len(replayed))
+        logger.info(
+            "resumed from %s: %d/%d cells skipped", path, len(replayed), len(keys)
+        )
+    return replayed
 
 
 class _JournalWriter:
@@ -212,118 +220,3 @@ def canonical_journal_bytes(path: str | Path) -> bytes:
         for key in sorted(finished)
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def verify_partition_checkpointed(
-    system_factory: Callable[[], object],
-    cells: Sequence[tuple],
-    journal_path: str | Path,
-    settings: RunnerSettings | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fsync: bool = False,
-) -> VerificationReport:
-    """Like :func:`~repro.core.runner.verify_partition`, resumable.
-
-    Cells found in the journal are reused verbatim; the rest are
-    verified — serially (in lockstep with ``settings.batch_cells``) or
-    on the supervised pool, per ``settings.workers`` — and journaled as
-    soon as they finish.
-    Quarantined cells are excluded from the journal so a restart
-    retries them. After an interruption (deadline or SIGINT/SIGTERM)
-    the report covers only the finished cells and
-    ``settings_summary["interrupted"]`` names the reason; otherwise the
-    report covers every requested cell, in partition order.
-
-    With ``fsync=True`` every appended entry is fsync'd to stable
-    storage before the next cell starts — slower, but a power loss can
-    then cost at most the in-flight cell.
-    """
-    settings = settings or RunnerSettings()
-    rec = get_recorder()
-    run_started = time.perf_counter()
-    journal_path = Path(journal_path)
-    journal_path.parent.mkdir(parents=True, exist_ok=True)
-    finished = load_journal(journal_path)
-    if finished:
-        rec.event(
-            "journal.resume", path=str(journal_path), finished_cells=len(finished)
-        )
-
-    keys: list[str] = []
-    parsed: list[tuple[Box, int, dict]] = []
-    for cell in cells:
-        box, command = cell[0], cell[1]
-        tags = dict(cell[2]) if len(cell) > 2 else {}
-        parsed.append((box, command, tags))
-        keys.append(_cell_key(box, command))
-
-    total = len(parsed)
-    done = 0
-    skipped = 0
-    results: dict[int, CellResult] = {}
-    bus = get_bus()
-    bus.publish(
-        "campaign.started", total=total, workers=settings.workers, pid=os.getpid()
-    )
-
-    def notify(result: CellResult) -> None:
-        nonlocal done
-        done += 1
-        _notify_progress(progress, done, total, result)
-
-    remaining: list[int] = []
-    for i, (box, command, tags) in enumerate(parsed):
-        cached = finished.get(keys[i])
-        if cached is not None:
-            cached.tags.update(tags)
-            results[i] = cached
-            skipped += 1
-            rec.inc("checkpoint.cells_skipped")
-            # Journal-cached cells never touch a worker; worker=None and
-            # cached=True let snapshot consumers count them separately.
-            bus.publish(
-                "cell.finished",
-                worker=None,
-                cell_id=f"cell-{i}",
-                seq=i,
-                verdict=cached.verdict.value,
-                verdict_class=cached.verdict_class(),
-                elapsed=0.0,
-                cached=True,
-            )
-            notify(cached)
-        else:
-            remaining.append(i)
-
-    with open(journal_path, "a") as handle:
-        journal = _JournalWriter(handle, fsync)
-        sub_tasks = [(f"cell-{i}", *parsed[i]) for i in remaining]
-
-        def on_result(seq: int, result: CellResult) -> None:
-            i = remaining[seq]
-            journal.append(keys[i], result)
-            results[i] = result
-            notify(result)
-
-        executor = run_serial if settings.workers == 1 else run_supervised
-        outcome = executor(system_factory, sub_tasks, settings, on_result=on_result)
-
-    if skipped:
-        logger.info(
-            "resumed from %s: %d/%d cells skipped", journal_path, skipped, total
-        )
-
-    report = VerificationReport(cells=[results[i] for i in sorted(results)])
-    report.wall_seconds = time.perf_counter() - run_started
-    report.settings_summary = _settings_summary(settings, outcome.interrupted)
-    report.settings_summary["journal"] = str(journal_path)
-    if rec.enabled:
-        report.metrics = rec.metrics.snapshot()
-    bus.publish(
-        "campaign.finished",
-        interrupted=outcome.interrupted,
-        verdicts=report.verdict_counts(),
-        coverage=report.coverage_percent(),
-        wall_seconds=report.wall_seconds,
-    )
-    return report

@@ -24,12 +24,18 @@ Recovery, not scheduling, is the design center:
   its epoch is dead, nothing it sends is accepted, and the discard is
   deterministic — no "maybe the old result lands first" races.
 * **Coordinator loss.** Grants and accepted results flow through the
-  same append-only journal as single-host checkpointed runs
+  same append-only journal as a single-host
+  ``verify_partition(..., journal=...)`` run
   (:mod:`repro.core.checkpoint`; cell entries gain ``shard``/``epoch``
   provenance fields old readers skip, lease grants are their own
   records old readers also skip). A restarted coordinator replays the
   journal: finished cells stay finished, and every shard's epoch floor
   is restored so pre-crash zombies stay fenced.
+
+The campaign shell is the single-host driver's
+(:func:`~repro.core.runner.verify_partition`): the same journal replay,
+the same ``cell.finished`` event and progress feed for streamed and
+replayed cells alike, and the same report tail.
 
 Determinism is the acceptance bar: the same partition verified
 distributed and single-host yields the same verdicts, the same
@@ -50,19 +56,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..intervals import Box
-from ..obs import get_recorder
 from ..obs.live import get_bus
-from .checkpoint import (
-    _cell_key,
-    _JournalWriter,
-    load_journal,
-    load_lease_records,
-)
+from .checkpoint import _cell_key, _JournalWriter, load_lease_records, replay_journal
 from .lease import LeaseTable, assign_shards
 from .result import CellResult, VerificationReport
-from .runner import RunnerSettings, _notify_progress, _settings_summary
-from .supervisor import trap_shutdown_signals
+from .runner import (
+    RunnerSettings,
+    _campaign_report,
+    _campaign_tasks,
+    _notify_progress,
+    _publish_finished,
+)
+from .supervisor import _announce_interruption, _interruption, trap_shutdown_signals
 from .wire import FrameDecoder, FrameError, parse_hostport, send_frame
 
 logger = logging.getLogger("repro.core.coordinator")
@@ -183,13 +188,8 @@ class Coordinator:
         self.journal_path = Path(journal_path)
         self.stats = CoordinatorStats()
 
-        self.parsed: list[tuple[Box, int, dict]] = []
-        self.keys: list[str] = []
-        for cell in cells:
-            box, command = cell[0], cell[1]
-            tags = dict(cell[2]) if len(cell) > 2 else {}
-            self.parsed.append((box, command, tags))
-            self.keys.append(_cell_key(box, command))
+        self.tasks = _campaign_tasks(cells)
+        self.keys = [_cell_key(box, command) for _, box, command, _ in self.tasks]
         self.index_of = {key: i for i, key in enumerate(self.keys)}
 
         num_shards = self.dist.num_shards or max(
@@ -218,15 +218,11 @@ class Coordinator:
         self.welcome_config.setdefault("cell_timeout", self.settings.cell_timeout)
         self.welcome_config.setdefault("max_retries", self.settings.max_retries)
 
-        #: index -> accepted result (journal-cached and streamed alike).
+        #: index -> accepted result (journal-replayed and streamed
+        #: alike). Also the steal exclusion set: it includes quarantined
+        #: results, which are never journaled but are also never retried
+        #: within one campaign — matching the single-host driver.
         self.results: dict[int, CellResult] = {}
-        #: keys with an accepted result this campaign (steal exclusion
-        #: set; includes quarantined results, which are never journaled
-        #: but are also never retried within one campaign — matching
-        #: the single-host drivers).
-        self.done_keys: set[str] = set()
-        #: keys durably in the journal.
-        self.journaled: set[str] = set()
 
         self._listener: socket.socket | None = None
         self._sel: selectors.BaseSelector | None = None
@@ -258,35 +254,20 @@ class Coordinator:
         logger.info("coordinator listening on %s:%d", *self.address)
         return self.address
 
-    # -- journal replay ------------------------------------------------
-    def _replay_journal(self, rec, bus) -> None:
-        finished = load_journal(self.journal_path)
-        for key, result in finished.items():
-            index = self.index_of.get(key)
-            if index is None:
-                # A journal shared with a different partition; the
-                # checkpoint layer has the same stance — ignore.
-                continue
-            result.tags.update(self.parsed[index][2])
-            self.results[index] = result
-            self.done_keys.add(key)
-            self.journaled.add(key)
-            bus.publish(
-                "cell.finished",
-                worker=None,
-                cell_id=f"cell-{index}",
-                seq=index,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=0.0,
-                cached=True,
-            )
-        if finished:
-            rec.event(
-                "journal.resume",
-                path=str(self.journal_path),
-                finished_cells=len(self.journaled),
-            )
+    # -- results ---------------------------------------------------------
+    def _finish(
+        self, index: int, result: CellResult, node: str | None = None, cached: bool = False
+    ) -> None:
+        """Accept cell ``index``'s result, streamed by ``node`` or
+        replayed from the journal (``cached``)."""
+        self.results[index] = result
+        _publish_finished(index, result, None, cached, node=node)
+        _notify_progress(self.progress, len(self.results), len(self.tasks), result)
+
+    def _replay_journal(self) -> None:
+        for index, result in replay_journal(self.journal_path, self.keys).items():
+            result.tags.update(self.tasks[index][3])
+            self._finish(index, result, cached=True)
         # Epoch floors: every pre-crash grant is replayed so a new
         # grant's epoch is strictly above anything a zombie may hold.
         for record in load_lease_records(self.journal_path):
@@ -295,7 +276,7 @@ class Coordinator:
             if shard_id in self.table and isinstance(epoch, int):
                 self.table.restore_epoch(shard_id, epoch)
         for shard in self.shards:
-            if all(self.keys[i] in self.done_keys for i in shard.indices):
+            if all(i in self.results for i in shard.indices):
                 self.table.force_complete(shard.shard_id)
 
     # -- the loop ------------------------------------------------------
@@ -304,19 +285,18 @@ class Coordinator:
         return the merged report. :meth:`start` must have been called;
         node agents may connect before or after serve() begins."""
         assert self._sel is not None, "call start() first"
-        rec = get_recorder()
         bus = get_bus()
         run_started = time.perf_counter()
         bus.publish(
             "campaign.started",
-            total=len(self.parsed),
+            total=len(self.tasks),
             workers=0,
             pid=os.getpid(),
             distributed=True,
             shards=len(self.shards),
         )
         self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        self._replay_journal(rec, bus)
+        self._replay_journal()
         deadline_at = (
             time.monotonic() + self.settings.deadline
             if self.settings.deadline
@@ -326,20 +306,10 @@ class Coordinator:
             journal = _JournalWriter(handle, self.dist.fsync)
             with trap_shutdown_signals() as stop:
                 while self.table.outstanding() > 0:
-                    if stop.requested:
-                        self.interrupted = stop.reason
-                    elif deadline_at is not None and time.monotonic() >= deadline_at:
-                        self.interrupted = "deadline"
+                    self.interrupted = _interruption(stop, deadline_at)
                     if self.interrupted:
-                        rec.event(
-                            "campaign.interrupted",
-                            reason=self.interrupted,
-                            outstanding_shards=self.table.outstanding(),
-                        )
-                        bus.publish(
-                            "campaign.interrupted",
-                            reason=self.interrupted,
-                            outstanding_shards=self.table.outstanding(),
+                        _announce_interruption(
+                            self.interrupted, len(self.tasks) - len(self.results)
                         )
                         break
                     events = self._sel.select(timeout=self.dist.poll_interval)
@@ -366,7 +336,14 @@ class Coordinator:
                         )
                     self._grant_idle(journal, bus, now)
             self._shutdown_nodes(bus)
-        return self._build_report(rec, bus, run_started)
+        report = _campaign_report(self.results, self.settings, self.interrupted, run_started)
+        report.settings_summary["journal"] = str(self.journal_path)
+        report.settings_summary["distributed"] = {
+            "shards": len(self.shards),
+            "lease_timeout": self.dist.lease_timeout,
+            **self.stats.to_dict(),
+        }
+        return report
 
     # -- connection handling -------------------------------------------
     def _accept(self) -> None:
@@ -521,34 +498,18 @@ class Coordinator:
             if index is None:
                 logger.warning("%s: result for unknown cell key; dropping", node_id)
                 return
-            if key in self.done_keys:
+            if index in self.results:
                 # Should be unreachable while the lease discipline
                 # holds; counted so the acceptance drill can prove it.
                 self.stats.duplicate_results += 1
                 logger.error("duplicate result for %s from %s", key, node_id)
                 return
             result = CellResult.from_dict(frame["result"])
-            self.results[index] = result
-            self.done_keys.add(key)
             journal.append(
                 key, result,
                 extra={"shard": shard_id, "epoch": epoch, "node": node_id},
             )
-            if not result.quarantined:
-                self.journaled.add(key)
-            bus.publish(
-                "cell.finished",
-                worker=None,
-                node=node_id,
-                cell_id=f"cell-{index}",
-                seq=index,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=result.elapsed_seconds,
-            )
-            _notify_progress(
-                self.progress, len(self.done_keys), len(self.parsed), result
-            )
+            self._finish(index, result, node=node_id)
             return
         if kind == "shard_done":
             conn.busy = False
@@ -587,7 +548,7 @@ class Coordinator:
             if not idle:
                 return
             shard = self.table.shard(shard_id)
-            pending = [i for i in shard.indices if self.keys[i] not in self.done_keys]
+            pending = [i for i in shard.indices if i not in self.results]
             if not pending:
                 # Everything streamed in before the previous holder's
                 # lease died — nothing left to steal.
@@ -628,10 +589,10 @@ class Coordinator:
                 {
                     "index": i,
                     "key": self.keys[i],
-                    "lo": [float(v) for v in self.parsed[i][0].lo],
-                    "hi": [float(v) for v in self.parsed[i][0].hi],
-                    "command": self.parsed[i][1],
-                    "tags": self.parsed[i][2],
+                    "lo": [float(v) for v in self.tasks[i][1].lo],
+                    "hi": [float(v) for v in self.tasks[i][1].hi],
+                    "command": self.tasks[i][2],
+                    "tags": self.tasks[i][3],
                 }
                 for i in pending
             ]
@@ -678,29 +639,6 @@ class Coordinator:
         if self._sel is not None:
             self._sel.close()
             self._sel = None
-
-    def _build_report(self, rec, bus, run_started: float) -> VerificationReport:
-        report = VerificationReport(
-            cells=[self.results[i] for i in sorted(self.results)]
-        )
-        report.wall_seconds = time.perf_counter() - run_started
-        report.settings_summary = _settings_summary(self.settings, self.interrupted)
-        report.settings_summary["journal"] = str(self.journal_path)
-        report.settings_summary["distributed"] = {
-            "shards": len(self.shards),
-            "lease_timeout": self.dist.lease_timeout,
-            **self.stats.to_dict(),
-        }
-        if rec.enabled:
-            report.metrics = rec.metrics.snapshot()
-        bus.publish(
-            "campaign.finished",
-            interrupted=self.interrupted,
-            verdicts=report.verdict_counts(),
-            coverage=report.coverage_percent(),
-            wall_seconds=report.wall_seconds,
-        )
-        return report
 
 
 # ----------------------------------------------------------------------

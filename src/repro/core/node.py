@@ -280,7 +280,7 @@ def run_node(
             tasks = _grant_tasks(cells)
             streamed = 0
 
-            def on_result(seq: int, result: CellResult) -> None:
+            def on_result(seq: int, result: CellResult, _worker: int | None) -> None:
                 nonlocal streamed
                 reporter.end_cell()
                 sender.send(

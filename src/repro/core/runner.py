@@ -10,7 +10,7 @@ wave of reach runs. The execution layer is fault-tolerant:
 worker crashes are retried and then quarantined as ``ABORTED``, cells
 exceeding their wall-clock budget become ``TIMED_OUT``, a campaign
 deadline or SIGINT/SIGTERM drains in-flight cells and returns a
-partial report.
+partial report. With a journal the campaign resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 import logging
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 from ..intervals import Box
 from ..obs import get_recorder
 from ..obs.live import get_bus
+from .checkpoint import _cell_key, _JournalWriter, replay_journal
 from .partition import RefinementPolicy
 from .reach import ReachSettings, Verdict, reach_many
 from .symbolic import SymbolicSet, SymbolicState
@@ -188,6 +191,7 @@ def _verify_cells_lockstep(
     tasks: Sequence[tuple[str, Box, int, dict]],
     settings: RunnerSettings,
     on_tree: Callable[[int, CellResult], None] | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> list[CellResult]:
     """Verify every cell in lockstep waves.
 
@@ -203,6 +207,10 @@ def _verify_cells_lockstep(
     ``cell`` and ``refine`` spans are recorded and ``on_tree(index,
     result)`` is called, so campaign progress arrives tree by tree.
     Returns the top-level results in task order.
+
+    ``stop()`` is asked before each wave; once it is true the driver
+    returns at once, and only the trees already handed to ``on_tree``
+    are complete.
     """
     rec = get_recorder()
     policy = settings.refinement
@@ -214,7 +222,7 @@ def _verify_cells_lockstep(
         (cell_id, box, command, 0, None, slot)
         for slot, (cell_id, box, command, _tags) in enumerate(tasks)
     ]
-    while wave:
+    while wave and not (stop is not None and stop()):
         initials = [
             SymbolicSet([SymbolicState(box, command)]) for _, box, command, *_ in wave
         ]
@@ -290,6 +298,14 @@ def _notify_progress(progress, done: int, total: int, result: CellResult) -> Non
         )
 
 
+def _campaign_tasks(cells: Sequence[tuple]) -> list[tuple[str, Box, int, dict]]:
+    """One executor task ``(cell_id, box, command, tags)`` per cell."""
+    return [
+        (f"cell-{i}", cell[0], cell[1], dict(cell[2]) if len(cell) > 2 else {})
+        for i, cell in enumerate(cells)
+    ]
+
+
 def _settings_summary(settings: RunnerSettings, interrupted: str | None) -> dict:
     summary = {
         "substeps": settings.reach.substeps,
@@ -306,20 +322,71 @@ def _settings_summary(settings: RunnerSettings, interrupted: str | None) -> dict
     return summary
 
 
+def _publish_finished(
+    index: int,
+    result: CellResult,
+    worker: int | None,
+    cached: bool = False,
+    node: str | None = None,
+) -> None:
+    """Publish the ``cell.finished`` event of top-level cell ``index``
+    (its ``seq``). ``worker`` is None for a quarantine, a remote node or
+    a journal replay; a replayed cell is ``cached`` and took no time."""
+    get_bus().publish(
+        "cell.finished",
+        worker=worker,
+        node=node,
+        cell_id=f"cell-{index}",
+        seq=index,
+        verdict=result.verdict.value,
+        verdict_class=result.verdict_class(),
+        elapsed=0.0 if cached else result.elapsed_seconds,
+        attempts=result.attempts,
+        cached=cached,
+    )
+
+
+def _campaign_report(
+    results: dict[int, CellResult],
+    settings: RunnerSettings,
+    interrupted: str | None,
+    run_started: float,
+) -> VerificationReport:
+    """A campaign's report tail: the finished cells in partition order,
+    the settings summary and metrics, then ``campaign.finished``."""
+    report = VerificationReport(cells=[results[i] for i in sorted(results)])
+    report.wall_seconds = time.perf_counter() - run_started
+    report.settings_summary = _settings_summary(settings, interrupted)
+    rec = get_recorder()
+    if rec.enabled:
+        report.metrics = rec.metrics.snapshot()
+    get_bus().publish(
+        "campaign.finished",
+        interrupted=interrupted,
+        verdicts=report.verdict_counts(),
+        coverage=report.coverage_percent(),
+        wall_seconds=report.wall_seconds,
+    )
+    return report
+
+
 def verify_partition(
     system_factory: Callable[[], ClosedLoopSystem],
     cells: Sequence[tuple[Box, int]] | Sequence[tuple[Box, int, dict]],
     settings: RunnerSettings | None = None,
     progress: Callable[[int, int], None] | None = None,
+    journal: str | Path | None = None,
+    fsync: bool = False,
 ) -> VerificationReport:
     """Verify every initial cell of a partition.
 
     ``cells`` is a sequence of ``(box, command)`` or
     ``(box, command, tags)`` tuples. ``system_factory`` builds the
     closed-loop system — called once in serial mode, once per worker in
-    parallel mode (fork start method, so closures are fine). A worker
-    whose factory call raises surfaces as a ``RuntimeError`` naming the
-    worker and the underlying error.
+    parallel mode (fork start method, so closures are fine), and not at
+    all if no cell is left to verify. A worker whose factory call raises
+    surfaces as a ``RuntimeError`` naming the worker and the underlying
+    error.
 
     ``progress`` is either a bare ``(done, total)`` callable or a rich
     observer with an ``update(done, total, result)`` method (see
@@ -334,6 +401,13 @@ def verify_partition(
     or SIGINT/SIGTERM yields a partial report
     (``settings_summary["interrupted"]`` names the reason).
 
+    With ``journal`` (a path) the campaign is resumable
+    (:mod:`repro.core.checkpoint`): cells already journaled are reused
+    verbatim, and every other cell is appended as soon as its tree
+    finishes. Quarantined cells are not journaled, so a restart retries
+    them. ``fsync=True`` syncs each append to stable storage, so a power
+    loss costs at most the cells in flight.
+
     When a live :class:`repro.obs.Recorder` is installed, workers
     stream spans to per-worker JSONL files (merged into the parent's
     trace at the end) and ship per-cell metric deltas back; the merged
@@ -341,40 +415,45 @@ def verify_partition(
     """
     settings = settings or RunnerSettings()
     run_started = time.perf_counter()
-    tasks = []
-    for i, cell in enumerate(cells):
-        box, command = cell[0], cell[1]
-        tags = dict(cell[2]) if len(cell) > 2 else {}
-        tasks.append((f"cell-{i}", box, command, tags))
-
-    rec = get_recorder()
-    bus = get_bus()
-    bus.publish(
+    tasks = _campaign_tasks(cells)
+    get_bus().publish(
         "campaign.started",
         total=len(tasks),
         workers=settings.workers,
         pid=os.getpid(),
     )
-    done = 0
+    results: dict[int, CellResult] = {}
+    keys: list[str] = []
+    writer: _JournalWriter | None = None
 
-    def on_result(seq: int, result: CellResult) -> None:
-        nonlocal done
-        done += 1
-        _notify_progress(progress, done, len(tasks), result)
+    def finish(index: int, result: CellResult, worker: int | None, cached: bool = False) -> None:
+        results[index] = result
+        if writer is not None and not cached:
+            writer.append(keys[index], result)
+        _publish_finished(index, result, worker, cached)
+        _notify_progress(progress, len(results), len(tasks), result)
+
+    if journal is not None:
+        journal = Path(journal)
+        journal.parent.mkdir(parents=True, exist_ok=True)
+        keys = [_cell_key(box, command) for _, box, command, _ in tasks]
+        for index, result in replay_journal(journal, keys).items():
+            result.tags.update(tasks[index][3])
+            finish(index, result, None, cached=True)
+    remaining = [i for i in range(len(tasks)) if i not in results]
+
+    def on_result(seq: int, result: CellResult, worker: int | None) -> None:
+        finish(remaining[seq], result, worker)
 
     executor = run_serial if settings.workers == 1 else run_supervised
-    outcome = executor(system_factory, tasks, settings, on_result=on_result)
+    with open(journal, "a") if journal is not None else nullcontext() as handle:
+        if handle is not None:
+            writer = _JournalWriter(handle, fsync)
+        outcome = executor(
+            system_factory, [tasks[i] for i in remaining], settings, on_result=on_result
+        )
 
-    report = VerificationReport(cells=[outcome.results[i] for i in sorted(outcome.results)])
-    report.wall_seconds = time.perf_counter() - run_started
-    report.settings_summary = _settings_summary(settings, outcome.interrupted)
-    if rec.enabled:
-        report.metrics = rec.metrics.snapshot()
-    bus.publish(
-        "campaign.finished",
-        interrupted=outcome.interrupted,
-        verdicts=report.verdict_counts(),
-        coverage=report.coverage_percent(),
-        wall_seconds=report.wall_seconds,
-    )
+    report = _campaign_report(results, settings, outcome.interrupted, run_started)
+    if journal is not None:
+        report.settings_summary["journal"] = str(journal)
     return report

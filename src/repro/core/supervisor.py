@@ -30,6 +30,9 @@ on one duplex pipe per worker:
 for ``workers == 1``: the guarded per-cell loop, or with
 ``batch_cells`` one lockstep wave driver call over every cell.
 
+Executors only hand each finished cell back through ``on_result``; the
+campaign drivers publish ``cell.finished``, journal and feed progress.
+
 Cells must degrade to an explicit quarantine verdict; they must never
 take the process down. The recovery paths are exercised
 deterministically by :mod:`repro.testing.faults`.
@@ -485,16 +488,17 @@ def run_supervised(
     system_factory: Callable[[], object],
     tasks: Sequence[Task],
     settings,
-    on_result: Callable[[int, CellResult], None] | None = None,
+    on_result: Callable[[int, CellResult, int | None], None] | None = None,
 ) -> SupervisorOutcome:
     """Run ``tasks`` over a supervised pool of ``settings.workers``
     fork processes.
 
-    ``on_result`` is called in the supervisor loop (parent process,
-    completion order) with ``(task_index, result)`` as each cell
-    finishes — the checkpoint journal and progress reporting hang off
-    it. Worker trace files are merged into the parent trace before
-    returning.
+    ``on_result(task_index, result, worker)`` is called in the
+    supervisor loop (parent process, completion order) as each cell
+    finishes — the campaign driver's journal, events and progress hang
+    off it. ``worker`` is the id of the worker that produced the result,
+    or None for a crash or kill quarantine. Worker trace files are
+    merged into the parent trace before returning.
 
     Raises ``RuntimeError`` if a worker's ``system_factory()`` call
     fails: that is a configuration error, not a transient fault.
@@ -539,10 +543,10 @@ def run_supervised(
         workers[wid] = _WorkerHandle(id=wid, proc=proc, conn=parent_conn)
         bus.publish("worker.spawned", worker=wid)
 
-    def finish(seq: int, result: CellResult) -> None:
+    def finish(seq: int, result: CellResult, worker: int | None) -> None:
         outcome.results[seq] = result
         if on_result is not None:
-            on_result(seq, result)
+            on_result(seq, result, worker)
 
     def quarantine(seq: int, verdict: Verdict, reason: dict, dispatches: int) -> None:
         cell_id, box, command, tags = tasks[seq]
@@ -567,15 +571,7 @@ def run_supervised(
             reason=reason.get("kind"),
             attempts=dispatches,
         )
-        bus.publish(
-            "cell.finished",
-            cell_id=cell_id,
-            seq=seq,
-            verdict=verdict.value,
-            verdict_class=result.verdict_class(),
-            elapsed=result.elapsed_seconds,
-        )
-        finish(seq, result)
+        finish(seq, result, None)
 
     def handle_crash(seq: int, worker: _WorkerHandle) -> None:
         exitcode = worker.proc.exitcode
@@ -640,16 +636,6 @@ def run_supervised(
         elif kind == "result":
             _, _, seq, result, delta = message
             worker.current = None
-            bus.publish(
-                "cell.finished",
-                worker=worker.id,
-                cell_id=result.cell_id,
-                seq=seq,
-                verdict=result.verdict.value,
-                verdict_class=result.verdict_class(),
-                elapsed=result.elapsed_seconds,
-                attempts=result.attempts,
-            )
             if delta is not None and rec.enabled:
                 try:
                     rec.metrics.merge_snapshot(delta)
@@ -665,7 +651,7 @@ def run_supervised(
                         "discarding corrupt metrics payload from worker %d (%s: %s)",
                         worker.id, type(exc).__name__, exc,
                     )
-            finish(seq, result)
+            finish(seq, result, worker.id)
 
     started_at = time.monotonic()
     deadline_at = started_at + settings.deadline if settings.deadline else None
@@ -831,16 +817,18 @@ def run_serial(
     system_factory: Callable[[], object],
     tasks: Sequence[Task],
     settings,
-    on_result: Callable[[int, CellResult], None] | None = None,
+    on_result: Callable[[int, CellResult, int | None], None] | None = None,
 ) -> SupervisorOutcome:
     """Run ``tasks`` in this process, with :func:`run_supervised`'s
     contract: ``system_factory`` is called once (and only if there is a
-    task), ``on_result(task_index, result)`` is called in completion
+    task), ``on_result(task_index, result, 0)`` is called in completion
     order, and ``interrupted`` names why a partial run stopped.
 
     With ``settings.batch_cells`` every task goes into one lockstep
     wave driver call and each top-level cell is delivered as soon as
-    its tree finishes. Otherwise the cells run one at a time through
+    its tree finishes; SIGINT/SIGTERM is checked between waves, so the
+    current wave finishes and the unfinished trees are dropped.
+    Otherwise the cells run one at a time through
     :func:`run_cell_guarded` (budgets, quarantine), with a heartbeat
     thread, and the campaign deadline and SIGINT/SIGTERM are checked
     between cells.
@@ -856,53 +844,50 @@ def run_serial(
     bus.publish("worker.ready", worker=0, pid=os.getpid())
 
     def finish(seq: int, result: CellResult) -> None:
-        cell_id, _box, _command, tags = tasks[seq]
-        result.tags.update(tags)
-        bus.publish(
-            "cell.finished",
-            worker=0,
-            cell_id=cell_id,
-            seq=seq,
-            verdict=result.verdict.value,
-            verdict_class=result.verdict_class(),
-            elapsed=result.elapsed_seconds,
-        )
+        result.tags.update(tasks[seq][3])
         outcome.results[seq] = result
         if on_result is not None:
-            on_result(seq, result)
+            on_result(seq, result, 0)
 
-    if settings.batch_cells:
-        _verify_cells_lockstep(system, tasks, settings, on_tree=finish)
-        return outcome
-
-    # A heartbeat thread beats from this process so stall detection
-    # (`repro watch`) works for serial campaigns too.
-    reporter = None
-    if bus.enabled:
-        reporter = HeartbeatReporter(
-            lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-            bus.heartbeat_interval or 1.0,
-        ).start()
-    try:
-        with trap_shutdown_signals() as stop:
+    with trap_shutdown_signals() as stop:
+        if settings.batch_cells:
+            _verify_cells_lockstep(
+                system, tasks, settings, on_tree=finish, stop=lambda: stop.requested
+            )
+            if len(outcome.results) < len(tasks):
+                outcome.interrupted = stop.reason
+        else:
+            # A heartbeat thread beats from this process so stall
+            # detection (`repro watch`) works for serial campaigns too.
+            reporter = None
+            if bus.enabled:
+                reporter = HeartbeatReporter(
+                    lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
+                    bus.heartbeat_interval or 1.0,
+                ).start()
             deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
-            for seq, (cell_id, box, command, _tags) in enumerate(tasks):
-                outcome.interrupted = _interruption(stop, deadline_at)
-                if outcome.interrupted:
-                    _announce_interruption(outcome.interrupted, len(tasks) - seq)
-                    logger.warning(
-                        "campaign interrupted (%s): %d cells not run",
-                        outcome.interrupted, len(tasks) - seq,
+            try:
+                for seq, (cell_id, box, command, _tags) in enumerate(tasks):
+                    outcome.interrupted = _interruption(stop, deadline_at)
+                    if outcome.interrupted:
+                        break
+                    bus.publish(
+                        "cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0
                     )
-                    break
-                bus.publish("cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0)
+                    if reporter is not None:
+                        reporter.begin_cell(cell_id)
+                    result = run_cell_guarded(system, box, command, settings, cell_id)
+                    if reporter is not None:
+                        reporter.end_cell()
+                    finish(seq, result)
+            finally:
                 if reporter is not None:
-                    reporter.begin_cell(cell_id)
-                result = run_cell_guarded(system, box, command, settings, cell_id)
-                if reporter is not None:
-                    reporter.end_cell()
-                finish(seq, result)
-    finally:
-        if reporter is not None:
-            reporter.stop()
+                    reporter.stop()
+        if outcome.interrupted:
+            dropped = len(tasks) - len(outcome.results)
+            _announce_interruption(outcome.interrupted, dropped)
+            logger.warning(
+                "campaign interrupted (%s): %d cells not run",
+                outcome.interrupted, dropped,
+            )
     return outcome

@@ -74,8 +74,10 @@ def fig7_substep_ablation(
 def run_experiment(
     config: ExperimentConfig,
     progress=None,
+    journal=None,
 ) -> VerificationReport:
-    """Run the full partition verification for a named experiment."""
+    """Run the full partition verification for a named experiment,
+    resuming from (and appending to) ``journal`` when one is given."""
     from ..acasxu import build_system
 
     cells = initial_cells(config.num_arcs, config.num_headings)
@@ -84,6 +86,7 @@ def run_experiment(
         cells,
         config.runner,
         progress=progress,
+        journal=journal,
     )
     report.system_name = f"acasxu/{config.name}"
     report.settings_summary["num_arcs"] = config.num_arcs

@@ -13,7 +13,6 @@ from repro.core import (
     load_journal,
     run_distributed,
     verify_partition,
-    verify_partition_checkpointed,
 )
 from repro.core import runner as runner_module
 from repro.core.reach import reach_many
@@ -32,7 +31,7 @@ class TestCheckpointing:
     def test_first_run_matches_plain_runner(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         factory = make_system
-        checkpointed = verify_partition_checkpointed(factory, cells(), journal)
+        checkpointed = verify_partition(factory, cells(), journal=journal)
         plain = verify_partition(factory, cells())
         assert checkpointed.total_cells == plain.total_cells
         assert checkpointed.coverage_percent() == pytest.approx(
@@ -49,10 +48,10 @@ class TestCheckpointing:
             calls["count"] += 1
             return make_system()
 
-        verify_partition_checkpointed(factory, cells(), journal)
+        verify_partition(factory, cells(), journal=journal)
         assert calls["count"] == 1
         # Second run: everything cached, the system is never rebuilt.
-        report = verify_partition_checkpointed(factory, cells(), journal)
+        report = verify_partition(factory, cells(), journal=journal)
         assert calls["count"] == 1
         assert report.total_cells == 4
         assert report.coverage_percent() == pytest.approx(100.0)
@@ -60,36 +59,28 @@ class TestCheckpointing:
     def test_partial_journal_resumes_remaining(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         all_cells = cells()
-        verify_partition_checkpointed(
-            lambda: make_system(), all_cells[:2], journal
-        )
+        verify_partition(lambda: make_system(), all_cells[:2], journal=journal)
         assert len(load_journal(journal)) == 2
-        report = verify_partition_checkpointed(
-            lambda: make_system(), all_cells, journal
-        )
+        report = verify_partition(lambda: make_system(), all_cells, journal=journal)
         assert report.total_cells == 4
         assert len(load_journal(journal)) == 4
 
     def test_torn_final_line_tolerated(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        verify_partition_checkpointed(lambda: make_system(), cells()[:2], journal)
+        verify_partition(lambda: make_system(), cells()[:2], journal=journal)
         with open(journal, "a") as handle:
             handle.write('{"key": "torn')  # simulated crash mid-write
         finished = load_journal(journal)
         assert len(finished) == 2
         # And the runner recovers, re-verifying only what is missing.
-        report = verify_partition_checkpointed(
-            lambda: make_system(), cells(), journal
-        )
+        report = verify_partition(lambda: make_system(), cells(), journal=journal)
         assert report.total_cells == 4
 
     def test_changed_partition_invalidates_entries(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        verify_partition_checkpointed(lambda: make_system(), cells(), journal)
+        verify_partition(lambda: make_system(), cells(), journal=journal)
         shifted = [(Box([3.0], [3.2]), 1)]
-        report = verify_partition_checkpointed(
-            lambda: make_system(), shifted, journal
-        )
+        report = verify_partition(lambda: make_system(), shifted, journal=journal)
         # The shifted cell was not in the journal: it got verified anew.
         assert report.total_cells == 1
         assert len(load_journal(journal)) == 5
@@ -97,21 +88,49 @@ class TestCheckpointing:
     def test_progress_callback(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         seen = []
-        verify_partition_checkpointed(
+        verify_partition(
             lambda: make_system(),
             cells(),
-            journal,
             progress=lambda done, total: seen.append((done, total)),
+            journal=journal,
         )
         assert seen[-1] == (4, 4)
 
     def test_tags_preserved_on_resume(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        verify_partition_checkpointed(lambda: make_system(), cells(), journal)
-        report = verify_partition_checkpointed(
-            lambda: make_system(), cells(), journal
-        )
+        verify_partition(lambda: make_system(), cells(), journal=journal)
+        report = verify_partition(lambda: make_system(), cells(), journal=journal)
         assert report.cells[2].tags["idx"] == 2
+
+
+class TestResumedCampaignEvents:
+    """A resumed campaign reports replayed and fresh cells alike."""
+
+    def test_cell_finished_seq_is_the_partition_index(self, tmp_path):
+        from repro.obs import TelemetryBus, use_bus
+
+        journal = tmp_path / "journal.jsonl"
+        verify_partition(make_system, cells()[:2], journal=journal)
+        bus = TelemetryBus()
+        events = []
+        bus.subscribe(events.append)
+        with use_bus(bus):
+            verify_partition(make_system, cells(), journal=journal)
+        finished = [e for e in events if e["kind"] == "cell.finished"]
+        assert sorted(e["seq"] for e in finished) == [0, 1, 2, 3]
+        assert all(e["cell_id"] == f"cell-{e['seq']}" for e in finished)
+        assert [e["cached"] for e in finished] == [True, True, False, False]
+
+    def test_distributed_resume_feeds_replayed_cells_to_progress(self, tmp_path):
+        from repro.obs import CampaignProgress
+
+        journal = tmp_path / "journal.jsonl"
+        run_distributed(make_system, cells()[:2], journal, nodes=1)
+        progress = CampaignProgress(stream=None)
+        report = run_distributed(make_system, cells(), journal, nodes=1, progress=progress)
+        assert report.verdict_counts()["proved"] == 4
+        assert progress.done == 4
+        assert progress.proved == 4
 
 
 class TestExecutorsAgree:
@@ -137,9 +156,10 @@ class TestExecutorsAgree:
             return reach_many(system, initial_sets, settings)
 
         monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
-        lockstep = verify_partition_checkpointed(
-            self.factory, self.partition(), tmp_path / "lockstep.jsonl",
+        lockstep = verify_partition(
+            self.factory, self.partition(),
             RunnerSettings(refinement=policy, batch_cells=True),
+            journal=tmp_path / "lockstep.jsonl",
         )
         monkeypatch.undo()
         refined = [c for c in lockstep.cells if c.children]
@@ -147,13 +167,15 @@ class TestExecutorsAgree:
         # One reach_many call per wave: the 4 cells, then every child.
         assert waves == [4, 2 * len(refined)]
 
-        verify_partition_checkpointed(
-            self.factory, self.partition(), tmp_path / "per-cell.jsonl",
+        verify_partition(
+            self.factory, self.partition(),
             RunnerSettings(refinement=policy, cell_timeout=60.0),
+            journal=tmp_path / "per-cell.jsonl",
         )
-        verify_partition_checkpointed(
-            self.factory, self.partition(), tmp_path / "pool.jsonl",
+        verify_partition(
+            self.factory, self.partition(),
             RunnerSettings(refinement=policy, workers=2),
+            journal=tmp_path / "pool.jsonl",
         )
         run_distributed(
             self.factory, self.partition(), tmp_path / "distributed.jsonl",

@@ -36,7 +36,7 @@ from repro.core import (
     canonical_journal_bytes,
     grid_partition,
     run_distributed,
-    verify_partition_checkpointed,
+    verify_partition,
 )
 from repro.core.checkpoint import _cell_key
 from repro.intervals import Box
@@ -69,11 +69,11 @@ def cell_records(journal_path):
 def single_host(tmp_path_factory):
     """Reference single-host checkpointed run over the same partition."""
     journal = tmp_path_factory.mktemp("single") / "journal.jsonl"
-    report = verify_partition_checkpointed(
+    report = verify_partition(
         make_system,
         campaign_cells(),
-        journal,
         RunnerSettings(workers=2, reach=REACH),
+        journal=journal,
     )
     assert report.total_cells == NUM_CELLS
     return report, canonical_journal_bytes(journal)

@@ -12,7 +12,6 @@ from repro.core import (
     grid_partition,
     load_journal,
     verify_partition,
-    verify_partition_checkpointed,
 )
 from repro.intervals import Box
 from repro.obs import Recorder, use_recorder
@@ -161,18 +160,14 @@ class TestTornJournal:
     def test_torn_write_costs_exactly_one_cell_on_resume(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         with injected_faults("torn-journal:1"):
-            report = verify_partition_checkpointed(
-                make_system, cells(), journal
-            )
+            report = verify_partition(make_system, cells(), journal=journal)
         assert report.total_cells == 4
         # The first append was torn: the loader skips it, keeps the rest.
         finished = load_journal(journal)
         assert len(finished) == 3
         # Resume re-verifies only the torn cell.
         with use_recorder(Recorder()) as rec:
-            report = verify_partition_checkpointed(
-                make_system, cells(), journal
-            )
+            report = verify_partition(make_system, cells(), journal=journal)
             assert rec.metrics.counters["checkpoint.cells_skipped"] == 3
             assert rec.metrics.counters["checkpoint.cells_verified"] == 1
         assert report.total_cells == 4
@@ -208,9 +203,7 @@ class TestCheckpointResumeUnderFaults:
         journal = tmp_path / "journal.jsonl"
         settings = RunnerSettings(workers=2, max_retries=0, retry_backoff=0.01)
         with injected_faults("crash:cell-2:*"):
-            first = verify_partition_checkpointed(
-                make_system, cells(), journal, settings
-            )
+            first = verify_partition(make_system, cells(), settings, journal=journal)
         by_id = {c.cell_id: c for c in first.cells}
         assert by_id["cell-2"].verdict is Verdict.ABORTED
         # Quarantined cells are NOT journaled: the journal holds exactly
@@ -220,9 +213,7 @@ class TestCheckpointResumeUnderFaults:
 
         # Restart without the fault: only the crashed cell reruns.
         with use_recorder(Recorder()) as rec:
-            second = verify_partition_checkpointed(
-                make_system, cells(), journal, settings
-            )
+            second = verify_partition(make_system, cells(), settings, journal=journal)
             assert rec.metrics.counters["checkpoint.cells_skipped"] == 3
         assert second.total_cells == 4
         assert second.coverage_percent() == pytest.approx(100.0)
@@ -245,8 +236,8 @@ class TestCheckpointResumeUnderFaults:
         )
         with injected_faults("crash:cell-1:*,slow:cell-2:30"):
             with use_recorder(Recorder(trace_path=trace)):
-                report = verify_partition_checkpointed(
-                    make_system, partition, journal, settings
+                report = verify_partition(
+                    make_system, partition, settings, journal=journal,
                 )
 
         assert report.total_cells == 6
@@ -275,9 +266,7 @@ class TestCheckpointResumeUnderFaults:
         # reuses them and re-verifies exactly the two quarantined cells.
         assert len(load_journal(journal)) == 4
         with use_recorder(Recorder()) as rec:
-            second = verify_partition_checkpointed(
-                make_system, partition, journal, settings
-            )
+            second = verify_partition(make_system, partition, settings, journal=journal)
             assert rec.metrics.counters["checkpoint.cells_skipped"] == 4
         assert second.total_cells == 6
         assert second.coverage_percent() == pytest.approx(100.0)

@@ -10,6 +10,8 @@ left out.
 """
 
 import dataclasses
+import os
+import signal
 import time
 from collections import Counter
 
@@ -335,6 +337,30 @@ class TestVerifyPartition:
             ("reach_many", 2),
             ("progress", 2, "cell-1"),
         ]
+
+    def test_lockstep_sigint_drains_between_waves(self, monkeypatch):
+        """SIGINT lets the current wave finish, keeps the trees it
+        finished and drops the rest: cell-0 is proved in wave 0, and
+        cell-1's refinement wave never starts."""
+        waves = []
+
+        def recording_reach_many(system, initial_sets, settings):
+            waves.append(len(initial_sets))
+            return reach_many(system, initial_sets, settings)
+
+        def interrupt(done, total):
+            os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
+        settings = RunnerSettings(
+            refinement=RefinementPolicy(dims=(0,), max_depth=1), batch_cells=True
+        )
+        report = verify_partition(
+            _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, interrupt
+        )
+        assert [c.cell_id for c in report.cells] == ["cell-0"]
+        assert report.settings_summary["interrupted"] == "signal:SIGINT"
+        assert waves == [2]
 
     def test_parallel_matches_serial(self):
         system_factory = lambda: make_system()

@@ -243,28 +243,26 @@ class TestPoolTelemetry:
     events onto the ambient bus."""
 
     def collect(self, faults=None, **settings_kwargs):
+        """Run four cells on a 2-worker pool. ``cell.finished`` is a
+        campaign event, so the pool runs under the campaign driver."""
         from repro.obs import TelemetryBus, use_bus
 
         bus = TelemetryBus(heartbeat_interval=0.05)
         events = []
         bus.subscribe(events.append)
         settings = RunnerSettings(workers=2, **settings_kwargs)
-        tasks = [
-            (f"cell-{i}", box, 1, {})
-            for i, box in enumerate(grid_partition(Box([1.6], [2.4]), [4]))
-        ]
         with use_bus(bus):
             if faults:
                 with injected_faults(faults):
-                    outcome = run_supervised(make_system, tasks, settings)
+                    report = verify_partition(make_system, four_cells(), settings)
             else:
-                outcome = run_supervised(make_system, tasks, settings)
-        return outcome, events
+                report = verify_partition(make_system, four_cells(), settings)
+        return report, events
 
     def test_lifecycle_and_heartbeat_events_published(self):
         import os
 
-        outcome, events = self.collect(faults="slow:cell-0:0.2")
+        report, events = self.collect(faults="slow:cell-0:0.2")
         kinds = [e["kind"] for e in events]
         assert kinds.count("worker.spawned") == 2
         assert kinds.count("worker.ready") == 2
@@ -278,12 +276,12 @@ class TestPoolTelemetry:
         assert {"rss_bytes", "cells_completed", "cell_elapsed"} <= set(beat)
         finished = [e for e in events if e["kind"] == "cell.finished"]
         assert all(e["verdict_class"] == "proved" for e in finished)
-        assert len(outcome.results) == 4
+        assert len(report.cells) == 4
 
     def test_crash_publishes_retry_then_quarantine(self):
         # cell-0 crashes once too: with both first cells crashing, work
         # is still pending at the first reap, so the respawn is certain.
-        outcome, events = self.collect(
+        _report, events = self.collect(
             faults="crash:cell-0:1,crash:cell-1:*", max_retries=1, retry_backoff=0.01
         )
         kinds = [e["kind"] for e in events]

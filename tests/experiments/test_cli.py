@@ -63,6 +63,39 @@ class TestCommands:
         assert main(["show", report_path]) == 0
         assert "Fig. 9a" in capsys.readouterr().out
 
+    def test_verify_journal_resumes_and_matches_distributed(self, tmp_path):
+        """`verify --journal` without --distributed: a rerun replays
+        every cell, and the lockstep journal equals a distributed one."""
+        from repro.core import canonical_journal_bytes
+
+        journal, distributed = tmp_path / "j.jsonl", tmp_path / "j2.jsonl"
+        base = ["verify", "--arcs", "4", "--headings", "2", "--depth", "1",
+                "--no-live", "--no-ledger"]
+
+        def run(name, *extra):
+            out = tmp_path / f"{name}.json"
+            metrics = tmp_path / f"{name}-metrics.json"
+            assert main([*base, *extra, "--out", str(out),
+                         "--metrics-out", str(metrics)]) == 0
+            return (json.loads(out.read_text())["cells"],
+                    json.loads(metrics.read_text())["counters"])
+
+        first, _ = run("first", "--journal", str(journal))
+        second, counters = run("second", "--journal", str(journal))
+        run("distributed", "--distributed", "1", "--workers", "2",
+            "--journal", str(distributed))
+
+        def tree(cell):
+            return {k: v for k, v in cell.items() if k != "elapsed_seconds"} | {
+                "children": [tree(c) for c in cell["children"]]
+            }
+
+        assert len(first) == 8
+        assert [tree(c) for c in second] == [tree(c) for c in first]
+        assert counters["checkpoint.cells_skipped"] == 8
+        assert "checkpoint.cells_verified" not in counters
+        assert canonical_journal_bytes(journal) == canonical_journal_bytes(distributed)
+
     def test_falsify_small(self, capsys):
         assert (
             main(["falsify", "--population", "8", "--generations", "2"]) == 0

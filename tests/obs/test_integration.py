@@ -109,11 +109,11 @@ class TestNoOpIsInert:
 
 class TestCheckpointObservability:
     def test_malformed_journal_line_is_skipped_not_fatal(self, tmp_path):
-        from repro.core import load_journal, verify_partition_checkpointed
+        from repro.core import load_journal
 
         journal = tmp_path / "journal.jsonl"
         all_cells = cells()
-        verify_partition_checkpointed(lambda: make_system(), all_cells, journal)
+        verify_partition(lambda: make_system(), all_cells, journal=journal)
         lines = journal.read_text().splitlines()
         assert len(lines) == 4
         # Corrupt the SECOND line: entries after it must still load.
@@ -129,29 +129,23 @@ class TestCheckpointObservability:
             calls["count"] += 1
             return make_system()
 
-        report = verify_partition_checkpointed(factory, all_cells, journal)
+        report = verify_partition(factory, all_cells, journal=journal)
         assert report.total_cells == 4
         assert calls["count"] == 1  # only the torn cell was re-verified
         assert len(load_journal(journal)) == 4
 
     def test_fsync_option(self, tmp_path):
-        from repro.core import verify_partition_checkpointed
-
         journal = tmp_path / "journal.jsonl"
-        report = verify_partition_checkpointed(
-            lambda: make_system(), cells(), journal, fsync=True
-        )
+        report = verify_partition(lambda: make_system(), cells(), journal=journal, fsync=True)
         assert report.total_cells == 4
 
     def test_resume_event_emitted(self, tmp_path):
-        from repro.core import verify_partition_checkpointed
-
         journal = tmp_path / "journal.jsonl"
-        verify_partition_checkpointed(lambda: make_system(), cells(), journal)
+        verify_partition(lambda: make_system(), cells(), journal=journal)
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
         with use_recorder(rec):
-            verify_partition_checkpointed(lambda: make_system(), cells(), journal)
+            verify_partition(lambda: make_system(), cells(), journal=journal)
         rec.close()
         events = {e["name"] for e in read_trace(trace)}
         assert "journal.resume" in events
