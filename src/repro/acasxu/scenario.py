@@ -218,6 +218,21 @@ def paper_scale_cells() -> list[tuple[Box, int, dict]]:
     return initial_cells(PAPER_NUM_ARCS, PAPER_NUM_HEADINGS)
 
 
+def encounter_state(phi: float, delta: float) -> np.ndarray:
+    """The concrete initial state of an intruder entering the sensor
+    circle at position angle ``phi`` with heading offset ``delta`` from
+    directly-inward: the point form of :func:`initial_cell`."""
+    return np.array(
+        [
+            -SENSOR_RANGE_FT * math.sin(phi),
+            SENSOR_RANGE_FT * math.cos(phi),
+            _wrap_to_pi(phi + math.pi + delta),
+            V_OWN_FT_S,
+            V_INT_FT_S,
+        ]
+    )
+
+
 def sample_initial_state(
     rng: np.random.Generator,
     arc_range: tuple[float, float] = (-math.pi, math.pi),
@@ -226,16 +241,7 @@ def sample_initial_state(
     """A random concrete initial state from the ribbon set I."""
     phi = rng.uniform(*arc_range)
     delta = rng.uniform(*heading_cone)
-    psi = _wrap_to_pi(phi + math.pi + delta)
-    return np.array(
-        [
-            -SENSOR_RANGE_FT * math.sin(phi),
-            SENSOR_RANGE_FT * math.cos(phi),
-            psi,
-            V_OWN_FT_S,
-            V_INT_FT_S,
-        ]
-    )
+    return encounter_state(phi, delta)
 
 
 def sample_collision_course_state(

@@ -435,10 +435,6 @@ class ProgramIndex:
                     key = f"{facts.module}.{cls_name}.{method}"
                     self.methods.setdefault(method, []).append(key)
 
-    def function_path(self, key: str) -> str | None:
-        entry = self.functions.get(key)
-        return entry[0].path if entry else None
-
     def resolve(self, module: ModuleFacts, kind: str,
                 parts: tuple[str, ...],
                 enclosing_class: str | None = None) -> str | None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .baseline import load_baseline, partition, write_baseline
 from .cache import DEFAULT_CACHE_PATH, AnalysisCache
-from .model import CheckError, Finding
+from .model import CheckError
 from .policy import load_policy
 from .report import FORMATS, render
 from .visitor import check_paths
@@ -112,8 +112,3 @@ def run_check(
     except CheckError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-def _self_check() -> list[Finding]:  # pragma: no cover - debugging helper
-    """Lint the repo's own sound path with default policy (for REPLs)."""
-    return check_paths(["src/repro"], load_policy())

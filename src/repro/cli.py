@@ -1,26 +1,25 @@
 """Command-line interface: ``python -m repro`` / ``repro-nncs``.
 
-Subcommands:
+Every subcommand is one row of :data:`COMMANDS`, ``name: (help,
+add_arguments, handler)``. ``_<name>_arguments(parser)`` adds the
+command's flags and sits directly above ``cmd_<name>(args)``, which
+returns the exit code; a command whose only flag is ``--scenario`` uses
+:func:`_scenario_argument`. :func:`build_parser` and :func:`main` only
+loop over the table. Handlers import what they use, so importing this
+module stays cheap and loads no SciPy.
 
-* ``train``    — build (or load) the synthetic tables and network bank;
-* ``verify``   — run a partition verification experiment (Fig. 9 data);
-* ``show``     — render a saved report as the paper's figures;
-* ``falsify``  — hunt for concrete counterexamples in unproved cells;
-* ``simulate`` — run and print one concrete encounter;
-* ``fig7``     — the substep-tightness ablation;
-* ``stats``    — summarize a JSONL trace (per-phase timings, slow cells),
-  or one live snapshot with ``--live``;
-* ``watch``    — follow a running campaign live (per-worker table,
-  verdict bar, stall detection);
-* ``report``   — render ledger runs into a self-contained HTML dashboard;
-* ``compare``  — diff two ledger runs / a committed baseline (perf gate).
+``verify`` and ``coordinate`` run campaigns. They share one flag set
+(:func:`_campaign_arguments`) and one run shell (:func:`_run_campaign`:
+recorder, live telemetry, progress line, report, run summary and ledger
+record) and differ only in how the report is produced. ``node`` joins a
+``coordinate`` campaign and verifies the scenario the coordinator names.
 
-``verify``, ``falsify`` and ``evaluate`` accept ``--trace-out`` /
-``--metrics-out`` / ``--log-level``, which install a live
-:class:`repro.obs.Recorder` for the duration of the run. Each of them
-also appends a :class:`repro.obs.RunRecord` to the run ledger
-(``.repro/runs/`` by default; ``--ledger-dir`` overrides, ``--no-ledger``
-disables), which is what ``report`` and ``compare`` read.
+The commands that take ``--trace-out`` / ``--metrics-out`` /
+``--log-level`` (``verify``, ``coordinate``, ``falsify``, ``evaluate``)
+install a live :class:`repro.obs.Recorder` for the run and append a
+:class:`repro.obs.RunRecord` to the run ledger (``.repro/runs/`` by
+default; ``--ledger-dir`` overrides, ``--no-ledger`` disables), which is
+what ``report`` and ``compare`` read.
 """
 
 from __future__ import annotations
@@ -33,8 +32,47 @@ import sys
 
 import numpy as np
 
+_SCENARIOS = ("tiny", "paper")
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
+
+def _scenario_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scenario",
+        choices=_SCENARIOS,
+        default="tiny",
+        help="network/table fidelity (tiny trains in seconds, paper in minutes)",
+    )
+
+
+def _scenario(name: str):
+    from .acasxu import PAPER_SCENARIO, TINY_SCENARIO
+
+    return PAPER_SCENARIO if name == "paper" else TINY_SCENARIO
+
+
+def _bank(name: str):
+    """``(networks, tables)`` of scenario ``name``, trained on first use."""
+    from .acasxu import load_or_train_networks
+
+    scenario = _scenario(name)
+    return load_or_train_networks(scenario.table_config, scenario.network_config)
+
+
+def _live_dir_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--live-dir",
+        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
+    )
+
+
+def _ledger_dir_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--ledger-dir",
+        help="run-ledger directory (default: $REPRO_LEDGER or .repro/runs)",
+    )
+
+
+def _obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out",
         help="write a JSONL span/event trace here (see `repro stats`)",
@@ -49,10 +87,7 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="logging level for the repro.* loggers (default: warning)",
     )
-    parser.add_argument(
-        "--ledger-dir",
-        help="run-ledger directory (default: $REPRO_LEDGER or .repro/runs)",
-    )
+    _ledger_dir_argument(parser)
     parser.add_argument(
         "--no-ledger",
         action="store_true",
@@ -108,74 +143,119 @@ def _append_ledger(args: argparse.Namespace, record) -> None:
     print(f"ledger record: {path}", file=sys.stderr)
 
 
-def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
+def _record_run(
+    args: argparse.Namespace,
+    kind: str,
+    recorder,
+    started: float,
+    config: dict,
+    extra: dict,
+    verdicts: dict | None = None,
+) -> None:
+    """Append a run that produced no verification report (``falsify``,
+    ``evaluate``) to the ledger, then tear down its recorder."""
+    import time
+
+    from .obs import RunRecord, git_revision, new_run_id, phases_from_metrics
+
+    snapshot = recorder.metrics.snapshot() if recorder.enabled else {}
+    record = RunRecord(
+        run_id=new_run_id(kind),
+        kind=kind,
+        started_at=time.time(),
+        wall_seconds=time.perf_counter() - started,
+        git_sha=git_revision(),
+        config={"scenario": args.scenario, **config},
+        verdicts=verdicts or {},
+        phases=phases_from_metrics(snapshot),
+        counters=dict(snapshot.get("counters") or {}),
+        extra=extra,
+    )
+    _append_ledger(args, record)
+    _teardown_observability(args, recorder)
+
+
+def _campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``verify`` and ``coordinate`` share, then the obs flags."""
+    _scenario_argument(parser)
+    parser.add_argument("--arcs", type=int, default=24,
+                        help="position-angle arcs of the sensor circle")
+    parser.add_argument("--headings", type=int, default=6,
+                        help="heading slices of the inward cone per arc")
+    parser.add_argument("--depth", type=int, default=2, help="split-refinement depth")
+    parser.add_argument("--substeps", type=int, default=10, help="the paper's M")
+    parser.add_argument("--gamma", type=int, default=5, help="the paper's Gamma")
     parser.add_argument(
-        "--scenario",
-        choices=["tiny", "paper"],
-        default="tiny",
-        help="network/table fidelity (tiny trains in seconds, paper in minutes)",
+        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-cell wall-clock budget, enforced where the cell runs; "
+        "overruns quarantine as timed-out",
     )
-
-
-def _scenario(name: str):
-    from .acasxu import PAPER_SCENARIO, TINY_SCENARIO
-
-    return PAPER_SCENARIO if name == "paper" else TINY_SCENARIO
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    from .acasxu import load_or_train_networks, normalize_inputs
-
-    scenario = _scenario(args.scenario)
-    networks, tables = load_or_train_networks(
-        scenario.table_config, scenario.network_config
+    parser.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="campaign wall-clock budget; stop dispatching once exceeded "
+        "and return a partial report",
     )
-    rng = np.random.default_rng(0)
-    agree = 0
-    trials = 1000
-    for _ in range(trials):
-        rho = rng.uniform(500, 10000)
-        theta = rng.uniform(-math.pi, math.pi)
-        psi = rng.uniform(-3.5, 3.5)
-        prev = int(rng.integers(5))
-        x = normalize_inputs(np.array([rho, theta, psi, 700.0, 600.0]))
-        net = int(np.argmin(networks[prev].forward(x)))
-        table = int(np.argmin(tables.scores(prev, rho, theta, psi)))
-        agree += net == table
-    print(f"networks ready ({args.scenario}); argmin agreement with tables: "
-          f"{100.0 * agree / trials:.1f}%")
-    return 0
+    parser.add_argument(
+        "--max-retries", type=int, default=1,
+        help="retries for a cell whose worker crashed before it is "
+        "quarantined as aborted",
+    )
+    parser.add_argument(
+        "--journal", metavar="PATH",
+        help="checkpoint journal path: each finished cell is appended, and "
+        "an existing journal resumes (a distributed campaign defaults to "
+        ".repro/distributed/<run-id>.jsonl and also restores lease epochs)",
+    )
+    parser.add_argument(
+        "--num-shards", type=int, default=None, metavar="K",
+        help="distributed shard count (default: sized from the node count; "
+        "more shards = finer work stealing)",
+    )
+    parser.add_argument(
+        "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
+        help="distributed: node silence before its shard lease expires and "
+        "the work is stolen",
+    )
+    parser.add_argument("--out", help="write the JSON report here")
+    parser.add_argument(
+        "--metrics-port", type=int, default=None, metavar="PORT",
+        help="serve the live snapshot over HTTP on 127.0.0.1:PORT "
+        "(0 = ephemeral): /status.json is JSON, /metrics is Prometheus "
+        "text format",
+    )
+    parser.add_argument(
+        "--no-live", action="store_true",
+        help="disable live telemetry (heartbeats and .repro/live status files)",
+    )
+    parser.add_argument(
+        "--live-interval", type=float, default=1.0, metavar="SECONDS",
+        help="worker heartbeat / status.json rewrite period",
+    )
+    _live_dir_argument(parser)
+    _obs_arguments(parser)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _distributed_journal(args: argparse.Namespace, run_id: str) -> str:
+    return args.journal or os.path.join(".repro", "distributed", f"{run_id}.jsonl")
+
+
+def _run_campaign(args: argparse.Namespace, kind: str, workers: int,
+                  lockstep: bool, execute) -> int:
+    """Run one campaign: everything around
+    ``execute(runner_settings, run_id, progress) -> VerificationReport``."""
     import contextlib
     import time
 
     from .core import ReachSettings, RefinementPolicy, RunnerSettings
-    from .experiments import ExperimentConfig, render_report, run_experiment
+    from .experiments import render_report
     from .obs import (
         CampaignProgress,
         LiveTelemetry,
         Recorder,
         TelemetrySettings,
         new_run_id,
+        record_from_report,
         set_recorder,
-    )
-
-    recorder = _setup_observability(args)
-    if not recorder.enabled:
-        # Metrics are always on for `verify`: the end-of-run summary
-        # (verdicts, p95 cell time) is sourced from them. Without
-        # --trace-out no trace file is written.
-        recorder = Recorder()
-        set_recorder(recorder)
-
-    # Lockstep waves whenever the campaign is serial and unbudgeted;
-    # budgets are enforced per dispatched cell.
-    lockstep = (
-        args.workers == 1
-        and args.cell_timeout is None
-        and args.deadline is None
     )
 
     # Settings validation lives in RunnerSettings.__post_init__ — one
@@ -184,11 +264,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         runner = RunnerSettings(
             reach=ReachSettings(
-                substeps=args.substeps,
-                max_symbolic_states=args.gamma,
+                substeps=args.substeps, max_symbolic_states=args.gamma
             ),
             refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=args.depth),
-            workers=args.workers,
+            workers=workers,
             cell_timeout=args.cell_timeout,
             deadline=args.deadline,
             max_retries=args.max_retries,
@@ -202,17 +281,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return 2
 
-    config = ExperimentConfig(
-        name="cli",
-        scenario=_scenario(args.scenario),
-        num_arcs=args.arcs,
-        num_headings=args.headings,
-        runner=runner,
-    )
+    recorder = _setup_observability(args)
+    if not recorder.enabled:
+        # Metrics are always on for campaigns: the run summary's cell
+        # times are sourced from them. Without --trace-out no trace
+        # file is written.
+        recorder = Recorder()
+        set_recorder(recorder)
 
     # Mint the run id before the campaign so the live-status directory
     # (.repro/live/<run-id>/) and the ledger record share one name.
-    run_id = new_run_id("verify")
+    run_id = new_run_id(kind)
     live: LiveTelemetry | None = None
     if not args.no_live:
         try:
@@ -228,7 +307,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except OSError as error:
             # A read-only checkout must not stop a verification run.
             print(f"warning: live telemetry disabled: {error}", file=sys.stderr)
-            live = None
 
     progress = CampaignProgress(stream=sys.stderr)
     if live is not None:
@@ -239,42 +317,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"metrics endpoint: {live.server.url} "
                   "(/status.json, /metrics)", file=sys.stderr)
     started = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if live is not None:
-            stack.enter_context(live)
-        if args.distributed is not None:
-            report = _run_distributed_experiment(config, args, run_id, progress)
-        else:
-            report = run_experiment(config, progress=progress, journal=args.journal)
+    with live if live is not None else contextlib.nullcontext():
+        report = execute(runner, run_id, progress)
     wall = time.perf_counter() - started
     print(render_report(report))
 
-    cell_hist = recorder.metrics.histograms.get("cell.seconds")
+    counts = report.verdict_counts()
     print("\nrun summary:")
     verdict_line = (
-        f"  cells: {progress.proved} proved, {progress.unproved} unproved, "
-        f"{progress.witnessed} witnessed"
+        f"  cells: {counts['proved']} proved, {counts['unproved']} unproved, "
+        f"{counts['witnessed']} witnessed"
     )
-    if progress.aborted:
-        verdict_line += f", {progress.aborted} aborted"
-    if progress.timed_out:
-        verdict_line += f", {progress.timed_out} timed-out"
+    for verdict in ("aborted", "timed-out"):
+        if counts[verdict]:
+            verdict_line += f", {counts[verdict]} {verdict}"
     print(f"{verdict_line} (of {report.total_cells})")
     interrupted = report.settings_summary.get("interrupted")
     if interrupted:
         print(f"  INTERRUPTED ({interrupted}): partial report — "
               "finished cells only")
-    print(f"  wall time: {wall:.2f}s ({args.workers} workers)")
+    print(f"  wall time: {wall:.2f}s ({workers} workers)")
+    cell_hist = recorder.metrics.histograms.get("cell.seconds")
     if cell_hist is not None and cell_hist.count:
         print(
             f"  cell time: p50 {cell_hist.p50:.3f}s, p95 {cell_hist.p95:.3f}s, "
             f"max {cell_hist.max_value:.3f}s over {cell_hist.count} reach runs"
         )
+    stats = report.settings_summary.get("distributed")
+    if stats is not None:
+        print(f"  nodes: {', '.join(stats['nodes_seen']) or 'none'}; "
+              f"grants: {stats['grants']}, expired leases: "
+              f"{stats['expired_leases']}, stolen cells: {stats['stolen_cells']}, "
+              f"fenced frames: {stats['fenced_frames']}")
     if args.out:
         report.to_json(args.out)
         print(f"\nreport written to {args.out}")
-
-    from .obs import record_from_report
 
     extra = {
         key: value
@@ -290,7 +367,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         extra["live_status"] = str(live.status_path)
     record = record_from_report(
         report,
-        kind="verify",
+        kind=kind,
         run_id=run_id,
         config={
             "scenario": args.scenario,
@@ -299,7 +376,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "depth": args.depth,
             "substeps": args.substeps,
             "gamma": args.gamma,
-            "workers": args.workers,
+            "workers": workers,
             "cell_timeout": args.cell_timeout,
             "deadline": args.deadline,
             "max_retries": args.max_retries,
@@ -324,161 +401,146 @@ def _resolve_node_count(spec: str, workers_per_node: int) -> int:
     return max(2, min(8, (cores - 1) // max(1, workers_per_node)))
 
 
-def _distributed_journal(args: argparse.Namespace, run_id: str) -> str:
-    if getattr(args, "journal", None):
-        return args.journal
-    return os.path.join(".repro", "distributed", f"{run_id}.jsonl")
-
-
-def _run_distributed_experiment(config, args, run_id: str, progress):
-    """The `verify --distributed` body: same partition, same report
-    decoration as :func:`repro.experiments.run_experiment`, but run by
-    a loopback coordinator with forked node agents."""
-    from .acasxu import build_system, initial_cells
-    from .core import DistributedSettings, run_distributed
-
-    nodes = _resolve_node_count(args.distributed, args.workers)
-    cells = initial_cells(config.num_arcs, config.num_headings)
-    scenario = config.scenario
-    report = run_distributed(
-        lambda: build_system(scenario),
-        cells,
-        _distributed_journal(args, run_id),
-        settings=config.runner,
-        dist=DistributedSettings(
-            num_shards=args.num_shards,
-            lease_timeout=args.lease_timeout,
-        ),
-        nodes=nodes,
-        workers_per_node=args.workers,
-        progress=progress,
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    _campaign_arguments(parser)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (with --distributed: per node)")
+    parser.add_argument(
+        "--distributed", nargs="?", const="auto", default=None, metavar="N",
+        help="run the campaign as one loopback coordinator plus N forked "
+        "node agents (bare flag = auto-size from CPU count); --workers "
+        "then means workers per node. Results are deterministic: the "
+        "merged journal and report match a single-host run",
     )
-    report.system_name = f"acasxu/{config.name}"
-    report.settings_summary["num_arcs"] = config.num_arcs
-    report.settings_summary["num_headings"] = config.num_headings
-    return report
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    """Verify the partition on this machine: serially, on a worker
+    pool, or (``--distributed``) by a loopback coordinator with forked
+    node agents, whose journal and report match a single-host run."""
+    # Lockstep waves whenever the campaign is serial and unbudgeted;
+    # budgets are enforced per dispatched cell.
+    lockstep = (
+        args.workers == 1
+        and args.cell_timeout is None
+        and args.deadline is None
+    )
+
+    def execute(runner, run_id, progress):
+        from .experiments import ExperimentConfig, run_experiment
+
+        config = ExperimentConfig(
+            name="cli",
+            scenario=_scenario(args.scenario),
+            num_arcs=args.arcs,
+            num_headings=args.headings,
+            runner=runner,
+        )
+        if args.distributed is None:
+            return run_experiment(config, progress=progress, journal=args.journal)
+
+        from .acasxu import build_system, initial_cells
+        from .core import DistributedSettings, run_distributed
+
+        report = run_distributed(
+            lambda: build_system(config.scenario),
+            initial_cells(config.num_arcs, config.num_headings),
+            _distributed_journal(args, run_id),
+            settings=runner,
+            dist=DistributedSettings(
+                num_shards=args.num_shards,
+                lease_timeout=args.lease_timeout,
+            ),
+            nodes=_resolve_node_count(args.distributed, args.workers),
+            workers_per_node=args.workers,
+            progress=progress,
+        )
+        report.system_name = f"acasxu/{config.name}"
+        report.settings_summary["num_arcs"] = config.num_arcs
+        report.settings_summary["num_headings"] = config.num_headings
+        return report
+
+    return _run_campaign(args, "verify", args.workers, lockstep, execute)
+
+
+def _coordinate_arguments(parser: argparse.ArgumentParser) -> None:
+    _campaign_arguments(parser)
+    parser.add_argument(
+        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
+        help="bind address (port 0 = ephemeral, printed on startup)",
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=0, metavar="N",
+        help="hold all grants until N node agents have connected "
+        "(default 0 = grant as nodes arrive)",
+    )
 
 
 def cmd_coordinate(args: argparse.Namespace) -> int:
     """Listen for node agents and drive one distributed campaign."""
-    import contextlib
-    import time
 
-    from .acasxu import initial_cells
-    from .core import (
-        Coordinator,
-        DistributedSettings,
-        ReachSettings,
-        RefinementPolicy,
-        RunnerSettings,
-    )
-    from .experiments import render_report
-    from .obs import (
-        CampaignProgress,
-        LiveTelemetry,
-        Recorder,
-        TelemetrySettings,
-        new_run_id,
-        record_from_report,
-        set_recorder,
-    )
+    def execute(runner, run_id, progress):
+        from .acasxu import initial_cells
+        from .core import Coordinator, DistributedSettings
 
-    recorder = _setup_observability(args)
-    if not recorder.enabled:
-        recorder = Recorder()
-        set_recorder(recorder)
-    try:
-        runner = RunnerSettings(
-            reach=ReachSettings(
-                substeps=args.substeps, max_symbolic_states=args.gamma
+        coordinator = Coordinator(
+            initial_cells(args.arcs, args.headings),
+            _distributed_journal(args, run_id),
+            settings=runner,
+            dist=DistributedSettings(
+                listen=args.listen,
+                num_shards=args.num_shards,
+                expected_nodes=args.nodes,
+                lease_timeout=args.lease_timeout,
             ),
-            refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=args.depth),
-            cell_timeout=args.cell_timeout,
-            deadline=args.deadline,
-            max_retries=args.max_retries,
+            progress=progress,
+            # The nodes build the scenario the welcome names.
+            welcome_config={"scenario": args.scenario},
         )
-    except ValueError as error:
-        print(
-            f"error: {error} (check --cell-timeout, --deadline, --max-retries)",
-            file=sys.stderr,
-        )
-        return 2
+        host, port = coordinator.start()
+        print(f"coordinator listening on {host}:{port} "
+              f"(connect node agents with `repro node --connect {host}:{port}`)",
+              file=sys.stderr)
+        return coordinator.serve()
 
-    run_id = new_run_id("coordinate")
-    cells = initial_cells(args.arcs, args.headings)
-    coordinator = Coordinator(
-        cells,
-        _distributed_journal(args, run_id),
-        settings=runner,
-        dist=DistributedSettings(
-            listen=args.listen,
-            num_shards=args.num_shards,
-            expected_nodes=args.nodes,
-            lease_timeout=args.lease_timeout,
-        ),
-        progress=CampaignProgress(stream=sys.stderr),
+    # The nodes bring their own pools; the coordinator runs no cell.
+    return _run_campaign(args, "coordinate", 1, False, execute)
+
+
+def _node_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--connect", required=True, metavar="HOST:PORT",
+        help="coordinator address (printed by `repro coordinate`)",
     )
-    host, port = coordinator.start()
-    print(f"coordinator listening on {host}:{port} "
-          f"(connect node agents with `repro node --connect {host}:{port}`)",
-          file=sys.stderr)
-
-    live: LiveTelemetry | None = None
-    if not args.no_live:
-        try:
-            live = LiveTelemetry(
-                run_id,
-                TelemetrySettings(
-                    interval=args.live_interval,
-                    root=args.live_dir,
-                    metrics_port=args.metrics_port,
-                ),
-                recorder=recorder,
-            )
-            print(f"live status: {live.status_path} (`repro watch {run_id}`)",
-                  file=sys.stderr)
-        except OSError as error:
-            print(f"warning: live telemetry disabled: {error}", file=sys.stderr)
-
-    started = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if live is not None:
-            stack.enter_context(live)
-        report = coordinator.serve()
-    print(render_report(report))
-    stats = report.settings_summary["distributed"]
-    print(f"\nnodes: {', '.join(stats['nodes_seen']) or 'none'}")
-    print(f"grants: {stats['grants']}, expired leases: "
-          f"{stats['expired_leases']}, stolen cells: {stats['stolen_cells']}, "
-          f"fenced frames: {stats['fenced_frames']}")
-    if args.out:
-        report.to_json(args.out)
-        print(f"\nreport written to {args.out}")
-    record = record_from_report(
-        report,
-        kind="coordinate",
-        run_id=run_id,
-        wall_seconds=time.perf_counter() - started,
-        extra={"journal": str(coordinator.journal_path)},
+    parser.add_argument("--workers", type=int, default=1,
+                        help="local worker-pool size")
+    parser.add_argument(
+        "--node-id", default=None,
+        help="stable node name shown in `repro watch` (default node-<pid>)",
     )
-    _append_ledger(args, record)
-    _teardown_observability(args, recorder)
-    return 0
+    parser.add_argument(
+        "--heartbeat-interval", type=float, default=0.5, metavar="SECONDS",
+        help="heartbeat period (keep well under the coordinator's "
+        "--lease-timeout)",
+    )
 
 
 def cmd_node(args: argparse.Namespace) -> int:
-    """Join a distributed campaign as one node agent."""
+    """Join a distributed campaign as one node agent, verifying the
+    scenario the coordinator's welcome names."""
     from .core import run_node
     from .core.node import NodeSettings
     from .core.wire import FrameError
 
-    scenario = _scenario(args.scenario)
-
     def factory_from_config(config: dict):
-        # The system is rebuilt from the *local* scenario tables; the
-        # coordinator's welcome config supplies the pool settings.
+        name = config.get("scenario")
+        if name not in _SCENARIOS:
+            raise FrameError(
+                f"the coordinator's welcome names no known scenario (got {name!r})"
+            )
         from .acasxu import build_system
 
+        scenario = _scenario(name)
         return lambda: build_system(scenario)
 
     try:
@@ -500,6 +562,32 @@ def cmd_node(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_train(args: argparse.Namespace) -> int:
+    from .acasxu import normalize_inputs
+
+    networks, tables = _bank(args.scenario)
+    rng = np.random.default_rng(0)
+    agree = 0
+    trials = 1000
+    for _ in range(trials):
+        rho = rng.uniform(500, 10000)
+        theta = rng.uniform(-math.pi, math.pi)
+        psi = rng.uniform(-3.5, 3.5)
+        prev = int(rng.integers(5))
+        x = normalize_inputs(np.array([rho, theta, psi, 700.0, 600.0]))
+        net = int(np.argmin(networks[prev].forward(x)))
+        table = int(np.argmin(tables.scores(prev, rho, theta, psi)))
+        agree += net == table
+    print(f"networks ready ({args.scenario}); argmin agreement with tables: "
+          f"{100.0 * agree / trials:.1f}%")
+    return 0
+
+
+def _show_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("report")
+    parser.add_argument("--svg", help="also write the polar map as SVG here")
+
+
 def cmd_show(args: argparse.Namespace) -> int:
     from .core import VerificationReport
     from .experiments import render_report, write_fig9a_svg
@@ -512,35 +600,28 @@ def cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _falsify_arguments(parser: argparse.ArgumentParser) -> None:
+    _scenario_argument(parser)
+    parser.add_argument("--population", type=int, default=40)
+    parser.add_argument("--generations", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    _obs_arguments(parser)
+
+
 def cmd_falsify(args: argparse.Namespace) -> int:
     import time
 
-    from .acasxu import SENSOR_RANGE_FT, build_system
+    from .acasxu import build_system, encounter_state
     from .baselines import cross_entropy_falsification, min_distance_robustness
     from .intervals import Box
 
     recorder = _setup_observability(args)
     started = time.perf_counter()
     system = build_system(_scenario(args.scenario))
-
-    def decode(params):
-        phi, delta = params
-        psi = (phi + math.pi + delta + math.pi) % (2 * math.pi) - math.pi
-        state = np.array(
-            [
-                -SENSOR_RANGE_FT * math.sin(phi),
-                SENSOR_RANGE_FT * math.cos(phi),
-                psi,
-                700.0,
-                600.0,
-            ]
-        )
-        return state, 0
-
     result = cross_entropy_falsification(
         system,
         Box([-math.pi, -math.pi / 2], [math.pi, math.pi / 2]),
-        decode,
+        lambda params: (encounter_state(*params), 0),
         robustness=min_distance_robustness((0, 1), 500.0),
         population=args.population,
         generations=args.generations,
@@ -558,51 +639,38 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     else:
         print("no counterexample found")
 
-    from .obs import RunRecord, git_revision, new_run_id, phases_from_metrics
-
-    snapshot = recorder.metrics.snapshot() if recorder.enabled else {}
-    record = RunRecord(
-        run_id=new_run_id("falsify"),
-        kind="falsify",
-        started_at=time.time(),
-        wall_seconds=time.perf_counter() - started,
-        git_sha=git_revision(),
+    _record_run(
+        args, "falsify", recorder, started,
         config={
-            "scenario": args.scenario,
             "population": args.population,
             "generations": args.generations,
             "seed": args.seed,
         },
         verdicts={"witnessed": int(result.falsified)},
-        phases=phases_from_metrics(snapshot),
-        counters=dict(snapshot.get("counters") or {}),
         extra={
             "trajectories_run": result.trajectories_run,
             "best_robustness": result.best_robustness,
             "falsified": result.falsified,
         },
     )
-    _append_ledger(args, record)
-    _teardown_observability(args, recorder)
     return 0
 
 
+def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
+    _scenario_argument(parser)
+    parser.add_argument("--bearing", type=float, default=0.0,
+                        help="intruder entry bearing in degrees (0 = ahead)")
+    parser.add_argument("--heading-offset", type=float, default=0.0,
+                        help="offset from directly-inward heading, degrees")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .acasxu import ADVISORIES, SENSOR_RANGE_FT, build_system
+    from .acasxu import ADVISORIES, build_system, encounter_state
     from .baselines import simulate
 
     system = build_system(_scenario(args.scenario))
-    phi = math.radians(args.bearing)
-    delta = math.radians(args.heading_offset)
-    psi = (phi + math.pi + delta + math.pi) % (2 * math.pi) - math.pi
-    state = np.array(
-        [
-            -SENSOR_RANGE_FT * math.sin(phi),
-            SENSOR_RANGE_FT * math.cos(phi),
-            psi,
-            700.0,
-            600.0,
-        ]
+    state = encounter_state(
+        math.radians(args.bearing), math.radians(args.heading_offset)
     )
     trajectory = simulate(system, state, 0)
     print("  t    x        y        rho      advisory")
@@ -630,14 +698,15 @@ def cmd_fig7(args: argparse.Namespace) -> int:
     return 0
 
 
+def _props_arguments(parser: argparse.ArgumentParser) -> None:
+    _scenario_argument(parser)
+    parser.add_argument("--verbose", action="store_true")
+
+
 def cmd_props(args: argparse.Namespace) -> int:
-    from .acasxu import load_or_train_networks
     from .acasxu.properties import check_catalog, standard_properties
 
-    scenario = _scenario(args.scenario)
-    networks, _tables = load_or_train_networks(
-        scenario.table_config, scenario.network_config
-    )
+    networks, _tables = _bank(args.scenario)
     result = check_catalog(networks)
     for prop in standard_properties():
         outcome = result.results[prop.name]
@@ -652,6 +721,14 @@ def cmd_props(args: argparse.Namespace) -> int:
         "networks deviate from the tables)"
     )
     return 0
+
+
+def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
+    _scenario_argument(parser)
+    parser.add_argument("--encounters", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--threat-fraction", type=float, default=0.5)
+    _obs_arguments(parser)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -678,23 +755,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
           f"mean alert duration: {stats.mean_alert_steps:.1f} steps")
     print(f"mean minimum separation: {stats.mean_min_separation_ft:.0f} ft")
 
-    from .obs import RunRecord, git_revision, new_run_id, phases_from_metrics
-
-    snapshot = recorder.metrics.snapshot() if recorder.enabled else {}
-    record = RunRecord(
-        run_id=new_run_id("evaluate"),
-        kind="evaluate",
-        started_at=time.time(),
-        wall_seconds=time.perf_counter() - started,
-        git_sha=git_revision(),
+    _record_run(
+        args, "evaluate", recorder, started,
         config={
-            "scenario": args.scenario,
             "encounters": args.encounters,
             "seed": args.seed,
             "threat_fraction": args.threat_fraction,
         },
-        phases=phases_from_metrics(snapshot),
-        counters=dict(snapshot.get("counters") or {}),
         extra={
             "nmacs_without_system": stats.nmacs_without_system,
             "nmacs_with_system": stats.nmacs_with_system,
@@ -702,24 +769,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "mean_min_separation_ft": stats.mean_min_separation_ft,
         },
     )
-    _append_ledger(args, record)
-    _teardown_observability(args, recorder)
     return 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    from .acasxu import load_or_train_networks
-    from .acasxu.export import export_bank
-
-    scenario = _scenario(args.scenario)
-    networks, _tables = load_or_train_networks(
-        scenario.table_config, scenario.network_config
+def _stats_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "trace", nargs="?", help="trace file written via --trace-out"
     )
-    paths = export_bank(networks, args.directory)
-    for path in paths:
-        print(path)
-    print(f"\n{len(paths)} networks written in .nnet format")
-    return 0
+    parser.add_argument(
+        "--metrics", help="metrics snapshot written via --metrics-out"
+    )
+    parser.add_argument(
+        "--top", type=int, default=10, help="how many slowest cells to list"
+    )
+    parser.add_argument(
+        "--live", metavar="RUN",
+        help="print one watch-style frame for this run id / directory / "
+        "status.json instead of summarizing a trace",
+    )
+    _live_dir_argument(parser)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -729,18 +797,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .obs import render_stats, summarize_trace_file
 
     if args.live:
-        # One-shot snapshot of a (possibly still running) campaign,
-        # rendered exactly like a `repro watch` frame but without the
-        # TTY loop — pipe/cron friendly.
-        from .obs import read_status, render_watch
-
-        try:
-            status = read_status(args.live, root=args.live_dir)
-        except (FileNotFoundError, ValueError, json.JSONDecodeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(render_watch(status))
-        return 0
+        # One `repro watch` frame of a (possibly still running)
+        # campaign, without the TTY loop — pipe/cron friendly.
+        return cmd_watch(
+            argparse.Namespace(run=args.live, live_dir=args.live_dir, once=True)
+        )
     if not args.trace:
         print(
             "error: pass a trace file, or --live <run-id|path> for a "
@@ -779,6 +840,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"trace: {trace_path}")
     print(render_stats(summary, metrics_snapshot))
     return 0
+
+
+def _watch_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "run", nargs="?",
+        help="run id, run directory, or status.json path (default: the "
+        "newest live run, preferring one still running)",
+    )
+    _live_dir_argument(parser)
+    parser.add_argument(
+        "--interval", type=float, default=1.0, metavar="SECONDS",
+        help="refresh period",
+    )
+    parser.add_argument(
+        "--once", action="store_true",
+        help="print a single frame and exit (no screen clearing)",
+    )
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
@@ -863,6 +941,31 @@ def _load_ledger_records(args: argparse.Namespace, refs: list[str]):
     return records
 
 
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "runs",
+        nargs="*",
+        help="run ids, record paths, or `latest[:kind]` (default: last N runs)",
+    )
+    _ledger_dir_argument(parser)
+    parser.add_argument(
+        "--last", type=int, default=10,
+        help="with no explicit runs: use the newest N ledger runs",
+    )
+    parser.add_argument(
+        "--trace",
+        help="JSONL trace for the flamegraph (default: the primary "
+        "record's recorded trace path, if it still exists)",
+    )
+    parser.add_argument(
+        "--report-json",
+        help="verification report JSON to inline as the Fig. 9a safety map",
+    )
+    parser.add_argument(
+        "--out", default="report.html", help="output HTML path"
+    )
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -926,6 +1029,33 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compare_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "runs",
+        nargs="*",
+        help="BASELINE [CANDIDATE]: run ids, record paths, or `latest[:kind]` "
+        "(candidate defaults to the newest ledger run)",
+    )
+    parser.add_argument(
+        "--baseline",
+        help="baseline record path (e.g. benchmarks/baseline.json); the "
+        "positional then names the candidate",
+    )
+    _ledger_dir_argument(parser)
+    parser.add_argument(
+        "--threshold", type=float, default=1.25,
+        help="flag a phase slower than baseline by more than this factor",
+    )
+    parser.add_argument(
+        "--min-seconds", type=float, default=0.05,
+        help="ignore phases whose candidate total is below this (noise floor)",
+    )
+    parser.add_argument(
+        "--coverage-tolerance", type=float, default=0.0,
+        help="allowed coverage drop in percentage points",
+    )
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     import json
 
@@ -965,6 +1095,52 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if comparison.ok else 2
 
 
+def _check_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        default=["src/repro"],
+        help="files or directories to check (default: src/repro; "
+        "directories are filtered by the [tool.repro.soundness] policy, "
+        "explicit files are always checked)",
+    )
+    parser.add_argument(
+        "--format", choices=["text", "json", "github", "sarif"], default="text",
+        help="output format (github emits workflow annotations, "
+        "sarif emits SARIF 2.1.0 for code-scanning upload)",
+    )
+    parser.add_argument(
+        "--baseline",
+        help="baseline JSON path (default: soundness-baseline.json if present)",
+    )
+    parser.add_argument(
+        "--no-baseline", action="store_true",
+        help="ignore any baseline; report every finding as new",
+    )
+    parser.add_argument(
+        "--update-baseline", action="store_true",
+        help="rewrite the baseline from the current findings and exit 0",
+    )
+    parser.add_argument(
+        "--select", action="append",
+        help="only run these rule codes (repeatable or comma-separated, "
+        "e.g. --select S001,S004)",
+    )
+    parser.add_argument(
+        "--changed-only", action="store_true",
+        help="report findings only in files changed vs HEAD "
+        "(git diff --name-only; the whole-program analysis still runs)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the content-hash analysis cache",
+    )
+    parser.add_argument(
+        "--cache",
+        help="analysis cache path (default: .repro/check-cache.json)",
+    )
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     from .analysis.cli import run_check
 
@@ -981,6 +1157,85 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
 
 
+def _export_arguments(parser: argparse.ArgumentParser) -> None:
+    _scenario_argument(parser)
+    parser.add_argument("directory")
+
+
+def cmd_export(args: argparse.Namespace) -> int:
+    from .acasxu.export import export_bank
+
+    networks, _tables = _bank(args.scenario)
+    paths = export_bank(networks, args.directory)
+    for path in paths:
+        print(path)
+    print(f"\n{len(paths)} networks written in .nnet format")
+    return 0
+
+
+#: name -> (help, add_arguments(parser), handler(args) -> exit code), in
+#: ``--help`` order.
+COMMANDS = {
+    "train": ("build the tables and network bank", _scenario_argument, cmd_train),
+    "verify": ("run a partition verification", _verify_arguments, cmd_verify),
+    "coordinate": (
+        "host a distributed campaign: shard the partition, lease shards to "
+        "connecting node agents, steal work from lost nodes",
+        _coordinate_arguments,
+        cmd_coordinate,
+    ),
+    "node": (
+        "join a distributed campaign as a node agent (verifies leased "
+        "shards of the coordinator's scenario on a local worker pool)",
+        _node_arguments,
+        cmd_node,
+    ),
+    "show": ("render a saved JSON report", _show_arguments, cmd_show),
+    "falsify": ("search for counterexamples", _falsify_arguments, cmd_falsify),
+    "simulate": ("run one concrete encounter", _simulate_arguments, cmd_simulate),
+    "fig7": ("substep-tightness ablation", _scenario_argument, cmd_fig7),
+    "props": (
+        "check the phi-style property catalog on the bank",
+        _props_arguments,
+        cmd_props,
+    ),
+    "evaluate": (
+        "Monte-Carlo operational evaluation (risk ratio)",
+        _evaluate_arguments,
+        cmd_evaluate,
+    ),
+    "stats": (
+        "summarize a JSONL trace (phase timings, slowest cells) or a live "
+        "campaign snapshot (--live)",
+        _stats_arguments,
+        cmd_stats,
+    ),
+    "watch": (
+        "follow a running campaign live (worker table, verdict bar, stall "
+        "detection)",
+        _watch_arguments,
+        cmd_watch,
+    ),
+    "report": (
+        "render ledger runs as a self-contained HTML dashboard",
+        _report_arguments,
+        cmd_report,
+    ),
+    "compare": (
+        "diff two ledger runs; non-zero exit on perf/coverage regression",
+        _compare_arguments,
+        cmd_compare,
+    ),
+    "check": (
+        "soundness lint: interprocedural directed-rounding discipline "
+        "(rules S001-S008) plus the concurrency-safety pass (C001-C005)",
+        _check_arguments,
+        cmd_check,
+    ),
+    "export": ("write the trained bank as .nnet files", _export_arguments, cmd_export),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-nncs",
@@ -988,384 +1243,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(reproduction of Claviere et al., DSN 2021)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="build the tables and network bank")
-    _add_scenario_argument(p_train)
-    p_train.set_defaults(fn=cmd_train)
-
-    p_verify = sub.add_parser("verify", help="run a partition verification")
-    _add_scenario_argument(p_verify)
-    p_verify.add_argument("--arcs", type=int, default=24)
-    p_verify.add_argument("--headings", type=int, default=6)
-    p_verify.add_argument("--depth", type=int, default=2, help="split-refinement depth")
-    p_verify.add_argument("--substeps", type=int, default=10, help="the paper's M")
-    p_verify.add_argument("--gamma", type=int, default=5, help="the paper's Gamma")
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock budget; overruns quarantine as timed-out",
-    )
-    p_verify.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="campaign wall-clock budget; stop dispatching once exceeded "
-        "and return a partial report",
-    )
-    p_verify.add_argument(
-        "--max-retries", type=int, default=1,
-        help="retries for a cell whose worker crashed before it is "
-        "quarantined as aborted",
-    )
-    p_verify.add_argument(
-        "--distributed", nargs="?", const="auto", default=None, metavar="N",
-        help="run the campaign as one loopback coordinator plus N forked "
-        "node agents (bare flag = auto-size from CPU count); --workers "
-        "then means workers per node. Results are deterministic: the "
-        "merged journal and report match a single-host run",
-    )
-    p_verify.add_argument(
-        "--journal", metavar="PATH",
-        help="checkpoint journal path: each finished cell is appended, and "
-        "an existing journal resumes (with --distributed the default is "
-        ".repro/distributed/<run-id>.jsonl)",
-    )
-    p_verify.add_argument(
-        "--num-shards", type=int, default=None, metavar="K",
-        help="with --distributed: shard count (default: sized from the "
-        "node count; more shards = finer work stealing)",
-    )
-    p_verify.add_argument(
-        "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="with --distributed: node silence before its shard lease "
-        "expires and the work is stolen",
-    )
-    p_verify.add_argument("--out", help="write the JSON report here")
-    p_verify.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve the live snapshot over HTTP on 127.0.0.1:PORT "
-        "(0 = ephemeral): /status.json is JSON, /metrics is Prometheus "
-        "text format",
-    )
-    p_verify.add_argument(
-        "--no-live", action="store_true",
-        help="disable live telemetry (heartbeats and .repro/live status files)",
-    )
-    p_verify.add_argument(
-        "--live-interval", type=float, default=1.0, metavar="SECONDS",
-        help="worker heartbeat / status.json rewrite period",
-    )
-    p_verify.add_argument(
-        "--live-dir",
-        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
-    )
-    _add_obs_arguments(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_coord = sub.add_parser(
-        "coordinate",
-        help="host a distributed campaign: shard the partition, lease "
-        "shards to connecting node agents, steal work from lost nodes",
-    )
-    _add_scenario_argument(p_coord)
-    p_coord.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address (port 0 = ephemeral, printed on startup)",
-    )
-    p_coord.add_argument(
-        "--nodes", type=int, default=0, metavar="N",
-        help="hold all grants until N node agents have connected "
-        "(default 0 = grant as nodes arrive)",
-    )
-    p_coord.add_argument("--arcs", type=int, default=24)
-    p_coord.add_argument("--headings", type=int, default=6)
-    p_coord.add_argument("--depth", type=int, default=2,
-                         help="split-refinement depth")
-    p_coord.add_argument("--substeps", type=int, default=10,
-                         help="the paper's M")
-    p_coord.add_argument("--gamma", type=int, default=5,
-                         help="the paper's Gamma")
-    p_coord.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock budget, enforced on each node",
-    )
-    p_coord.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="campaign wall-clock budget; stop granting once exceeded",
-    )
-    p_coord.add_argument("--max-retries", type=int, default=1)
-    p_coord.add_argument(
-        "--journal", metavar="PATH",
-        help="checkpoint journal path (default "
-        ".repro/distributed/<run-id>.jsonl); an existing journal resumes "
-        "and restores lease epochs",
-    )
-    p_coord.add_argument(
-        "--num-shards", type=int, default=None, metavar="K",
-        help="shard count (default: sized from --nodes)",
-    )
-    p_coord.add_argument(
-        "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="node silence before its shard lease expires",
-    )
-    p_coord.add_argument("--out", help="write the JSON report here")
-    p_coord.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve /status.json and /metrics on 127.0.0.1:PORT",
-    )
-    p_coord.add_argument(
-        "--no-live", action="store_true",
-        help="disable live telemetry (.repro/live status files)",
-    )
-    p_coord.add_argument(
-        "--live-interval", type=float, default=1.0, metavar="SECONDS",
-        help="status.json rewrite period",
-    )
-    p_coord.add_argument(
-        "--live-dir",
-        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
-    )
-    _add_obs_arguments(p_coord)
-    p_coord.set_defaults(fn=cmd_coordinate)
-
-    p_node = sub.add_parser(
-        "node",
-        help="join a distributed campaign as a node agent (verifies "
-        "leased shards on a local worker pool)",
-    )
-    _add_scenario_argument(p_node)
-    p_node.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address (printed by `repro coordinate`)",
-    )
-    p_node.add_argument("--workers", type=int, default=1,
-                        help="local worker-pool size")
-    p_node.add_argument(
-        "--node-id", default=None,
-        help="stable node name shown in `repro watch` (default node-<pid>)",
-    )
-    p_node.add_argument(
-        "--heartbeat-interval", type=float, default=0.5, metavar="SECONDS",
-        help="heartbeat period (keep well under the coordinator's "
-        "--lease-timeout)",
-    )
-    p_node.set_defaults(fn=cmd_node)
-
-    p_show = sub.add_parser("show", help="render a saved JSON report")
-    p_show.add_argument("report")
-    p_show.add_argument("--svg", help="also write the polar map as SVG here")
-    p_show.set_defaults(fn=cmd_show)
-
-    p_falsify = sub.add_parser("falsify", help="search for counterexamples")
-    _add_scenario_argument(p_falsify)
-    p_falsify.add_argument("--population", type=int, default=40)
-    p_falsify.add_argument("--generations", type=int, default=10)
-    p_falsify.add_argument("--seed", type=int, default=0)
-    _add_obs_arguments(p_falsify)
-    p_falsify.set_defaults(fn=cmd_falsify)
-
-    p_sim = sub.add_parser("simulate", help="run one concrete encounter")
-    _add_scenario_argument(p_sim)
-    p_sim.add_argument("--bearing", type=float, default=0.0,
-                       help="intruder entry bearing in degrees (0 = ahead)")
-    p_sim.add_argument("--heading-offset", type=float, default=0.0,
-                       help="offset from directly-inward heading, degrees")
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_fig7 = sub.add_parser("fig7", help="substep-tightness ablation")
-    _add_scenario_argument(p_fig7)
-    p_fig7.set_defaults(fn=cmd_fig7)
-
-    p_props = sub.add_parser(
-        "props", help="check the phi-style property catalog on the bank"
-    )
-    _add_scenario_argument(p_props)
-    p_props.add_argument("--verbose", action="store_true")
-    p_props.set_defaults(fn=cmd_props)
-
-    p_eval = sub.add_parser(
-        "evaluate", help="Monte-Carlo operational evaluation (risk ratio)"
-    )
-    _add_scenario_argument(p_eval)
-    p_eval.add_argument("--encounters", type=int, default=200)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--threat-fraction", type=float, default=0.5)
-    _add_obs_arguments(p_eval)
-    p_eval.set_defaults(fn=cmd_evaluate)
-
-    p_stats = sub.add_parser(
-        "stats", help="summarize a JSONL trace (phase timings, slowest cells) "
-        "or a live campaign snapshot (--live)"
-    )
-    p_stats.add_argument(
-        "trace", nargs="?", help="trace file written via --trace-out"
-    )
-    p_stats.add_argument(
-        "--metrics", help="metrics snapshot written via --metrics-out"
-    )
-    p_stats.add_argument(
-        "--top", type=int, default=10, help="how many slowest cells to list"
-    )
-    p_stats.add_argument(
-        "--live", metavar="RUN",
-        help="print one watch-style frame for this run id / directory / "
-        "status.json instead of summarizing a trace",
-    )
-    p_stats.add_argument(
-        "--live-dir",
-        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
-    )
-    p_stats.set_defaults(fn=cmd_stats)
-
-    p_watch = sub.add_parser(
-        "watch", help="follow a running campaign live (worker table, "
-        "verdict bar, stall detection)"
-    )
-    p_watch.add_argument(
-        "run", nargs="?",
-        help="run id, run directory, or status.json path (default: the "
-        "newest live run, preferring one still running)",
-    )
-    p_watch.add_argument(
-        "--live-dir",
-        help="live-status directory (default: $REPRO_LIVE or .repro/live)",
-    )
-    p_watch.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="refresh period",
-    )
-    p_watch.add_argument(
-        "--once", action="store_true",
-        help="print a single frame and exit (no screen clearing)",
-    )
-    p_watch.set_defaults(fn=cmd_watch)
-
-    p_report = sub.add_parser(
-        "report",
-        help="render ledger runs as a self-contained HTML dashboard",
-    )
-    p_report.add_argument(
-        "runs",
-        nargs="*",
-        help="run ids, record paths, or `latest[:kind]` (default: last N runs)",
-    )
-    p_report.add_argument(
-        "--ledger-dir",
-        help="run-ledger directory (default: $REPRO_LEDGER or .repro/runs)",
-    )
-    p_report.add_argument(
-        "--last", type=int, default=10,
-        help="with no explicit runs: use the newest N ledger runs",
-    )
-    p_report.add_argument(
-        "--trace",
-        help="JSONL trace for the flamegraph (default: the primary "
-        "record's recorded trace path, if it still exists)",
-    )
-    p_report.add_argument(
-        "--report-json",
-        help="verification report JSON to inline as the Fig. 9a safety map",
-    )
-    p_report.add_argument(
-        "--out", default="report.html", help="output HTML path"
-    )
-    p_report.set_defaults(fn=cmd_report)
-
-    p_compare = sub.add_parser(
-        "compare",
-        help="diff two ledger runs; non-zero exit on perf/coverage regression",
-    )
-    p_compare.add_argument(
-        "runs",
-        nargs="*",
-        help="BASELINE [CANDIDATE]: run ids, record paths, or `latest[:kind]` "
-        "(candidate defaults to the newest ledger run)",
-    )
-    p_compare.add_argument(
-        "--baseline",
-        help="baseline record path (e.g. benchmarks/baseline.json); the "
-        "positional then names the candidate",
-    )
-    p_compare.add_argument(
-        "--ledger-dir",
-        help="run-ledger directory (default: $REPRO_LEDGER or .repro/runs)",
-    )
-    p_compare.add_argument(
-        "--threshold", type=float, default=1.25,
-        help="flag a phase slower than baseline by more than this factor",
-    )
-    p_compare.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="ignore phases whose candidate total is below this (noise floor)",
-    )
-    p_compare.add_argument(
-        "--coverage-tolerance", type=float, default=0.0,
-        help="allowed coverage drop in percentage points",
-    )
-    p_compare.set_defaults(fn=cmd_compare)
-
-    p_check = sub.add_parser(
-        "check",
-        help="soundness lint: interprocedural directed-rounding discipline "
-        "(rules S001-S008) plus the concurrency-safety pass (C001-C005)",
-    )
-    p_check.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to check (default: src/repro; "
-        "directories are filtered by the [tool.repro.soundness] policy, "
-        "explicit files are always checked)",
-    )
-    p_check.add_argument(
-        "--format", choices=["text", "json", "github", "sarif"], default="text",
-        help="output format (github emits workflow annotations, "
-        "sarif emits SARIF 2.1.0 for code-scanning upload)",
-    )
-    p_check.add_argument(
-        "--baseline",
-        help="baseline JSON path (default: soundness-baseline.json if present)",
-    )
-    p_check.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline; report every finding as new",
-    )
-    p_check.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    p_check.add_argument(
-        "--select", action="append",
-        help="only run these rule codes (repeatable or comma-separated, "
-        "e.g. --select S001,S004)",
-    )
-    p_check.add_argument(
-        "--changed-only", action="store_true",
-        help="report findings only in files changed vs HEAD "
-        "(git diff --name-only; the whole-program analysis still runs)",
-    )
-    p_check.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash analysis cache",
-    )
-    p_check.add_argument(
-        "--cache",
-        help="analysis cache path (default: .repro/check-cache.json)",
-    )
-    p_check.set_defaults(fn=cmd_check)
-
-    p_export = sub.add_parser(
-        "export", help="write the trained bank as .nnet files"
-    )
-    _add_scenario_argument(p_export)
-    p_export.add_argument("directory")
-    p_export.set_defaults(fn=cmd_export)
-
+    for name, (help_text, add_arguments, _handler) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][2](args)
     except BrokenPipeError:
         # ``repro stats ... | head`` closing stdout early is not an error.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -156,9 +156,6 @@ class LeaseTable:
     def shard(self, shard_id: str) -> Shard:
         return self._shards[shard_id].shard
 
-    def shard_ids(self) -> list[str]:
-        return list(self._shards)
-
     def lease_of(self, shard_id: str) -> Lease | None:
         return self._shards[shard_id].lease
 

@@ -202,9 +202,6 @@ class VerificationReport:
     def total_elapsed(self) -> float:
         return sum(c.total_elapsed() for c in self.cells)
 
-    def fully_proved_cells(self) -> list[CellResult]:
-        return [c for c in self.cells if c.coverage_fraction() >= 1.0]
-
     def unproved_leaves(self) -> list[CellResult]:
         """Leaf regions still unproved (candidates for falsification)."""
         return [leaf for cell in self.cells for leaf in cell.leaves() if not leaf.proved]

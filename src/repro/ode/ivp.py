@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..intervals import Box, BoxBatch, Interval
+from ..intervals import Box, Interval
 
 #: RHS signature: (t, state, command) -> state derivative, where t and the
 #: state entries are floats, Intervals or Jets, and the command is a
@@ -170,10 +170,6 @@ class FlowPipeBatch:
     def end_box(self, row: int) -> Box:
         """Endpoint enclosure of ``row`` at the final time."""
         return Box(self.end_lo[-1, row], self.end_hi[-1, row])
-
-    def end_batch(self) -> BoxBatch:
-        """Endpoint enclosures of every row at the final time."""
-        return BoxBatch(self.end_lo[-1].copy(), self.end_hi[-1].copy())
 
     def range_arrays(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-substep tube endpoints of ``row`` as ``(M, n)`` arrays."""

@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -13,11 +14,21 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_verify_defaults(self):
-        args = build_parser().parse_args(["verify"])
-        assert args.arcs == 24
-        assert args.gamma == 5
-        assert args.substeps == 10
-        assert args.scenario == "tiny"
+        # `coordinate` shares verify's campaign flags, defaults included.
+        for command in ("verify", "coordinate"):
+            args = build_parser().parse_args([command])
+            assert args.arcs == 24
+            assert args.gamma == 5
+            assert args.substeps == 10
+            assert args.scenario == "tiny"
+            assert args.lease_timeout == 10.0
+
+    def test_every_command_has_help(self, capsys):
+        for name in COMMANDS:
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args([name, "--help"])
+            assert exited.value.code == 0, name
+            assert f"usage: repro-nncs {name}" in capsys.readouterr().out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -139,6 +150,83 @@ class TestCommands:
         assert main(["show", report_path, "--svg", str(svg_path)]) == 0
         assert "polar safety map" in capsys.readouterr().out
         assert svg_path.read_text().startswith("<svg")
+
+
+class TestCoordinateNode:
+    def test_nodes_build_the_coordinators_scenario(self, tmp_path, monkeypatch):
+        """A bare `repro node` verifies the scenario `repro coordinate`
+        names, and the coordinate ledger record says which one."""
+        import multiprocessing
+        import socket
+
+        import repro.acasxu
+        from repro.acasxu import PAPER_SCENARIO, TINY_SCENARIO
+        from repro.obs import latest_run
+
+        builds = tmp_path / "builds.txt"
+        build_system = repro.acasxu.build_system
+
+        def spy(scenario):
+            # A file, because the node's pool workers are forked.
+            with open(builds, "a") as log:
+                log.write("paper\n" if scenario == PAPER_SCENARIO else "not-paper\n")
+            return build_system(TINY_SCENARIO)
+
+        monkeypatch.setattr(repro.acasxu, "build_system", spy)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            addr = "127.0.0.1:%d" % probe.getsockname()[1]
+        node = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(main(["node", "--connect", addr]))
+        )
+        node.start()
+        ledger, report = tmp_path / "runs", tmp_path / "report.json"
+        try:
+            assert main(["coordinate", "--scenario", "paper", "--arcs", "2",
+                         "--headings", "1", "--depth", "0", "--listen", addr,
+                         "--nodes", "1", "--no-live", "--ledger-dir", str(ledger),
+                         "--journal", str(tmp_path / "campaign.jsonl"),
+                         "--out", str(report),
+                         # A guard: a node that never joins must not hang.
+                         "--deadline", "120"]) == 0
+        finally:
+            node.join(timeout=30)
+            if node.is_alive():
+                node.terminate()
+        assert node.exitcode == 0
+        assert set(builds.read_text().split()) == {"paper"}
+        assert len(json.loads(report.read_text())["cells"]) == 2
+        record = latest_run(ledger)
+        assert record.kind == "coordinate"
+        assert record.config["scenario"] == "paper"
+        assert record.config["arcs"] == 2
+        assert record.extra["report"] == str(report)
+
+    def test_node_refuses_a_welcome_without_scenario(self, capsys):
+        import socket
+        import threading
+
+        from repro.core.wire import recv_frame, send_frame
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def coordinator():
+            conn, _addr = listener.accept()
+            with conn:
+                recv_frame(conn)  # hello
+                send_frame(conn, {"type": "welcome", "config": {"substeps": 10}})
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()
+        try:
+            assert main(["node", "--connect", f"{host}:{port}"]) == 1
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scenario" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestStatsRobustness:
