@@ -18,10 +18,10 @@ Run:  python examples/acasxu_verification.py [--arcs N] [--headings M]
 """
 
 import argparse
-import sys
 
 from repro.core import ReachSettings, RefinementPolicy, RunnerSettings
 from repro.experiments import ExperimentConfig, render_report, run_experiment
+from repro.obs import CampaignProgress
 
 
 def main() -> None:
@@ -56,11 +56,8 @@ def main() -> None:
           f"({args.arcs} arcs x {args.headings} headings), "
           f"refinement depth {args.depth}, {args.workers} workers ...")
 
-    def progress(done: int, total: int) -> None:
-        if done % max(total // 10, 1) == 0 or done == total:
-            print(f"  {done}/{total}", file=sys.stderr)
-
-    report = run_experiment(config, progress=progress)
+    # Rate, ETA and verdict counts on stderr, about once a second.
+    report = run_experiment(config, progress=CampaignProgress())
     print()
     print(render_report(report))
     report.to_json(args.out)

@@ -310,7 +310,6 @@ def _run_campaign(args: argparse.Namespace, kind: str, workers: int,
 
     progress = CampaignProgress(stream=sys.stderr)
     if live is not None:
-        progress.stalled_provider = live.snapshot.stalled_count
         print(f"live status: {live.status_path} (`repro watch {run_id}`)",
               file=sys.stderr)
         if live.server is not None:

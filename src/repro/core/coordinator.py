@@ -34,8 +34,8 @@ Recovery, not scheduling, is the design center:
 
 The campaign shell is the single-host driver's
 (:func:`~repro.core.runner.verify_partition`): the same journal replay,
-the same ``cell.finished`` event and progress feed for streamed and
-replayed cells alike, and the same report tail.
+the same ``cell.finished`` event for streamed and replayed cells alike
+(which the progress line folds), and the same report tail.
 
 Determinism is the acceptance bar: the same partition verified
 distributed and single-host yields the same verdicts, the same
@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ..obs import CampaignProgress
 from ..obs.live import get_bus
 from .checkpoint import _cell_key, _JournalWriter, load_lease_records, replay_journal
 from .lease import LeaseTable, assign_shards
@@ -64,7 +65,7 @@ from .runner import (
     RunnerSettings,
     _campaign_report,
     _campaign_tasks,
-    _notify_progress,
+    _progress_subscribed,
     _publish_finished,
 )
 from .supervisor import _announce_interruption, _interruption, trap_shutdown_signals
@@ -179,7 +180,7 @@ class Coordinator:
         journal_path: str | Path,
         settings: RunnerSettings | None = None,
         dist: DistributedSettings | None = None,
-        progress: Callable[[int, int], None] | None = None,
+        progress: CampaignProgress | None = None,
         welcome_config: dict | None = None,
     ):
         self.settings = settings or RunnerSettings()
@@ -262,7 +263,6 @@ class Coordinator:
         replayed from the journal (``cached``)."""
         self.results[index] = result
         _publish_finished(index, result, None, cached, node=node)
-        _notify_progress(self.progress, len(self.results), len(self.tasks), result)
 
     def _replay_journal(self) -> None:
         for index, result in replay_journal(self.journal_path, self.keys).items():
@@ -285,6 +285,19 @@ class Coordinator:
         return the merged report. :meth:`start` must have been called;
         node agents may connect before or after serve() begins."""
         assert self._sel is not None, "call start() first"
+        with _progress_subscribed(self.progress):
+            report = self._campaign()
+        report.settings_summary["journal"] = str(self.journal_path)
+        report.settings_summary["distributed"] = {
+            "shards": len(self.shards),
+            "lease_timeout": self.dist.lease_timeout,
+            **self.stats.to_dict(),
+        }
+        return report
+
+    def _campaign(self) -> VerificationReport:
+        """The campaign from ``campaign.started`` to ``campaign.finished``."""
+        assert self._sel is not None
         bus = get_bus()
         run_started = time.perf_counter()
         bus.publish(
@@ -336,14 +349,7 @@ class Coordinator:
                         )
                     self._grant_idle(journal, bus, now)
             self._shutdown_nodes(bus)
-        report = _campaign_report(self.results, self.settings, self.interrupted, run_started)
-        report.settings_summary["journal"] = str(self.journal_path)
-        report.settings_summary["distributed"] = {
-            "shards": len(self.shards),
-            "lease_timeout": self.dist.lease_timeout,
-            **self.stats.to_dict(),
-        }
-        return report
+        return _campaign_report(self.results, self.settings, self.interrupted, run_started)
 
     # -- connection handling -------------------------------------------
     def _accept(self) -> None:
@@ -652,7 +658,7 @@ def run_distributed(
     dist: DistributedSettings | None = None,
     nodes: int = 3,
     workers_per_node: int = 1,
-    progress: Callable[[int, int], None] | None = None,
+    progress: CampaignProgress | None = None,
     node_env: dict[str, str] | None = None,
 ) -> VerificationReport:
     """Run a distributed campaign entirely on this machine: fork

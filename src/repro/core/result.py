@@ -54,12 +54,15 @@ class CellResult:
 
     def verdict_class(self) -> str:
         """``proved | witnessed | aborted | timed-out | unproved`` —
-        the rolling-count classification of this cell's whole
-        refinement tree, shared by :class:`repro.obs.CampaignProgress`,
-        the run ledger and the live telemetry snapshot: *proved* when
-        the full volume is covered, *witnessed* when any leaf recorded
-        a concrete counterexample, *aborted*/*timed-out* when the
-        supervised runner quarantined a leaf, else *unproved*."""
+        the classification of this cell's whole refinement tree:
+        *proved* when the full volume is covered, *witnessed* when any
+        leaf recorded a concrete counterexample, *aborted*/*timed-out*
+        when the supervised runner quarantined a leaf, else
+        *unproved*. The campaign drivers publish it on the cell's
+        ``cell.finished`` event, which the telemetry fold
+        (:class:`repro.obs.CampaignSnapshot`, and so the progress line)
+        counts; the run ledger counts it through
+        :meth:`VerificationReport.verdict_counts`."""
         if self.coverage_fraction() >= 1.0:
             return "proved"
         leaves = self.leaves()
@@ -166,10 +169,11 @@ class VerificationReport:
         return 100.0 * sum(c.coverage_fraction() for c in self.cells) / len(self.cells)
 
     def verdict_counts(self) -> dict[str, int]:
-        """Rolling verdict counts over top-level cells, classified by
-        :meth:`CellResult.verdict_class` (the same semantics as
-        :class:`repro.obs.CampaignProgress` and the live telemetry
-        snapshot). Feeds the run ledger."""
+        """Verdict counts over top-level cells, classified by
+        :meth:`CellResult.verdict_class`, the class each cell's
+        ``cell.finished`` event carries to the telemetry fold. Feeds the
+        run ledger, the run summary and the ``campaign.finished``
+        event."""
         counts = {
             "proved": 0,
             "unproved": 0,

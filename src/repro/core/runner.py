@@ -18,16 +18,16 @@ from __future__ import annotations
 import logging
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..intervals import Box
-from ..obs import get_recorder
-from ..obs.live import get_bus
+from ..obs import CampaignProgress, get_recorder
+from ..obs.live import TelemetryBus, get_bus, use_bus
 from .checkpoint import _cell_key, _JournalWriter, replay_journal
 from .partition import RefinementPolicy
 from .reach import ReachSettings, Verdict, reach_many
@@ -272,30 +272,24 @@ def _verify_cells_lockstep(
 # ----------------------------------------------------------------------
 # Campaign driver
 # ----------------------------------------------------------------------
-def _notify_progress(progress, done: int, total: int, result: CellResult) -> None:
-    """Feed either callback style: rich (``update(done, total, result)``,
-    e.g. :class:`repro.obs.CampaignProgress`) or the legacy bare
-    ``(done, total)`` callable.
-
-    A raising callback is *logged and counted*, never propagated: a
-    broken progress bar must not abort a multi-day campaign.
-    """
+@contextmanager
+def _progress_subscribed(progress: CampaignProgress | None) -> Iterator[None]:
+    """Subscribe ``progress`` to the campaign's telemetry bus for the
+    block. With live telemetry off, the campaign publishes onto a
+    private bus without heartbeats instead. A raising ``progress`` is
+    dropped by the bus, so it cannot abort the campaign."""
     if progress is None:
+        yield
         return
+    bus = get_bus()
+    if not bus.enabled:
+        bus = TelemetryBus(heartbeat_interval=None)
+    progress.attach(bus)
     try:
-        update = getattr(progress, "update", None)
-        if update is not None:
-            update(done, total, result)
-        else:
-            progress(done, total)
-    except Exception as exc:
-        rec = get_recorder()
-        rec.inc("runner.progress_errors")
-        rec.event("runner.progress_error", error=type(exc).__name__, done=done)
-        logger.warning(
-            "progress callback raised %s: %s (campaign continues)",
-            type(exc).__name__, exc,
-        )
+        with use_bus(bus):
+            yield
+    finally:
+        bus.unsubscribe(progress.on_event)
 
 
 def _campaign_tasks(cells: Sequence[tuple]) -> list[tuple[str, Box, int, dict]]:
@@ -374,7 +368,7 @@ def verify_partition(
     system_factory: Callable[[], ClosedLoopSystem],
     cells: Sequence[tuple[Box, int]] | Sequence[tuple[Box, int, dict]],
     settings: RunnerSettings | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    progress: CampaignProgress | None = None,
     journal: str | Path | None = None,
     fsync: bool = False,
 ) -> VerificationReport:
@@ -388,10 +382,10 @@ def verify_partition(
     surfaces as a ``RuntimeError`` naming the worker and the underlying
     error.
 
-    ``progress`` is either a bare ``(done, total)`` callable or a rich
-    observer with an ``update(done, total, result)`` method (see
-    :class:`repro.obs.CampaignProgress` for rate/ETA/verdict counts).
-    It is fed as each top-level cell's tree finishes.
+    ``progress`` (a :class:`repro.obs.CampaignProgress`) is subscribed
+    to the campaign's telemetry bus for the length of the campaign, so
+    it sees each top-level cell's ``cell.finished`` as its tree
+    finishes, journal-replayed cells included.
 
     ``settings.workers`` picks the executor: this process
     (:func:`repro.core.supervisor.run_serial`) or the supervised pool
@@ -416,44 +410,46 @@ def verify_partition(
     settings = settings or RunnerSettings()
     run_started = time.perf_counter()
     tasks = _campaign_tasks(cells)
-    get_bus().publish(
-        "campaign.started",
-        total=len(tasks),
-        workers=settings.workers,
-        pid=os.getpid(),
-    )
-    results: dict[int, CellResult] = {}
-    keys: list[str] = []
-    writer: _JournalWriter | None = None
-
-    def finish(index: int, result: CellResult, worker: int | None, cached: bool = False) -> None:
-        results[index] = result
-        if writer is not None and not cached:
-            writer.append(keys[index], result)
-        _publish_finished(index, result, worker, cached)
-        _notify_progress(progress, len(results), len(tasks), result)
-
-    if journal is not None:
-        journal = Path(journal)
-        journal.parent.mkdir(parents=True, exist_ok=True)
-        keys = [_cell_key(box, command) for _, box, command, _ in tasks]
-        for index, result in replay_journal(journal, keys).items():
-            result.tags.update(tasks[index][3])
-            finish(index, result, None, cached=True)
-    remaining = [i for i in range(len(tasks)) if i not in results]
-
-    def on_result(seq: int, result: CellResult, worker: int | None) -> None:
-        finish(remaining[seq], result, worker)
-
-    executor = run_serial if settings.workers == 1 else run_supervised
-    with open(journal, "a") if journal is not None else nullcontext() as handle:
-        if handle is not None:
-            writer = _JournalWriter(handle, fsync)
-        outcome = executor(
-            system_factory, [tasks[i] for i in remaining], settings, on_result=on_result
+    with _progress_subscribed(progress):
+        get_bus().publish(
+            "campaign.started",
+            total=len(tasks),
+            workers=settings.workers,
+            pid=os.getpid(),
         )
+        results: dict[int, CellResult] = {}
+        keys: list[str] = []
+        writer: _JournalWriter | None = None
 
-    report = _campaign_report(results, settings, outcome.interrupted, run_started)
+        def finish(
+            index: int, result: CellResult, worker: int | None, cached: bool = False
+        ) -> None:
+            results[index] = result
+            if writer is not None and not cached:
+                writer.append(keys[index], result)
+            _publish_finished(index, result, worker, cached)
+
+        if journal is not None:
+            journal = Path(journal)
+            journal.parent.mkdir(parents=True, exist_ok=True)
+            keys = [_cell_key(box, command) for _, box, command, _ in tasks]
+            for index, result in replay_journal(journal, keys).items():
+                result.tags.update(tasks[index][3])
+                finish(index, result, None, cached=True)
+        remaining = [i for i in range(len(tasks)) if i not in results]
+
+        def on_result(seq: int, result: CellResult, worker: int | None) -> None:
+            finish(remaining[seq], result, worker)
+
+        executor = run_serial if settings.workers == 1 else run_supervised
+        with open(journal, "a") if journal is not None else nullcontext() as handle:
+            if handle is not None:
+                writer = _JournalWriter(handle, fsync)
+            outcome = executor(
+                system_factory, [tasks[i] for i in remaining], settings, on_result=on_result
+            )
+
+        report = _campaign_report(results, settings, outcome.interrupted, run_started)
     if journal is not None:
         report.settings_summary["journal"] = str(journal)
     return report

@@ -31,7 +31,7 @@ for ``workers == 1``: the guarded per-cell loop, or with
 ``batch_cells`` one lockstep wave driver call over every cell.
 
 Executors only hand each finished cell back through ``on_result``; the
-campaign drivers publish ``cell.finished``, journal and feed progress.
+campaign drivers journal it and publish ``cell.finished``.
 
 Cells must degrade to an explicit quarantine verdict; they must never
 take the process down. The recovery paths are exercised
@@ -495,9 +495,9 @@ def run_supervised(
 
     ``on_result(task_index, result, worker)`` is called in the
     supervisor loop (parent process, completion order) as each cell
-    finishes — the campaign driver's journal, events and progress hang
-    off it. ``worker`` is the id of the worker that produced the result,
-    or None for a crash or kill quarantine. Worker trace files are
+    finishes — the campaign driver's journal and events hang off it.
+    ``worker`` is the id of the worker that produced the result, or
+    None for a crash or kill quarantine. Worker trace files are
     merged into the parent trace before returning.
 
     Raises ``RuntimeError`` if a worker's ``system_factory()`` call
@@ -514,7 +514,7 @@ def run_supervised(
     ctx = multiprocessing.get_context("fork")
     pool_size = min(settings.workers, total)
     hard_budget = _hard_kill_budget(settings)
-    heartbeat = bus.heartbeat_interval if bus.enabled else None
+    heartbeat = bus.heartbeat_interval
 
     pending: deque[int] = deque(range(total))
     retry_heap: list[tuple[float, int]] = []  # (due monotonic time, seq)
@@ -830,8 +830,8 @@ def run_serial(
     current wave finishes and the unfinished trees are dropped.
     Otherwise the cells run one at a time through
     :func:`run_cell_guarded` (budgets, quarantine), with a heartbeat
-    thread, and the campaign deadline and SIGINT/SIGTERM are checked
-    between cells.
+    thread when the bus has a heartbeat period, and the campaign
+    deadline and SIGINT/SIGTERM are checked between cells.
     """
     from .runner import _verify_cells_lockstep  # deferred: runner imports this module
 
@@ -860,10 +860,10 @@ def run_serial(
             # A heartbeat thread beats from this process so stall
             # detection (`repro watch`) works for serial campaigns too.
             reporter = None
-            if bus.enabled:
+            if bus.heartbeat_interval:
                 reporter = HeartbeatReporter(
                     lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-                    bus.heartbeat_interval or 1.0,
+                    bus.heartbeat_interval,
                 ).start()
             deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
             try:

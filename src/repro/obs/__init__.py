@@ -7,8 +7,9 @@ Three cooperating pieces, all optional and all off by default:
   worker boundary;
 * **Tracing** (:func:`get_recorder` / ``rec.span(...)``): span and
   point events streamed to a JSONL file, summarized by ``repro stats``;
-* **Progress** (:class:`CampaignProgress`): live rate/ETA/verdict
-  counts for partition campaigns.
+* **Progress** (:class:`CampaignProgress`): the campaign's one-line
+  rate/ETA/verdict report, a printing view of the live telemetry fold
+  (:class:`CampaignSnapshot`) fed by the ``cell.finished`` events.
 
 On top of those sit the cross-run pieces (PR 3): the **ledger**
 (:mod:`repro.obs.ledger` — durable per-run records under
@@ -21,8 +22,9 @@ The default recorder is a shared no-op whose calls cost a couple of
 attribute lookups, so the instrumentation threaded through
 :mod:`repro.core`, :mod:`repro.ode` and :mod:`repro.verify` is free
 unless a real :class:`Recorder` is installed (``set_recorder`` /
-``use_recorder``), which the CLI does when ``--trace-out`` or
-``--metrics-out`` is passed.
+``use_recorder``). The CLI installs one for every campaign, since the
+run summary's cell times come from its metrics; only ``--trace-out``
+makes it write a trace file.
 """
 
 from .ledger import (
@@ -49,6 +51,7 @@ from .live import (
     NullTelemetryBus,
     TelemetryBus,
     TelemetrySettings,
+    format_eta,
     get_bus,
     list_live_runs,
     live_root,
@@ -57,12 +60,11 @@ from .live import (
     render_prometheus,
     render_watch,
     set_bus,
-    start_live_telemetry,
     use_bus,
     write_status_atomic,
 )
 from .metrics import MetricsRegistry, TimingHistogram
-from .progress import CampaignProgress, format_eta
+from .progress import CampaignProgress
 from .regression import (
     Comparison,
     PhaseDelta,
@@ -143,7 +145,6 @@ __all__ = [
     "render_watch",
     "set_bus",
     "set_recorder",
-    "start_live_telemetry",
     "summarize_trace",
     "summarize_trace_file",
     "use_bus",

@@ -19,7 +19,9 @@ run that is still in flight. This module provides it in four layers:
   quarantine/retry/respawn counters, and a per-worker table (PID, RSS,
   cells completed, current cell + time-in-cell, heartbeat age, stall
   flag). Thread-safe, because the metrics endpoint reads it from a
-  server thread while the supervisor loop updates it.
+  server thread while the supervisor loop updates it. The stderr
+  progress line (:class:`~repro.obs.progress.CampaignProgress`) is a
+  subclass that prints.
 * **LiveStatusWriter** — persists the snapshot under
   ``.repro/live/<run-id>/``: an append-only ``events.jsonl`` plus a
   ``status.json`` rewritten via atomic rename at a configurable
@@ -48,7 +50,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import IO, Callable, Iterator
@@ -203,33 +205,22 @@ def use_bus(bus: NullTelemetryBus) -> Iterator[NullTelemetryBus]:
 class TelemetrySettings:
     """How live telemetry behaves for one campaign."""
 
-    #: Worker heartbeat period in seconds.
+    #: Worker heartbeat period and ``status.json`` rewrite period, in
+    #: seconds.
     interval: float = 1.0
-    #: How often ``status.json`` is rewritten (defaults to ``interval``).
-    status_interval: float | None = None
     #: A worker whose newest heartbeat is older than
     #: ``stall_factor * interval`` while a cell is in flight is stalled.
     stall_factor: float = 3.0
     #: Live-status store (default: ``$REPRO_LIVE`` or ``.repro/live``).
     root: str | Path | None = None
-    #: Also append every bus event to ``events.jsonl``.
-    write_events: bool = True
     #: Serve the snapshot over HTTP (0 = ephemeral port, None = off).
     metrics_port: int | None = None
-    #: Age after which a leftover run directory is pruned at start.
-    prune_after: float = DEFAULT_PRUNE_AFTER
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ValueError("interval must be positive")
-        if self.status_interval is not None and self.status_interval <= 0:
-            raise ValueError("status_interval must be positive (or None)")
         if self.stall_factor <= 0:
             raise ValueError("stall_factor must be positive")
-
-    @property
-    def effective_status_interval(self) -> float:
-        return self.status_interval if self.status_interval is not None else self.interval
 
     @property
     def stall_after(self) -> float:
@@ -257,7 +248,7 @@ class WorkerState:
     cell_elapsed: float = 0.0
     rss_bytes: int = 0
 
-    def to_dict(self, now: float, stall_after: float) -> dict:
+    def to_dict(self, now: float, stall_after: float | None) -> dict:
         return {
             "id": self.id,
             "pid": self.pid,
@@ -281,20 +272,22 @@ class WorkerState:
         }
 
 
-def stalled(worker: WorkerState, now: float, stall_after: float) -> bool:
+def stalled(worker: WorkerState, now: float, stall_after: float | None) -> bool:
     """A live worker with a cell in flight whose heartbeats stopped.
 
     This is precisely the signature that distinguishes a wedged process
     (hung in native code, paused by the kernel, heartbeat thread dead)
     from a merely slow cell: a slow cell keeps heartbeating with a
-    growing ``cell_elapsed``; a stalled worker goes silent.
+    growing ``cell_elapsed``; a stalled worker goes silent. With no
+    threshold (``stall_after`` None: a bus without heartbeats) no
+    worker is stalled.
     """
-    if worker.state != "busy":
+    if stall_after is None or worker.state != "busy":
         return False
     reference = worker.last_heartbeat_at
     if reference is None:
         # Never heartbeated: measure from dispatch (covers workers that
-        # wedge before the first beat, and pools without heartbeats).
+        # wedge before the first beat).
         reference = worker.cell_started_at
     if reference is None:
         return False
@@ -360,10 +353,12 @@ class NodeState:
 class CampaignSnapshot:
     """Folds the bus's event stream into one thread-safe aggregate.
 
-    Subscribe it to a bus (:meth:`attach`) and read it from anywhere:
-    the status-file writer, the metrics endpoint's server thread, and
-    :class:`~repro.obs.progress.CampaignProgress` (for the ``stalled``
-    marker) all consume the same instance.
+    This is the one place that counts finished cells. Subscribe it to a
+    bus (:meth:`attach`) and read it from anywhere: the status-file
+    writer and the metrics endpoint's server thread read the live
+    campaign's instance, and the progress line
+    (:class:`~repro.obs.progress.CampaignProgress`) is a subclass that
+    prints.
     """
 
     def __init__(self, run_id: str, settings: TelemetrySettings | None = None):
@@ -375,6 +370,12 @@ class CampaignSnapshot:
         self.started_at = time.time()
         self.total = 0
         self.done = 0
+        #: Finished cells this campaign computed, i.e. ``done`` without
+        #: the journal-replayed ones: the rate's numerator.
+        self.computed = 0
+        #: Heartbeat silence after which a busy worker is stalled
+        #: (None: the bus carries no heartbeats, so none is).
+        self.stall_after: float | None = self.settings.stall_after
         self.verdicts = {
             "proved": 0, "unproved": 0, "witnessed": 0,
             "aborted": 0, "timed-out": 0,
@@ -392,6 +393,11 @@ class CampaignSnapshot:
 
     # -- folding -------------------------------------------------------
     def attach(self, bus: TelemetryBus) -> "CampaignSnapshot":
+        """Fold ``bus``'s events from now on, judging stalls against
+        its heartbeat period."""
+        interval = bus.heartbeat_interval
+        with self._lock:
+            self.stall_after = None if interval is None else self.settings.stall_factor * interval
         bus.subscribe(self.on_event)
         return self
 
@@ -458,6 +464,8 @@ class CampaignSnapshot:
                 worker.cell_started_at = ts
             elif kind == "cell.finished":
                 self.done += 1
+                if not event.get("cached"):
+                    self.computed += 1
                 cls = event.get("verdict_class")
                 if cls in self.verdicts:
                     self.verdicts[cls] += 1
@@ -541,9 +549,12 @@ class CampaignSnapshot:
 
     # -- derived -------------------------------------------------------
     def rate(self, now: float | None = None) -> float:
+        """Cells computed per second since the campaign started. A
+        journal-replayed cell counts toward ``done`` but not the rate:
+        it took no time."""
         now = time.time() if now is None else now
         elapsed = now - self.started_at
-        return self.done / elapsed if elapsed > 0 and self.done else 0.0
+        return self.computed / elapsed if elapsed > 0 and self.computed else 0.0
 
     def eta_seconds(self, now: float | None = None) -> float | None:
         rate = self.rate(now)
@@ -554,18 +565,14 @@ class CampaignSnapshot:
     def stalled_count(self, now: float | None = None) -> int:
         now = time.time() if now is None else now
         with self._lock:
-            return sum(
-                1
-                for w in self.workers.values()
-                if stalled(w, now, self.settings.stall_after)
-            )
+            return sum(1 for w in self.workers.values() if stalled(w, now, self.stall_after))
 
     def to_dict(self, now: float | None = None) -> dict:
         now = time.time() if now is None else now
         with self._lock:
             eta = self.eta_seconds(now)
             workers = [
-                w.to_dict(now, self.settings.stall_after)
+                w.to_dict(now, self.stall_after)
                 for w in sorted(self.workers.values(), key=lambda w: w.id)
             ]
             nodes = [
@@ -589,7 +596,7 @@ class CampaignSnapshot:
                 "quarantined": self.quarantined,
                 "interrupted": self.interrupted,
                 "heartbeat_interval": self.settings.interval,
-                "stall_after": self.settings.stall_after,
+                "stall_after": self.stall_after,
                 "metrics_port": self.metrics_port,
                 "workers": workers,
                 "stalled": sum(1 for w in workers if w["stalled"]),
@@ -719,8 +726,8 @@ class LiveStatusWriter:
     """Bus subscriber persisting the campaign under
     ``<root>/<run-id>/``: every event appended to ``events.jsonl`` and
     the snapshot rewritten to ``status.json`` (atomic rename) at most
-    every ``status_interval`` seconds — plus a final write on close, so
-    the directory always ends on the authoritative last state."""
+    every ``interval`` seconds — plus a final write on close, so the
+    directory always ends on the authoritative last state."""
 
     def __init__(
         self,
@@ -734,9 +741,7 @@ class LiveStatusWriter:
         self.status_path = self.dir / STATUS_FILE
         self.events_path = self.dir / EVENTS_FILE
         self._lock = threading.Lock()
-        self._events_sink: IO[str] | None = (
-            open(self.events_path, "a") if self.settings.write_events else None
-        )
+        self._events_sink: IO[str] | None = open(self.events_path, "a")
         self._last_status = float("-inf")
         self.write_status(force=True)
 
@@ -754,7 +759,7 @@ class LiveStatusWriter:
     def write_status(self, force: bool = False) -> None:
         now = time.monotonic()
         with self._lock:
-            if not force and now - self._last_status < self.settings.effective_status_interval:
+            if not force and now - self._last_status < self.settings.interval:
                 return
             self._last_status = now
         try:
@@ -901,23 +906,28 @@ def verdict_bar(verdicts: dict, total: int, width: int = 40) -> str:
     return "[" + bar + " " * (width - len(bar)) + "]"
 
 
-def render_watch(status: dict, now: float | None = None) -> str:
-    """The terminal view of one status snapshot (``repro watch`` frames
-    and ``repro stats --live``). Ages are recomputed against ``now`` so
-    a frozen campaign visibly goes stale even though its file does not
-    change."""
-    from .progress import format_eta  # local: progress imports nothing of ours
+def format_eta(seconds: float) -> str:
+    """Compact human duration (``47s``, ``3m12s``, ``2h05m``, ``1d03h``)."""
+    seconds = max(0.0, seconds)
+    if seconds < 60.0:
+        return f"{seconds:.0f}s"
+    minutes, secs = divmod(int(round(seconds)), 60)
+    if minutes < 60:
+        return f"{minutes}m{secs:02d}s"
+    hours, minutes = divmod(minutes, 60)
+    if hours < 24:
+        return f"{hours}h{minutes:02d}m"
+    days, hours = divmod(hours, 24)
+    return f"{days}d{hours:02d}h"
 
-    now = time.time() if now is None else now
+
+def render_head(status: dict) -> str:
+    """``cells 120/216 (55.6%) | 3.40 cell/s | ETA 28s`` for one status
+    snapshot: the head of the progress line and of the ``repro watch``
+    frame. Rate and ETA appear once a computed cell gives a rate, the
+    ETA only while cells remain."""
     total = status.get("total", 0)
     done = status.get("done", 0)
-    verdicts = status.get("verdicts", {})
-    stall_after = float(status.get("stall_after") or 3.0)
-
-    lines = [
-        f"run {status.get('run_id', '?')}  [{status.get('state', '?')}]"
-        + (f"  interrupted: {status['interrupted']}" if status.get("interrupted") else ""),
-    ]
     pct = 100.0 * done / total if total else 0.0
     head = f"cells {done}/{total} ({pct:.1f}%)"
     rate = status.get("rate") or 0.0
@@ -926,7 +936,24 @@ def render_watch(status: dict, now: float | None = None) -> str:
         eta = status.get("eta_seconds")
         if eta is not None and done < total:
             head += f" | ETA {format_eta(float(eta))}"
-    lines.append(head)
+    return head
+
+
+def render_watch(status: dict, now: float | None = None) -> str:
+    """The terminal view of one status snapshot (``repro watch`` frames
+    and ``repro stats --live``). Ages are recomputed against ``now`` so
+    a frozen campaign visibly goes stale even though its file does not
+    change."""
+    now = time.time() if now is None else now
+    total = status.get("total", 0)
+    verdicts = status.get("verdicts", {})
+    stall_after = float(status.get("stall_after") or 3.0)
+
+    lines = [
+        f"run {status.get('run_id', '?')}  [{status.get('state', '?')}]"
+        + (f"  interrupted: {status['interrupted']}" if status.get("interrupted") else ""),
+        render_head(status),
+    ]
     lines.append(
         verdict_bar(verdicts, total)
         + f"  proved {verdicts.get('proved', 0)}"
@@ -1070,7 +1097,7 @@ def render_prometheus(status: dict, now: float | None = None) -> str:
         ],
     )
     metric("repro_campaign_rate_cells_per_second", "gauge",
-           "Completion rate since campaign start.",
+           "Cells computed per second since campaign start (replayed cells excluded).",
            [("", float(status.get("rate") or 0.0))])
     eta = status.get("eta_seconds")
     if eta is not None:
@@ -1267,12 +1294,14 @@ class LiveTelemetry:
     block::
 
         settings = TelemetrySettings(metrics_port=0)
-        with start_live_telemetry("20260807T...-verify-ab12cd", settings) as live:
+        with LiveTelemetry("20260807T...-verify-ab12cd", settings) as live:
             report = verify_partition(factory, cells, runner_settings)
         # .repro/live/<run-id>/status.json now holds the final snapshot
 
     The supervisor and runner publish onto :func:`get_bus`, so no
     plumbing changes are needed anywhere a campaign is driven.
+    ``recorder`` (a live :class:`repro.obs.Recorder`) additionally
+    exposes the process's internal metrics on ``/metrics``.
     """
 
     def __init__(
@@ -1283,7 +1312,7 @@ class LiveTelemetry:
     ):
         self.settings = settings or TelemetrySettings()
         self.run_id = run_id
-        prune_stale_runs(self.settings.root, prune_after=self.settings.prune_after)
+        prune_stale_runs(self.settings.root)
         self.bus = TelemetryBus(heartbeat_interval=self.settings.interval)
         self.snapshot = CampaignSnapshot(run_id, self.settings).attach(self.bus)
         self.writer = LiveStatusWriter(self.snapshot).attach(self.bus)
@@ -1314,16 +1343,3 @@ class LiveTelemetry:
             self.server.close()
             self.server = None
         self.writer.close()
-
-
-def start_live_telemetry(
-    run_id: str,
-    settings: TelemetrySettings | None = None,
-    recorder=None,
-) -> LiveTelemetry:
-    """Build a :class:`LiveTelemetry` (use it as a context manager).
-
-    ``recorder`` (a live :class:`repro.obs.Recorder`) additionally
-    exposes the process's internal metrics on ``/metrics``.
-    """
-    return LiveTelemetry(run_id, settings, recorder=recorder)

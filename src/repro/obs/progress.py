@@ -1,168 +1,70 @@
-"""Live campaign progress: rate, ETA and rolling verdict counts.
+"""The campaign's progress line: a printing view of the telemetry fold.
 
-Replaces the bare ``(done, total)`` callback of the partition runner.
-:func:`repro.core.runner.verify_partition` detects a
-:class:`CampaignProgress` (anything with an ``update`` method) and
-feeds it each finished :class:`~repro.core.result.CellResult`, so the
-report line can show how the campaign is *going*, not just how far
-along it is::
+:class:`CampaignProgress` is a :class:`~repro.obs.live.CampaignSnapshot`
+that prints. The campaign drivers
+(:func:`repro.core.runner.verify_partition` and the distributed
+:class:`~repro.core.coordinator.Coordinator`) subscribe it to the
+campaign's telemetry bus, so ``cell.finished`` events are its only
+input and its counts, rate and ETA are the fold's::
 
-    cells 120/216 (55.6%) | 3.4 cell/s | ETA 28s | proved 97 unproved 20 witnessed 3
+    cells 120/216 (55.6%) | 3.40 cell/s | ETA 28s | proved 97 unproved 20 witnessed 3
 
-Plain ``(done, total)`` callables keep working unchanged.
+With live telemetry off, the driver gives the campaign a private bus
+without heartbeats, which flags no stalled worker.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import IO, TYPE_CHECKING, Callable
+from typing import IO
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.result import CellResult
-
-
-def format_eta(seconds: float) -> str:
-    """Compact human duration (``47s``, ``3m12s``, ``2h05m``, ``1d03h``)."""
-    seconds = max(0.0, seconds)
-    if seconds < 60.0:
-        return f"{seconds:.0f}s"
-    minutes, secs = divmod(int(round(seconds)), 60)
-    if minutes < 60:
-        return f"{minutes}m{secs:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    if hours < 24:
-        return f"{hours}h{minutes:02d}m"
-    days, hours = divmod(hours, 24)
-    return f"{days}d{hours:02d}h"
+from .live import CampaignSnapshot, render_head
 
 
-class CampaignProgress:
-    """Tracks and (optionally) prints campaign progress.
+class CampaignProgress(CampaignSnapshot):
+    """Prints the campaign's progress line as cells finish.
 
-    ``min_interval`` throttles printing so huge partitions do not drown
-    stderr; the final update always prints. Pass ``stream=None`` to
-    track silently (rate/ETA/counts remain queryable — used by tests
-    and by the CLI's end-of-run summary).
+    ``min_interval`` throttles printing (in event time) so huge
+    partitions do not drown stderr. The last line prints on
+    ``campaign.finished``, whether the campaign completed or was
+    interrupted. Pass ``stream=None`` to fold silently.
     """
 
-    def __init__(
-        self,
-        stream: IO[str] | None = sys.stderr,
-        min_interval: float = 1.0,
-        clock=time.monotonic,
-        stalled_provider: Callable[[], int] | None = None,
-    ):
+    def __init__(self, stream: IO[str] | None = sys.stderr, min_interval: float = 1.0):
+        super().__init__(run_id="progress")
         self.stream = stream
         self.min_interval = min_interval
-        self._clock = clock
-        self.started = clock()
         self._last_print = float("-inf")
-        self.done = 0
-        self.total = 0
-        self.proved = 0
-        self.unproved = 0
-        self.witnessed = 0
-        self.aborted = 0
-        self.timed_out = 0
-        #: When live telemetry is on, the number of stalled workers
-        #: (busy but heartbeat-silent) to surface in the progress line —
-        #: typically ``CampaignSnapshot.stalled_count``. ``None`` keeps
-        #: the line unchanged.
-        self.stalled_provider = stalled_provider
 
-    # -- feeding -------------------------------------------------------
-    def update(self, done: int, total: int, result: "CellResult | None" = None) -> None:
-        self.done = done
-        self.total = total
-        if result is not None:
-            classify = getattr(result, "verdict_class", None)
-            if classify is not None:
-                cls = classify()
-            else:
-                # Duck-typed fallback: callers may feed results that
-                # only provide coverage_fraction and tags, so count the
-                # whole refinement tree's leaves by hand.
-                leaves = result.leaves() if hasattr(result, "leaves") else [result]
-                verdicts = {
-                    getattr(getattr(leaf, "verdict", None), "value", None)
-                    for leaf in leaves
-                }
-                if result.coverage_fraction() >= 1.0:
-                    cls = "proved"
-                elif any("witness" in getattr(leaf, "tags", {}) for leaf in leaves):
-                    cls = "witnessed"
-                elif "aborted" in verdicts:
-                    cls = "aborted"
-                elif "timed-out" in verdicts:
-                    cls = "timed-out"
-                else:
-                    cls = "unproved"
-            if cls == "proved":
-                self.proved += 1
-            elif cls == "witnessed":
-                self.witnessed += 1
-            elif cls == "aborted":
-                self.aborted += 1
-            elif cls == "timed-out":
-                self.timed_out += 1
-            else:
-                self.unproved += 1
-        now = self._clock()
-        if self.stream is not None and (
-            now - self._last_print >= self.min_interval or done >= total
+    def on_event(self, event: dict) -> None:
+        super().on_event(event)
+        if self.stream is None:
+            return
+        kind = event.get("kind")
+        ts = event.get("ts", time.time())
+        # The last cell's line waits for campaign.finished, which every
+        # campaign publishes once, so it prints exactly once.
+        if kind == "campaign.finished" or (
+            kind == "cell.finished"
+            and self.done < self.total
+            and ts - self._last_print >= self.min_interval
         ):
-            self._last_print = now
-            print(self.render(), file=self.stream)
+            self._last_print = ts
+            print(self.render(ts), file=self.stream)
 
-    # Back-compat: the object itself is a valid (done, total) callback.
-    def __call__(self, done: int, total: int) -> None:
-        self.update(done, total)
-
-    # -- derived quantities --------------------------------------------
-    @property
-    def elapsed(self) -> float:
-        return self._clock() - self.started
-
-    @property
-    def rate(self) -> float:
-        """Finished cells per second (0 until the first completion)."""
-        elapsed = self.elapsed
-        return self.done / elapsed if elapsed > 0 and self.done else 0.0
-
-    @property
-    def eta_seconds(self) -> float:
-        rate = self.rate
-        if rate <= 0.0:
-            return float("inf")
-        return (self.total - self.done) / rate
-
-    # -- rendering -----------------------------------------------------
-    def render(self) -> str:
-        pct = 100.0 * self.done / self.total if self.total else 0.0
-        parts = [f"cells {self.done}/{self.total} ({pct:.1f}%)"]
-        if self.rate > 0.0:
-            parts.append(f"{self.rate:.2f} cell/s")
-            if self.done < self.total:
-                parts.append(f"ETA {format_eta(self.eta_seconds)}")
-        verdicts = (
-            f"proved {self.proved} unproved {self.unproved} "
-            f"witnessed {self.witnessed}"
+    def render(self, now: float | None = None) -> str:
+        status = self.to_dict(now)
+        verdicts = status["verdicts"]
+        line = (
+            f"{render_head(status)} | proved {verdicts['proved']} "
+            f"unproved {verdicts['unproved']} witnessed {verdicts['witnessed']}"
         )
-        # Quarantine counts only appear once something went wrong, so
-        # healthy campaigns keep the familiar three-way line.
-        if self.aborted:
-            verdicts += f" aborted {self.aborted}"
-        if self.timed_out:
-            verdicts += f" timed-out {self.timed_out}"
-        parts.append(verdicts)
-        # Live stall detection (heartbeat-silent busy workers) shows up
-        # in the one-line output too, so non-`watch` users see it.
-        if self.stalled_provider is not None:
-            try:
-                stalled = int(self.stalled_provider())
-            except Exception:
-                stalled = 0
-            if stalled:
-                parts.append(f"{stalled} stalled")
-        return " | ".join(parts)
+        # Quarantine counts and stalls only appear once something went
+        # wrong, so healthy campaigns keep the familiar three-way line.
+        for verdict in ("aborted", "timed-out"):
+            if verdicts[verdict]:
+                line += f" {verdict} {verdicts[verdict]}"
+        if status["stalled"]:
+            line += f" | {status['stalled']} stalled"
+        return line

@@ -1,7 +1,5 @@
 """Tests for checkpointed (resumable) partition verification."""
 
-import json
-
 import pytest
 
 from repro.core import (
@@ -17,6 +15,7 @@ from repro.core import (
 from repro.core import runner as runner_module
 from repro.core.reach import reach_many
 from repro.intervals import Box
+from repro.obs import CampaignProgress
 
 from .fixtures import make_system
 
@@ -86,15 +85,15 @@ class TestCheckpointing:
         assert len(load_journal(journal)) == 5
 
     def test_progress_callback(self, tmp_path):
+        """A resumed campaign reports each cell exactly once, replayed
+        or computed, and only the computed ones feed the rate."""
         journal = tmp_path / "journal.jsonl"
-        seen = []
-        verify_partition(
-            lambda: make_system(),
-            cells(),
-            progress=lambda done, total: seen.append((done, total)),
-            journal=journal,
-        )
-        assert seen[-1] == (4, 4)
+        verify_partition(lambda: make_system(), cells()[:2], journal=journal)
+        progress = CampaignProgress(stream=None)
+        verify_partition(lambda: make_system(), cells(), progress=progress, journal=journal)
+        assert progress.done == progress.total == 4
+        assert progress.computed == 2
+        assert progress.verdicts["proved"] == 4
 
     def test_tags_preserved_on_resume(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
@@ -122,15 +121,14 @@ class TestResumedCampaignEvents:
         assert [e["cached"] for e in finished] == [True, True, False, False]
 
     def test_distributed_resume_feeds_replayed_cells_to_progress(self, tmp_path):
-        from repro.obs import CampaignProgress
-
         journal = tmp_path / "journal.jsonl"
         run_distributed(make_system, cells()[:2], journal, nodes=1)
         progress = CampaignProgress(stream=None)
         report = run_distributed(make_system, cells(), journal, nodes=1, progress=progress)
         assert report.verdict_counts()["proved"] == 4
         assert progress.done == 4
-        assert progress.proved == 4
+        assert progress.computed == 2
+        assert progress.verdicts["proved"] == 4
 
 
 class TestExecutorsAgree:

@@ -15,7 +15,6 @@ import signal
 import time
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -33,7 +32,7 @@ from repro.core import runner as runner_module
 from repro.core.reach import reach_many
 from repro.core.runner import _search_witness
 from repro.intervals import Box
-from repro.obs import Recorder, get_recorder, read_trace, use_recorder
+from repro.obs import CampaignProgress, Recorder, get_recorder, read_trace, use_recorder
 
 from .fixtures import make_system
 
@@ -303,11 +302,14 @@ class TestVerifyPartition:
         system_factory = lambda: make_system()
         boxes = grid_partition(Box([1.6], [2.4]), [3])
         seen = []
-        verify_partition(
-            system_factory,
-            cells_for(boxes),
-            progress=lambda done, total: seen.append((done, total)),
-        )
+
+        class Progress(CampaignProgress):
+            def on_event(self, event):
+                super().on_event(event)
+                if event["kind"] == "cell.finished":
+                    seen.append((self.done, self.total))
+
+        verify_partition(system_factory, cells_for(boxes), progress=Progress(stream=None))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
     def test_lockstep_progress_arrives_per_tree(self, monkeypatch):
@@ -319,16 +321,18 @@ class TestVerifyPartition:
             log.append(("reach_many", len(initial_sets)))
             return reach_many(system, initial_sets, settings)
 
-        class Progress:
-            def update(self, done, total, result):
-                log.append(("progress", done, result.cell_id))
+        class Progress(CampaignProgress):
+            def on_event(self, event):
+                super().on_event(event)
+                if event["kind"] == "cell.finished":
+                    log.append(("progress", self.done, event["cell_id"]))
 
         monkeypatch.setattr(runner_module, "reach_many", logging_reach_many)
         settings = RunnerSettings(
             refinement=RefinementPolicy(dims=(0,), max_depth=1), batch_cells=True
         )
         report = verify_partition(
-            _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, Progress()
+            _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, Progress(stream=None)
         )
         assert [c.proved for c in report.cells] == [True, False]
         assert log == [
@@ -348,15 +352,18 @@ class TestVerifyPartition:
             waves.append(len(initial_sets))
             return reach_many(system, initial_sets, settings)
 
-        def interrupt(done, total):
-            os.kill(os.getpid(), signal.SIGINT)
+        class Interrupt(CampaignProgress):
+            def on_event(self, event):
+                super().on_event(event)
+                if event["kind"] == "cell.finished":
+                    os.kill(os.getpid(), signal.SIGINT)
 
         monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
         settings = RunnerSettings(
             refinement=RefinementPolicy(dims=(0,), max_depth=1), batch_cells=True
         )
         report = verify_partition(
-            _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, interrupt
+            _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, Interrupt(stream=None)
         )
         assert [c.cell_id for c in report.cells] == ["cell-0"]
         assert report.settings_summary["interrupted"] == "signal:SIGINT"

@@ -17,7 +17,7 @@ from repro.core import (
     verify_partition,
 )
 from repro.intervals import Box
-from repro.obs import Recorder, use_recorder
+from repro.obs import CampaignProgress, TelemetryBus, use_bus
 from repro.testing import injected_faults
 from repro.testing.faults import CRASH_EXIT_CODE
 
@@ -121,14 +121,16 @@ class TestSerialFaultTolerance:
         assert report.settings_summary["interrupted"] == "deadline"
 
     def test_progress_exception_does_not_abort_campaign(self):
-        def exploding_progress(done, total):
-            raise ValueError("broken progress bar")
+        class ExplodingProgress(CampaignProgress):
+            def on_event(self, event):
+                raise ValueError("broken progress bar")
 
-        with use_recorder(Recorder()) as rec:
+        with use_bus(TelemetryBus(heartbeat_interval=None)) as bus:
             report = verify_partition(
-                make_system, four_cells(), progress=exploding_progress
+                make_system, four_cells(), progress=ExplodingProgress(stream=None)
             )
-            assert rec.metrics.counters["runner.progress_errors"] == 4
+        # The bus dropped the raising subscriber at its first event.
+        assert bus.dropped_subscribers == 1
         assert report.total_cells == 4
         assert report.coverage_percent() == pytest.approx(100.0)
 

@@ -71,7 +71,8 @@ class TestInstrumentedRunner:
         progress = CampaignProgress(stream=None)
         verify_partition(lambda: make_system(), cells(), progress=progress)
         assert progress.done == progress.total == 4
-        assert progress.proved + progress.unproved + progress.witnessed == 4
+        verdicts = progress.verdicts
+        assert verdicts["proved"] + verdicts["unproved"] + verdicts["witnessed"] == 4
 
     @SERIAL
     def test_refinement_spans_present(self, tmp_path, batch_cells):

@@ -156,12 +156,11 @@ class TestTelemetryBus:
 class TestTelemetrySettings:
     def test_defaults(self):
         s = TelemetrySettings()
-        assert s.effective_status_interval == s.interval
         assert s.stall_after == pytest.approx(3.0 * s.interval)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"interval": 0.0}, {"status_interval": -1.0}, {"stall_factor": 0.0}],
+        [{"interval": 0.0}, {"stall_factor": 0.0}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -232,6 +231,25 @@ class TestCampaignSnapshot:
         assert snap.state == "interrupted"
         assert snap.interrupted == "deadline"
 
+    def test_rate_counts_only_computed_cells(self):
+        """A resumed campaign replays journaled cells at once: they count
+        toward done and percent, but the rate and ETA only see the cells
+        this campaign computed."""
+        snap = CampaignSnapshot("run-1")
+        for event in (
+            {"ts": 100.0, "kind": "campaign.started", "total": 10},
+            {"ts": 100.0, "kind": "cell.finished", "cached": True, "verdict_class": "proved"},
+            {"ts": 100.0, "kind": "cell.finished", "cached": True, "verdict_class": "proved"},
+            {"ts": 110.0, "kind": "cell.finished", "cached": False, "verdict_class": "proved"},
+        ):
+            snap.on_event(event)
+        assert snap.rate(now=110.0) == pytest.approx(0.1)
+        assert snap.eta_seconds(now=110.0) == pytest.approx(70.0)
+        assert snap.done == 3 and snap.computed == 1
+        status = snap.to_dict(now=110.0)
+        assert status["percent"] == 30.0
+        assert status["rate"] == 0.1 and status["eta_seconds"] == 70.0
+
     def test_to_dict_shape(self):
         snap = CampaignSnapshot("run-1")
         self.fold(snap, ("campaign.started", {"total": 4}))
@@ -262,6 +280,21 @@ class TestStallDetection:
         now = 1000.0
         worker = WorkerState(id=0, state="busy", cell_started_at=now - 4.0)
         assert stalled(worker, now, stall_after=3.0)
+
+    def test_threshold_follows_the_attached_bus(self):
+        """The snapshot judges silence against its bus's heartbeat
+        period; on a bus without heartbeats no worker is stalled."""
+        dispatch = {"ts": 0.0, "kind": "cell.dispatched", "worker": 0, "cell_id": "c"}
+        slow_beats = CampaignSnapshot("run-1").attach(TelemetryBus(heartbeat_interval=5.0))
+        no_beats = CampaignSnapshot("run-2").attach(TelemetryBus(heartbeat_interval=None))
+        for snap in (slow_beats, no_beats):
+            snap.on_event(dispatch)
+        assert slow_beats.stall_after == pytest.approx(15.0)
+        assert slow_beats.stalled_count(now=14.0) == 0
+        assert slow_beats.stalled_count(now=16.0) == 1
+        assert no_beats.stall_after is None
+        assert no_beats.stalled_count(now=1e6) == 0
+        assert no_beats.to_dict(now=1e6)["stalled"] == 0
 
     def test_flagged_within_two_heartbeat_intervals(self):
         """Acceptance criterion: with the default stall factor a worker

@@ -1,33 +1,42 @@
-"""CampaignProgress: rate/ETA math, rolling verdicts, rendering."""
+"""CampaignProgress: the progress line as a printing view of the fold,
+fed only by telemetry events."""
 
 import io
 
 import pytest
 
-from repro.obs import CampaignProgress, format_eta
+from repro.core import CellResult, RunnerSettings, Verdict, grid_partition, verify_partition
+from repro.core.runner import _publish_finished
+from repro.intervals import Box
+from repro.obs import CampaignProgress, TelemetryBus, format_eta, use_bus
+from repro.testing import injected_faults
+
+from ..core.fixtures import make_system
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
+def started(total, ts=0.0):
+    return {"kind": "campaign.started", "ts": ts, "total": total}
 
 
-class FakeResult:
-    """Duck-typed CellResult: coverage fraction + tags are all that
-    progress reads."""
+def finished(ts, verdict_class="proved", cached=False, worker=None):
+    return {
+        "kind": "cell.finished", "ts": ts, "verdict_class": verdict_class,
+        "cached": cached, "worker": worker,
+    }
 
-    def __init__(self, coverage=1.0, witness=False):
-        self._coverage = coverage
-        self.tags = {"witness": [0.0]} if witness else {}
 
-    def coverage_fraction(self):
-        return self._coverage
+def feed(progress, *events):
+    for event in events:
+        progress.on_event(event)
+    return progress
+
+
+def quiet():
+    return CampaignProgress(stream=None)
+
+
+def lines(stream):
+    return stream.getvalue().strip().splitlines()
 
 
 class TestFormatEta:
@@ -48,121 +57,226 @@ class TestFormatEta:
 
 class TestRateAndEta:
     def test_rate_is_cells_per_second(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(10.0)
-        progress.update(20, 100)
-        assert progress.rate == pytest.approx(2.0)
-        assert progress.eta_seconds == pytest.approx(40.0)
+        progress = feed(quiet(), started(100), *[finished(10.0)] * 20)
+        assert progress.rate(now=10.0) == pytest.approx(2.0)
+        assert progress.eta_seconds(now=10.0) == pytest.approx(40.0)
 
     def test_rate_zero_before_first_completion(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(5.0)
-        progress.update(0, 100)
-        assert progress.rate == 0.0
-        assert progress.eta_seconds == float("inf")
+        progress = feed(quiet(), started(100))
+        assert progress.rate(now=5.0) == 0.0
+        assert progress.eta_seconds(now=5.0) is None
 
     def test_eta_shrinks_as_done_grows(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(10.0)
-        progress.update(10, 100)
-        first_eta = progress.eta_seconds
-        clock.advance(10.0)
-        progress.update(40, 100)
-        assert progress.eta_seconds < first_eta
+        progress = feed(quiet(), started(100), *[finished(10.0)] * 10)
+        first_eta = progress.eta_seconds(now=10.0)
+        feed(progress, *[finished(20.0)] * 30)
+        assert progress.eta_seconds(now=20.0) < first_eta
 
     def test_elapsed_tracks_clock(self):
-        clock = FakeClock(100.0)
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(7.5)
-        assert progress.elapsed == pytest.approx(7.5)
+        """The rate's clock starts at the campaign.started event."""
+        progress = feed(quiet(), started(10, ts=100.0), finished(107.5))
+        assert progress.rate(now=107.5) == pytest.approx(1 / 7.5)
+
+    def test_replayed_cells_give_no_rate(self):
+        """A resumed campaign's journal-replayed cells took no time: the
+        line shows no rate until a cell is computed."""
+        progress = feed(quiet(), started(24), finished(0.004, cached=True))
+        line = progress.render(now=0.004)
+        assert line.startswith("cells 1/24 (4.2%) | proved 1")
+        assert "cell/s" not in line and "ETA" not in line
 
 
 class TestRollingVerdicts:
     def test_counts_by_outcome(self):
-        progress = CampaignProgress(stream=None)
-        outcomes = [
-            FakeResult(coverage=1.0),
-            FakeResult(coverage=1.0),
-            FakeResult(coverage=0.2),
-            FakeResult(coverage=0.0, witness=True),
-        ]
-        for i, result in enumerate(outcomes):
-            progress.update(i + 1, len(outcomes), result)
-        assert progress.proved == 2
-        assert progress.unproved == 1
-        assert progress.witnessed == 1
+        progress = feed(
+            quiet(),
+            started(4),
+            finished(1.0, "proved"),
+            finished(1.0, "proved"),
+            finished(1.0, "unproved"),
+            finished(1.0, "witnessed"),
+        )
+        assert progress.verdicts["proved"] == 2
+        assert progress.verdicts["unproved"] == 1
+        assert progress.verdicts["witnessed"] == 1
 
     def test_partial_coverage_counts_as_unproved(self):
-        progress = CampaignProgress(stream=None)
-        progress.update(1, 1, FakeResult(coverage=0.999))
-        assert progress.unproved == 1
+        """A tree with one proved and one unproved leaf is unproved: the
+        class is the result's own, carried by its cell.finished."""
+        box = Box([0.0], [1.0])
+        root = CellResult("cell-0", box, 0, Verdict.POSSIBLY_UNSAFE)
+        root.children = [
+            CellResult("cell-0.0", box, 0, Verdict.PROVED_SAFE, depth=1),
+            CellResult("cell-0.1", box, 0, Verdict.POSSIBLY_UNSAFE, depth=1),
+        ]
+        bus = TelemetryBus(heartbeat_interval=None)
+        progress = quiet().attach(bus)
+        with use_bus(bus):
+            _publish_finished(0, root, worker=0)
+        assert progress.verdicts["unproved"] == 1
+        assert progress.verdicts["proved"] == 0
 
     def test_update_without_result_keeps_counts(self):
-        progress = CampaignProgress(stream=None)
-        progress.update(1, 2)
-        assert (progress.proved, progress.unproved, progress.witnessed) == (0, 0, 0)
-
-    def test_legacy_callable_protocol(self):
-        progress = CampaignProgress(stream=None)
-        progress(3, 10)
-        assert progress.done == 3
-        assert progress.total == 10
+        """Events that carry no result (a start, a dispatch, a heartbeat)
+        keep the counts."""
+        progress = feed(
+            quiet(),
+            started(2),
+            {"kind": "worker.ready", "ts": 0.1, "worker": 0, "pid": 1},
+            {"kind": "cell.dispatched", "ts": 0.2, "worker": 0, "cell_id": "cell-0"},
+            {"kind": "worker.heartbeat", "ts": 0.3, "worker": 0},
+        )
+        assert progress.done == 0
+        assert set(progress.verdicts.values()) == {0}
 
 
 class TestRendering:
     def test_render_contents(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(10.0)
-        for i in range(5):
-            progress.update(i + 1, 10, FakeResult(coverage=1.0))
-        line = progress.render()
-        assert "cells 5/10 (50.0%)" in line
-        assert "cell/s" in line
-        assert "ETA" in line
-        assert "proved 5" in line
+        progress = feed(quiet(), started(10), *[finished(10.0)] * 5)
+        line = progress.render(now=10.0)
+        assert line == (
+            "cells 5/10 (50.0%) | 0.50 cell/s | ETA 10s | proved 5 unproved 0 witnessed 0"
+        )
+
+    def test_quarantine_counts_only_when_nonzero(self):
+        progress = feed(quiet(), started(3), finished(1.0), finished(1.0, "aborted"))
+        line = progress.render(now=1.0)
+        assert line.endswith("proved 1 unproved 0 witnessed 0 aborted 1")
+        assert "timed-out" not in line
 
     def test_prints_throttled_but_final_always(self):
-        clock = FakeClock()
         stream = io.StringIO()
-        progress = CampaignProgress(stream=stream, min_interval=1000.0, clock=clock)
-        progress.update(1, 3)  # first one prints (interval from -inf)
-        progress.update(2, 3)  # throttled
-        progress.update(3, 3)  # final: always prints
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[-1].startswith("cells 3/3")
+        progress = CampaignProgress(stream=stream, min_interval=1000.0)
+        feed(
+            progress,
+            started(3),
+            finished(1.0),  # first one prints (interval from -inf)
+            finished(2.0),  # throttled
+            finished(3.0),  # the last cell: its line waits for ...
+            {"kind": "campaign.finished", "ts": 3.0, "interrupted": None},  # ... this
+        )
+        printed = lines(stream)
+        assert len(printed) == 2
+        assert printed[-1].startswith("cells 3/3")
+
+    def test_complete_campaign_prints_last_line_once(self):
+        stream = io.StringIO()
+        progress = CampaignProgress(stream=stream, min_interval=0.0)
+        feed(progress, started(3), finished(1.0), finished(2.0), finished(3.0))
+        feed(progress, {"kind": "campaign.finished", "ts": 3.0, "interrupted": None})
+        printed = lines(stream)
+        assert [line.split(" (")[0] for line in printed] == [
+            "cells 1/3", "cells 2/3", "cells 3/3",
+        ]
+
+    def test_interrupted_campaign_prints_its_last_line(self):
+        stream = io.StringIO()
+        progress = CampaignProgress(stream=stream, min_interval=1000.0)
+        feed(
+            progress,
+            started(4),
+            finished(1.0),
+            finished(2.0),
+            {"kind": "campaign.finished", "ts": 2.5, "interrupted": "deadline"},
+        )
+        assert lines(stream)[-1].startswith("cells 2/4 (50.0%)")
+
+    def test_deadline_campaign_ends_on_its_last_cell(self):
+        """Two cells finish before the deadline stops the campaign; the
+        last line says so although the throttle held back the second."""
+        stream = io.StringIO()
+        progress = CampaignProgress(stream=stream, min_interval=1000.0)
+        cells = [(box, 1) for box in grid_partition(Box([1.6], [2.4]), [4])]
+        with injected_faults("slow:cell-1:0.6"):
+            report = verify_partition(
+                make_system, cells, RunnerSettings(deadline=0.5), progress=progress
+            )
+        assert report.settings_summary["interrupted"] == "deadline"
+        assert report.total_cells == 2
+        assert lines(stream)[-1].startswith("cells 2/4 (50.0%)")
 
     def test_no_eta_once_finished(self):
-        clock = FakeClock()
-        progress = CampaignProgress(stream=None, clock=clock)
-        clock.advance(2.0)
-        progress.update(4, 4)
-        assert "ETA" not in progress.render()
+        progress = feed(quiet(), started(4), *[finished(2.0)] * 4)
+        assert "ETA" not in progress.render(now=2.0)
 
 
 class TestStalledMarker:
+    @staticmethod
+    def busy_pool(beat_at):
+        """Two workers dispatched at 0 whose newest beats are at
+        ``beat_at``, folded by a progress line on a bus beating every
+        second (stalled after 3 s of silence)."""
+        progress = quiet().attach(TelemetryBus(heartbeat_interval=1.0))
+        feed(progress, started(10))
+        for worker in (0, 1):
+            feed(
+                progress,
+                {"kind": "cell.dispatched", "ts": 0.0, "worker": worker, "cell_id": "c"},
+                {"kind": "worker.heartbeat", "ts": beat_at, "worker": worker},
+            )
+        return progress
+
     def test_stalled_count_shown_when_nonzero(self):
-        progress = CampaignProgress(stream=None, stalled_provider=lambda: 2)
-        progress.update(1, 10)
-        assert "2 stalled" in progress.render()
+        assert self.busy_pool(beat_at=1.0).render(now=10.0).endswith(" | 2 stalled")
 
     def test_hidden_when_zero_or_absent(self):
-        quiet = CampaignProgress(stream=None, stalled_provider=lambda: 0)
-        quiet.update(1, 10)
-        assert "stalled" not in quiet.render()
-        plain = CampaignProgress(stream=None)
-        plain.update(1, 10)
-        assert "stalled" not in plain.render()
+        assert "stalled" not in self.busy_pool(beat_at=9.5).render(now=10.0)
+        # A bus without heartbeats flags no stall, however long a cell runs.
+        plain = quiet().attach(TelemetryBus(heartbeat_interval=None))
+        feed(
+            plain,
+            started(10),
+            {"kind": "cell.dispatched", "ts": 0.0, "worker": 0, "cell_id": "c"},
+        )
+        assert "stalled" not in plain.render(now=100.0)
 
-    def test_raising_provider_is_swallowed(self):
-        def broken():
-            raise RuntimeError("snapshot gone")
+    def test_no_live_bus_never_flags_a_slow_cell(self):
+        """A 2-worker campaign without live telemetry: cell-0's line is
+        printed while cell-1 has been running past the 3 s stall
+        threshold, and no line says `stalled`."""
+        stream = io.StringIO()
+        progress = CampaignProgress(stream=stream, min_interval=0.0)
+        cells = [(box, 1) for box in grid_partition(Box([1.6], [2.4]), [4])]
+        with injected_faults("slow:cell-0:3.3,slow:cell-1:4.0"):
+            report = verify_partition(
+                make_system, cells, RunnerSettings(workers=2), progress=progress
+            )
+        assert report.total_cells == 4
+        printed = lines(stream)
+        assert printed[0].startswith("cells 1/4")
+        assert printed[-1].startswith("cells 4/4")
+        assert not [line for line in printed if "stalled" in line]
 
-        progress = CampaignProgress(stream=None, stalled_provider=broken)
-        progress.update(1, 10)
-        line = progress.render()  # must not raise
-        assert "stalled" not in line
+
+class TestCampaignProgress:
+    def test_rate_eta_and_verdict_counts(self):
+        """Results published as a campaign driver does: the classes come
+        from the results, the rate from the events' timestamps."""
+
+        def cell(verdict, tags=None):
+            return CellResult(
+                cell_id="c",
+                box=Box([0.0], [1.0]),
+                command=0,
+                verdict=verdict,
+                tags=tags or {},
+            )
+
+        bus = TelemetryBus(heartbeat_interval=None)
+        progress = quiet().attach(bus)
+        with use_bus(bus):
+            bus.publish("campaign.started", total=4)
+            _publish_finished(0, cell(Verdict.PROVED_SAFE), worker=0)
+            _publish_finished(1, cell(Verdict.POSSIBLY_UNSAFE), worker=0)
+            _publish_finished(
+                2, cell(Verdict.POSSIBLY_UNSAFE, tags={"witness": [0.5]}), worker=0
+            )
+        assert progress.verdicts["proved"] == 1
+        assert progress.verdicts["unproved"] == 1
+        assert progress.verdicts["witnessed"] == 1
+        now = progress.started_at + 10.0
+        assert progress.rate(now) == pytest.approx(3 / 10.0)
+        assert progress.eta_seconds(now) == pytest.approx((4 - 3) / (3 / 10.0))
+        line = progress.render(now)
+        assert "cells 3/4" in line
+        assert "proved 1" in line

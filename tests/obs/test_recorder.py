@@ -4,7 +4,6 @@ import json
 
 from repro.obs import (
     NULL_RECORDER,
-    CampaignProgress,
     Recorder,
     get_recorder,
     merge_traces,
@@ -137,42 +136,3 @@ class TestTraceRoundtripAndMerge:
         assert summary.slowest_cells == [(0.9, "c-7")]
         assert summary.event_counts["cache.corrupt"] == 1
         assert summary.wall_seconds == 2.0
-
-
-class TestCampaignProgress:
-    def test_rate_eta_and_verdict_counts(self):
-        from repro.core import CellResult, Verdict
-        from repro.intervals import Box
-
-        clock = {"t": 0.0}
-        progress = CampaignProgress(stream=None, clock=lambda: clock["t"])
-
-        def cell(verdict, tags=None):
-            return CellResult(
-                cell_id="c",
-                box=Box([0.0], [1.0]),
-                command=0,
-                verdict=verdict,
-                tags=tags or {},
-            )
-
-        clock["t"] = 10.0
-        progress.update(1, 4, cell(Verdict.PROVED_SAFE))
-        progress.update(2, 4, cell(Verdict.POSSIBLY_UNSAFE))
-        progress.update(
-            3, 4, cell(Verdict.POSSIBLY_UNSAFE, tags={"witness": [0.5]})
-        )
-        assert progress.proved == 1
-        assert progress.unproved == 1
-        assert progress.witnessed == 1
-        assert progress.rate == 3 / 10.0
-        assert progress.eta_seconds == (4 - 3) / (3 / 10.0)
-        line = progress.render()
-        assert "cells 3/4" in line
-        assert "proved 1" in line
-
-    def test_plain_callback_compat(self):
-        progress = CampaignProgress(stream=None)
-        progress(5, 10)
-        assert progress.done == 5
-        assert progress.total == 10
