@@ -43,7 +43,6 @@ def test_integrator_throughput(benchmark, cell_and_command, mode):
 def test_integrators_mutually_consistent(benchmark, cell_and_command):
     """Both engines are sound, so their enclosures must overlap; the
     endpoint boxes must both contain the high-accuracy reference."""
-    import numpy as np
     from scipy.integrate import solve_ivp
 
     from repro.acasxu import acasxu_rhs

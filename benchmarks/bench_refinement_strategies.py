@@ -7,7 +7,6 @@ dimension only". Both are implemented; this bench compares them on
 failing cells: coverage recovered per child verified.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -11,10 +11,6 @@ unsafe (with a witness trajectory); the rest remain "unknown".
 Run:  python examples/acasxu_falsification.py
 """
 
-import math
-
-import numpy as np
-
 from repro.acasxu import (
     TINY_SCENARIO,
     build_system,

@@ -16,8 +16,6 @@ not proved safe". This example builds exactly that:
 Run:  python examples/monitor_demo.py
 """
 
-import math
-
 import numpy as np
 
 from repro.acasxu import (

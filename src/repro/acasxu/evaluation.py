@@ -18,7 +18,6 @@ import numpy as np
 
 from ..core import ClosedLoopSystem
 from .dynamics import AcasXuAnalyticFlow
-from .mdp import TURN_RATES_DEG
 from .scenario import (
     COC_INDEX,
     sample_collision_course_state,

@@ -22,7 +22,6 @@ the intruder run the 5-network collision-avoidance controller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

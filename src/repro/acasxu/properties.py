@@ -32,7 +32,6 @@ from ..verify import (
     verify_property,
 )
 from .controller import normalize_inputs
-from .mdp import ADVISORIES
 
 
 def raw_input_box(

@@ -56,8 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..obs import CampaignProgress
-from ..obs.live import get_bus
+from ..obs import CampaignProgress, get_recorder
 from .checkpoint import _cell_key, _JournalWriter, load_lease_records, replay_journal
 from .lease import LeaseTable, assign_shards
 from .result import CellResult, VerificationReport
@@ -298,9 +297,9 @@ class Coordinator:
     def _campaign(self) -> VerificationReport:
         """The campaign from ``campaign.started`` to ``campaign.finished``."""
         assert self._sel is not None
-        bus = get_bus()
+        rec = get_recorder()
         run_started = time.perf_counter()
-        bus.publish(
+        rec.event(
             "campaign.started",
             total=len(self.tasks),
             workers=0,
@@ -330,7 +329,7 @@ class Coordinator:
                         if key.data == "listener":
                             self._accept()
                         else:
-                            self._read(key.data, journal, bus)
+                            self._read(key.data, journal)
                     now = time.monotonic()
                     for lease in self.table.expire_due(now):
                         self.stats.expired_leases += 1
@@ -340,15 +339,15 @@ class Coordinator:
                             lease.shard_id, lease.epoch, lease.node_id,
                             self.dist.lease_timeout,
                         )
-                        bus.publish(
+                        rec.event(
                             "lease.expired",
                             node=lease.node_id,
                             shard=lease.shard_id,
                             epoch=lease.epoch,
                             reason="lease-timeout",
                         )
-                    self._grant_idle(journal, bus, now)
-            self._shutdown_nodes(bus)
+                    self._grant_idle(journal, now)
+            self._shutdown_nodes()
         return _campaign_report(self.results, self.settings, self.interrupted, run_started)
 
     # -- connection handling -------------------------------------------
@@ -363,7 +362,7 @@ class Coordinator:
         self._conns[sock] = conn
         self._sel.register(sock, selectors.EVENT_READ, conn)
 
-    def _disconnect(self, conn: _Conn, bus, reason: str) -> None:
+    def _disconnect(self, conn: _Conn, reason: str) -> None:
         assert self._sel is not None
         try:
             self._sel.unregister(conn.sock)
@@ -376,7 +375,7 @@ class Coordinator:
             pass
         if conn.node_id is not None and self._nodes.get(conn.node_id) is conn:
             del self._nodes[conn.node_id]
-            bus.publish("node.disconnected", node=conn.node_id, reason=reason)
+            get_recorder().event("node.disconnected", node=conn.node_id, reason=reason)
             now = time.monotonic()
             for lease in self.table.expire_node(conn.node_id, now, reason):
                 self.stats.expired_leases += 1
@@ -384,7 +383,7 @@ class Coordinator:
                     "lease expired: %s epoch %d — %s %s",
                     lease.shard_id, lease.epoch, conn.node_id, reason,
                 )
-                bus.publish(
+                get_recorder().event(
                     "lease.expired",
                     node=conn.node_id,
                     shard=lease.shard_id,
@@ -392,34 +391,34 @@ class Coordinator:
                     reason=reason,
                 )
 
-    def _read(self, conn: _Conn, journal: _JournalWriter, bus) -> None:
+    def _read(self, conn: _Conn, journal: _JournalWriter) -> None:
         try:
             data = conn.sock.recv(_RECV_CHUNK)
         except (OSError, socket.timeout):
-            self._disconnect(conn, bus, "recv-error")
+            self._disconnect(conn, "recv-error")
             return
         if not data:
-            self._disconnect(conn, bus, "disconnect")
+            self._disconnect(conn, "disconnect")
             return
         try:
             frames = conn.decoder.feed(data)
         except FrameError as exc:
             logger.warning("%s: protocol error: %s", conn.addr, exc)
-            self._disconnect(conn, bus, "protocol-error")
+            self._disconnect(conn, "protocol-error")
             return
         for frame in frames:
-            self._dispatch(conn, frame, journal, bus)
+            self._dispatch(conn, frame, journal)
 
-    def _send(self, conn: _Conn, payload: dict, bus) -> None:
+    def _send(self, conn: _Conn, payload: dict) -> None:
         try:
             send_frame(conn.sock, payload)
         except (OSError, FrameError):
-            self._disconnect(conn, bus, "send-error")
+            self._disconnect(conn, "send-error")
 
     # -- frame handlers ------------------------------------------------
-    def _fence(self, conn: _Conn, frame: dict, bus) -> None:
+    def _fence(self, conn: _Conn, frame: dict) -> None:
         self.stats.fenced_frames += 1
-        bus.publish(
+        get_recorder().event(
             "node.fenced",
             node=frame.get("node"),
             shard=frame.get("shard"),
@@ -428,14 +427,10 @@ class Coordinator:
         )
         self._send(
             conn,
-            {"type": "fence", "shard": frame.get("shard"),
-             "epoch": frame.get("epoch")},
-            bus,
+            {"type": "fence", "shard": frame.get("shard"), "epoch": frame.get("epoch")},
         )
 
-    def _dispatch(
-        self, conn: _Conn, frame: dict, journal: _JournalWriter, bus
-    ) -> None:
+    def _dispatch(self, conn: _Conn, frame: dict, journal: _JournalWriter) -> None:
         kind = frame.get("type")
         if kind == "hello":
             node_id = str(frame.get("node"))
@@ -450,15 +445,13 @@ class Coordinator:
             conn.busy = False
             if node_id not in self.stats.nodes_seen:
                 self.stats.nodes_seen.append(node_id)
-            bus.publish(
+            get_recorder().event(
                 "node.connected",
                 node=node_id,
                 workers=frame.get("workers"),
                 pid=frame.get("pid"),
             )
-            self._send(
-                conn, {"type": "welcome", "config": self.welcome_config}, bus
-            )
+            self._send(conn, {"type": "welcome", "config": self.welcome_config})
             return
         if conn.node_id is None:
             logger.warning("%s: frame before hello; dropping", conn.addr)
@@ -476,9 +469,9 @@ class Coordinator:
             if shard_id is not None and not self.table.renew(
                 shard_id, node_id, epoch, time.monotonic()
             ):
-                self._fence(conn, frame, bus)
+                self._fence(conn, frame)
                 return
-            bus.publish(
+            get_recorder().event(
                 "node.heartbeat",
                 node=node_id,
                 shard=shard_id,
@@ -496,7 +489,7 @@ class Coordinator:
             if shard_id is None or not self.table.is_current(
                 shard_id, node_id, epoch
             ):
-                self._fence(conn, frame, bus)
+                self._fence(conn, frame)
                 return
             self.table.renew(shard_id, node_id, epoch, time.monotonic())
             key = frame.get("key")
@@ -520,9 +513,9 @@ class Coordinator:
         if kind == "shard_done":
             conn.busy = False
             if shard_id is None or not self.table.complete(shard_id, node_id, epoch):
-                self._fence(conn, frame, bus)
+                self._fence(conn, frame)
                 return
-            bus.publish(
+            get_recorder().event(
                 "lease.completed", node=node_id, shard=shard_id, epoch=epoch
             )
             logger.info("%s completed %s (epoch %d)", node_id, shard_id, epoch)
@@ -530,7 +523,7 @@ class Coordinator:
         logger.warning("%s: unknown frame type %r", node_id, kind)
 
     # -- granting ------------------------------------------------------
-    def _grant_idle(self, journal: _JournalWriter, bus, now: float) -> None:
+    def _grant_idle(self, journal: _JournalWriter, now: float) -> None:
         # Enrollment barrier, not a liveness requirement: hold the first
         # grants until the expected fleet has said hello (so the initial
         # spread is balanced and deterministic), but once enrolled, keep
@@ -559,7 +552,7 @@ class Coordinator:
                 # Everything streamed in before the previous holder's
                 # lease died — nothing left to steal.
                 self.table.force_complete(shard_id)
-                bus.publish(
+                get_recorder().event(
                     "lease.completed", node=None, shard=shard_id,
                     epoch=self.table.epoch(shard_id),
                 )
@@ -602,7 +595,7 @@ class Coordinator:
                 }
                 for i in pending
             ]
-            bus.publish(
+            get_recorder().event(
                 "lease.granted",
                 node=node_id,
                 shard=shard_id,
@@ -625,15 +618,14 @@ class Coordinator:
                     "epoch": lease.epoch,
                     "cells": cells_payload,
                 },
-                bus,
             )
 
     # -- teardown ------------------------------------------------------
-    def _shutdown_nodes(self, bus) -> None:
+    def _shutdown_nodes(self) -> None:
         for conn in list(self._conns.values()):
-            self._send(conn, {"type": "shutdown"}, bus)
+            self._send(conn, {"type": "shutdown"})
         for conn in list(self._conns.values()):
-            self._disconnect(conn, bus, "shutdown")
+            self._disconnect(conn, "shutdown")
         if self._listener is not None:
             try:
                 if self._sel is not None:
@@ -673,7 +665,7 @@ def run_distributed(
     """
     import multiprocessing
 
-    from ..obs.live import set_bus
+    from ..obs import set_recorder
     from .node import NodeSettings, run_node
 
     settings = settings or RunnerSettings()
@@ -690,12 +682,8 @@ def run_distributed(
     ctx = multiprocessing.get_context("fork")
 
     def agent_main(node_index: int) -> None:
-        # The fork inherits the parent's live bus and recorder; the
-        # agent must not write to either (the parent owns those file
-        # handles and threads).
-        set_bus(None)
-        from ..obs import set_recorder
-
+        # The fork inherits the parent's recorder; the agent must not
+        # write to it (the parent owns its trace file and subscribers).
         set_recorder(None)
         for key, value in (node_env or {}).items():
             os.environ[key] = value

@@ -26,8 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..intervals import Box
-from ..obs import CampaignProgress, get_recorder
-from ..obs.live import TelemetryBus, get_bus, use_bus
+from ..obs import CampaignProgress, Recorder, get_recorder, use_recorder
 from .checkpoint import _cell_key, _JournalWriter, replay_journal
 from .partition import RefinementPolicy
 from .reach import ReachSettings, Verdict, reach_many
@@ -274,22 +273,20 @@ def _verify_cells_lockstep(
 # ----------------------------------------------------------------------
 @contextmanager
 def _progress_subscribed(progress: CampaignProgress | None) -> Iterator[None]:
-    """Subscribe ``progress`` to the campaign's telemetry bus for the
-    block. With live telemetry off, the campaign publishes onto a
-    private bus without heartbeats instead. A raising ``progress`` is
-    dropped by the bus, so it cannot abort the campaign."""
+    """Subscribe ``progress`` to the campaign's recorder for the block.
+    With no enabled recorder, the campaign runs on a private one without
+    trace or heartbeats instead. A raising ``progress`` is dropped by
+    the recorder, so it cannot abort the campaign."""
     if progress is None:
         yield
         return
-    bus = get_bus()
-    if not bus.enabled:
-        bus = TelemetryBus(heartbeat_interval=None)
-    progress.attach(bus)
-    try:
-        with use_bus(bus):
+    rec = get_recorder()
+    with nullcontext(rec) if rec.enabled else use_recorder(Recorder()) as rec:
+        progress.attach(rec)
+        try:
             yield
-    finally:
-        bus.unsubscribe(progress.on_event)
+        finally:
+            rec.unsubscribe(progress.on_event)
 
 
 def _campaign_tasks(cells: Sequence[tuple]) -> list[tuple[str, Box, int, dict]]:
@@ -323,10 +320,10 @@ def _publish_finished(
     cached: bool = False,
     node: str | None = None,
 ) -> None:
-    """Publish the ``cell.finished`` event of top-level cell ``index``
+    """Emit the ``cell.finished`` event of top-level cell ``index``
     (its ``seq``). ``worker`` is None for a quarantine, a remote node or
     a journal replay; a replayed cell is ``cached`` and took no time."""
-    get_bus().publish(
+    get_recorder().event(
         "cell.finished",
         worker=worker,
         node=node,
@@ -354,7 +351,7 @@ def _campaign_report(
     rec = get_recorder()
     if rec.enabled:
         report.metrics = rec.metrics.snapshot()
-    get_bus().publish(
+    rec.event(
         "campaign.finished",
         interrupted=interrupted,
         verdicts=report.verdict_counts(),
@@ -383,9 +380,9 @@ def verify_partition(
     error.
 
     ``progress`` (a :class:`repro.obs.CampaignProgress`) is subscribed
-    to the campaign's telemetry bus for the length of the campaign, so
-    it sees each top-level cell's ``cell.finished`` as its tree
-    finishes, journal-replayed cells included.
+    to the campaign's recorder for the length of the campaign, so it
+    sees each top-level cell's ``cell.finished`` as its tree finishes,
+    journal-replayed cells included.
 
     ``settings.workers`` picks the executor: this process
     (:func:`repro.core.supervisor.run_serial`) or the supervised pool
@@ -411,7 +408,7 @@ def verify_partition(
     run_started = time.perf_counter()
     tasks = _campaign_tasks(cells)
     with _progress_subscribed(progress):
-        get_bus().publish(
+        get_recorder().event(
             "campaign.started",
             total=len(tasks),
             workers=settings.workers,

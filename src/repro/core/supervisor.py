@@ -31,7 +31,7 @@ for ``workers == 1``: the guarded per-cell loop, or with
 ``batch_cells`` one lockstep wave driver call over every cell.
 
 Executors only hand each finished cell back through ``on_result``; the
-campaign drivers journal it and publish ``cell.finished``.
+campaign drivers journal it and emit ``cell.finished``.
 
 Cells must degrade to an explicit quarantine verdict; they must never
 take the process down. The recovery paths are exercised
@@ -55,8 +55,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from ..obs import Recorder, get_recorder, merge_traces, set_recorder, worker_trace_path
-from ..obs.live import HeartbeatReporter, get_bus
-from ..obs.live import set_bus as set_live_bus
+from ..obs.live import HeartbeatReporter
 from ..testing.faults import get_fault_injector
 from .reach import Verdict
 from .result import CellResult
@@ -312,7 +311,6 @@ def _interruption(stop: ShutdownFlag, deadline_at: float | None) -> str | None:
 
 def _announce_interruption(reason: str, dropped: int) -> None:
     get_recorder().event("campaign.interrupted", reason=reason, dropped_cells=dropped)
-    get_bus().publish("campaign.interrupted", reason=reason, dropped_cells=dropped)
 
 
 # ----------------------------------------------------------------------
@@ -348,13 +346,11 @@ def _worker_main(
             daemon=True,
             name="parent-watchdog",
         ).start()
-    # The forked child inherits the parent's live telemetry bus, whose
-    # subscribers hold parent-owned file handles and server threads:
-    # drop it. Worker liveness flows back through the pipe instead.
-    set_live_bus(None)
-    # The forked child inherits the parent's recorder (and its open
-    # trace file descriptor, which must not be shared): install a fresh
-    # per-worker recorder writing to its own JSONL file.
+    # The forked child inherits the parent's recorder: its open trace
+    # file descriptor, which must not be shared, and its subscribers,
+    # which hold parent-owned file handles and server threads. Install
+    # a fresh per-worker recorder writing to its own JSONL file; worker
+    # liveness flows back through the pipe instead.
     if observe:
         trace = worker_trace_path(Path(parent_trace)) if parent_trace is not None else None
         set_recorder(Recorder(trace_path=trace))
@@ -504,7 +500,6 @@ def run_supervised(
     fails: that is a configuration error, not a transient fault.
     """
     rec = get_recorder()
-    bus = get_bus()
     outcome = SupervisorOutcome()
     total = len(tasks)
     if total == 0:
@@ -514,7 +509,7 @@ def run_supervised(
     ctx = multiprocessing.get_context("fork")
     pool_size = min(settings.workers, total)
     hard_budget = _hard_kill_budget(settings)
-    heartbeat = bus.heartbeat_interval
+    heartbeat = rec.heartbeat_interval
 
     pending: deque[int] = deque(range(total))
     retry_heap: list[tuple[float, int]] = []  # (due monotonic time, seq)
@@ -541,7 +536,7 @@ def run_supervised(
         proc.start()
         child_conn.close()  # the child holds its own copy; EOF now means death
         workers[wid] = _WorkerHandle(id=wid, proc=proc, conn=parent_conn)
-        bus.publish("worker.spawned", worker=wid)
+        rec.event("worker.spawned", worker=wid)
 
     def finish(seq: int, result: CellResult, worker: int | None) -> None:
         outcome.results[seq] = result
@@ -564,7 +559,7 @@ def run_supervised(
             if verdict is Verdict.ABORTED
             else "runner.cells_timed_out"
         )
-        bus.publish(
+        rec.event(
             "cell.quarantined",
             cell_id=cell_id,
             verdict=verdict.value,
@@ -585,13 +580,6 @@ def run_supervised(
             cell_id=cell_id,
             attempt=attempts[seq],
         )
-        bus.publish(
-            "worker.crash",
-            worker=worker.id,
-            exitcode=exitcode,
-            cell_id=cell_id,
-            attempt=attempts[seq],
-        )
         if attempts[seq] <= settings.max_retries:
             outcome.retries += 1
             rec.inc("runner.cell_retries")
@@ -600,7 +588,7 @@ def run_supervised(
                 "worker %d died (exit %s) on %s; retry %d/%d in %.2gs",
                 worker.id, exitcode, cell_id, attempts[seq], settings.max_retries, delay,
             )
-            bus.publish(
+            rec.event(
                 "cell.retried",
                 cell_id=cell_id,
                 seq=seq,
@@ -625,9 +613,9 @@ def run_supervised(
         kind = message[0]
         if kind == "ready":
             worker.ready = True
-            bus.publish("worker.ready", worker=worker.id, pid=message[2])
+            rec.event("worker.ready", worker=worker.id, pid=message[2])
         elif kind == "heartbeat":
-            bus.publish("worker.heartbeat", worker=worker.id, **message[2])
+            rec.event("worker.heartbeat", worker=worker.id, **message[2])
         elif kind == "init_error":
             fatal = RuntimeError(
                 f"worker {message[1]} could not build the system: "
@@ -703,7 +691,7 @@ def run_supervised(
                         pending.appendleft(seq)  # the liveness sweep reaps it
                         continue
                     worker.current = (seq, now + hard_budget if hard_budget else None)
-                    bus.publish(
+                    rec.event(
                         "cell.dispatched",
                         worker=worker.id,
                         cell_id=cell_id,
@@ -764,12 +752,6 @@ def run_supervised(
                         "worker.killed", worker=worker.id, cell_id=cell_id,
                         budget_seconds=settings.cell_timeout,
                     )
-                    bus.publish(
-                        "worker.killed",
-                        worker=worker.id,
-                        cell_id=cell_id,
-                        budget_seconds=settings.cell_timeout,
-                    )
                     worker.current = None
                     _terminate(worker.proc)
                     quarantine(
@@ -794,7 +776,6 @@ def run_supervised(
                         outcome.respawns += 1
                         rec.inc("runner.worker_respawns")
                         rec.event("worker.respawn")
-                        bus.publish("worker.respawn")
         finally:
             for worker in workers.values():
                 try:
@@ -830,18 +811,18 @@ def run_serial(
     current wave finishes and the unfinished trees are dropped.
     Otherwise the cells run one at a time through
     :func:`run_cell_guarded` (budgets, quarantine), with a heartbeat
-    thread when the bus has a heartbeat period, and the campaign
+    thread when the recorder has a heartbeat period, and the campaign
     deadline and SIGINT/SIGTERM are checked between cells.
     """
     from .runner import _verify_cells_lockstep  # deferred: runner imports this module
 
-    bus = get_bus()
+    rec = get_recorder()
     outcome = SupervisorOutcome()
     if not tasks:
         return outcome
     system = system_factory()
     # This process is the campaign's only worker, "worker 0".
-    bus.publish("worker.ready", worker=0, pid=os.getpid())
+    rec.event("worker.ready", worker=0, pid=os.getpid())
 
     def finish(seq: int, result: CellResult) -> None:
         result.tags.update(tasks[seq][3])
@@ -860,10 +841,10 @@ def run_serial(
             # A heartbeat thread beats from this process so stall
             # detection (`repro watch`) works for serial campaigns too.
             reporter = None
-            if bus.heartbeat_interval:
+            if rec.heartbeat_interval:
                 reporter = HeartbeatReporter(
-                    lambda payload: bus.publish("worker.heartbeat", worker=0, **payload),
-                    bus.heartbeat_interval,
+                    lambda payload: rec.event("worker.heartbeat", worker=0, **payload),
+                    rec.heartbeat_interval,
                 ).start()
             deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
             try:
@@ -871,7 +852,7 @@ def run_serial(
                     outcome.interrupted = _interruption(stop, deadline_at)
                     if outcome.interrupted:
                         break
-                    bus.publish(
+                    rec.event(
                         "cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0
                     )
                     if reporter is not None:

@@ -9,7 +9,7 @@ original numbers for anyone with the compute budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..acasxu import (
     PAPER_NUM_ARCS,

@@ -207,8 +207,6 @@ def atan2_affine(y: AffineForm, x: AffineForm) -> AffineForm:
     derivatives ``(-y/r^2, x/r^2)`` over the joint range; falls back to
     the interval result when the range touches the branch cut.
     """
-    import math
-
     from .functions import iatan2
 
     rx, ry = x.to_interval(), y.to_interval()

@@ -9,7 +9,6 @@ state enclosures used throughout the reachability procedure
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

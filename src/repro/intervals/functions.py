@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .interval import Interval
-from .rounding import down, lib_down, lib_up, up
+from .rounding import down, lib_down, lib_up
 
 _TWO_PI_LO = down(2.0 * math.pi)
 

@@ -5,11 +5,19 @@ Three cooperating pieces, all optional and all off by default:
 * **Metrics** (:class:`MetricsRegistry`): counters, gauges and timing
   histograms with p50/p95/max, snapshot/merge-able across the fork-pool
   worker boundary;
-* **Tracing** (:func:`get_recorder` / ``rec.span(...)``): span and
-  point events streamed to a JSONL file, summarized by ``repro stats``;
+* **Tracing** (:func:`get_recorder` / ``rec.span(...)`` /
+  ``rec.event(...)``): span and point events streamed to a JSONL file,
+  summarized by ``repro stats``;
 * **Progress** (:class:`CampaignProgress`): the campaign's one-line
   rate/ETA/verdict report, a printing view of the live telemetry fold
   (:class:`CampaignSnapshot`) fed by the ``cell.finished`` events.
+
+The recorder is the one event stream: ``rec.event(name, **fields)``
+writes ``{"ts", "kind": "event", "name", **fields}`` to the trace and
+hands the same dict to every subscriber — the progress line and the
+live telemetry (:class:`LiveTelemetry`: ``status.json``,
+``events.jsonl``, ``repro watch``, ``/metrics``) — so they all count
+the same events.
 
 On top of those sit the cross-run pieces (PR 3): the **ledger**
 (:mod:`repro.obs.ledger` — durable per-run records under
@@ -41,26 +49,20 @@ from .ledger import (
     record_run,
 )
 from .live import (
-    NULL_BUS,
     CampaignSnapshot,
     HeartbeatReporter,
     LiveStatusWriter,
     LiveTelemetry,
     MetricsServer,
     NodeState,
-    NullTelemetryBus,
-    TelemetryBus,
     TelemetrySettings,
     format_eta,
-    get_bus,
     list_live_runs,
     live_root,
     prune_stale_runs,
     read_status,
     render_prometheus,
     render_watch,
-    set_bus,
-    use_bus,
     write_status_atomic,
 )
 from .metrics import MetricsRegistry, TimingHistogram
@@ -104,21 +106,17 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "NodeState",
-    "NULL_BUS",
     "NULL_RECORDER",
     "NullRecorder",
-    "NullTelemetryBus",
     "PHASE_SPANS",
     "PhaseDelta",
     "Recorder",
     "RunRecord",
-    "TelemetryBus",
     "TelemetrySettings",
     "TimingHistogram",
     "TraceSummary",
     "compare_records",
     "format_eta",
-    "get_bus",
     "get_recorder",
     "git_revision",
     "latest_run",
@@ -143,11 +141,9 @@ __all__ = [
     "render_prometheus",
     "render_stats",
     "render_watch",
-    "set_bus",
     "set_recorder",
     "summarize_trace",
     "summarize_trace_file",
-    "use_bus",
     "use_recorder",
     "worker_trace_path",
     "write_events",

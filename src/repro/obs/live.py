@@ -1,39 +1,41 @@
 """repro.obs.live — live campaign telemetry.
 
 Everything observability gave the campaign so far (PR 1/3/5) is
-post-hoc: traces and the ledger are read after the run, and the
-supervisor's recorder events are merged when the pool shuts down. A
-multi-day campaign (the paper's full evaluation ran ~12 days) needs
-the opposite: a continuously updated, externally consumable view of a
-run that is still in flight. This module provides it in four layers:
+post-hoc: traces and the ledger are read after the run. A multi-day
+campaign (the paper's full evaluation ran ~12 days) needs the
+opposite: a continuously updated, externally consumable view of a run
+that is still in flight. This module provides it as views of the
+campaign's one event stream, the recorder's ``rec.event(...)`` calls
+(:class:`~repro.obs.recorder.Recorder`: ``worker.heartbeat``,
+``cell.dispatched``, ``cell.finished``, ``cell.retried``,
+``worker.crash``, ``campaign.started`` ...). Each view subscribes to
+the recorder and receives the trace's event dicts, ``{"ts", "kind":
+"event", "name", **fields}``:
 
-* **TelemetryBus** — an in-process pub/sub channel the supervisor and
-  runner publish typed events onto (``worker.heartbeat``,
-  ``cell.dispatched``, ``cell.finished``, ``cell.retried``,
-  ``cell.quarantined``, ``worker.crash``, ``campaign.started`` ...).
-  Like the recorder, the bus is ambient (:func:`get_bus` /
-  :func:`set_bus`) and the default is a shared no-op, so instrumented
-  code pays nothing unless telemetry is switched on.
-* **CampaignSnapshot** — a bus subscriber folding the event stream
-  into one aggregate: campaign progress, rate/ETA, verdict counts,
-  quarantine/retry/respawn counters, and a per-worker table (PID, RSS,
-  cells completed, current cell + time-in-cell, heartbeat age, stall
-  flag). Thread-safe, because the metrics endpoint reads it from a
-  server thread while the supervisor loop updates it. The stderr
-  progress line (:class:`~repro.obs.progress.CampaignProgress`) is a
-  subclass that prints.
+* **CampaignSnapshot** — folds the events into one aggregate:
+  campaign progress, rate/ETA, verdict counts, quarantine/retry/respawn
+  counters, and a per-worker table (PID, RSS, cells completed, current
+  cell + time-in-cell, heartbeat age, stall flag). Thread-safe, because
+  the metrics endpoint reads it from a server thread while the
+  supervisor loop updates it. The stderr progress line
+  (:class:`~repro.obs.progress.CampaignProgress`) is a subclass that
+  prints.
 * **LiveStatusWriter** — persists the snapshot under
-  ``.repro/live/<run-id>/``: an append-only ``events.jsonl`` plus a
-  ``status.json`` rewritten via atomic rename at a configurable
-  interval, so any external process (``repro watch``, ``repro stats
-  --live``, a dashboard) can follow the campaign crash-safely — a
-  reader never sees a torn file, and a killed campaign leaves a status
-  file whose staleness is itself the signal. Stale directories from
-  crashed runs are pruned on the next campaign start.
+  ``.repro/live/<run-id>/``: an append-only ``events.jsonl`` (the
+  campaign process's events, line for line as the trace has them) plus
+  a ``status.json`` rewritten via atomic rename at a configurable
+  interval, so any external process (``repro watch``, ``repro stats``,
+  a dashboard) can follow the campaign crash-safely — a reader never
+  sees a torn file, and a killed campaign leaves a status file whose
+  staleness is itself the signal. Stale directories from crashed runs
+  are pruned on the next campaign start.
 * **MetricsServer** — an opt-in stdlib HTTP endpoint
   (``--metrics-port``) serving the same snapshot as JSON
   (``/status.json``) and Prometheus text format (``/metrics``): the
   seed of the ``repro serve`` streaming layer.
+
+:class:`LiveTelemetry` wires the three to a recorder for a ``with``
+block and sets the recorder's heartbeat period.
 
 Heartbeats come from *inside* each worker (a daemon thread writing to
 the worker's pipe), not from parent-side bookkeeping — so a worker
@@ -44,7 +46,6 @@ have stopped. :func:`stalled` flags exactly that case.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import os
@@ -53,7 +54,9 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable
+
+from .recorder import NullRecorder, Recorder, get_recorder, set_recorder
 
 logger = logging.getLogger("repro.obs.live")
 
@@ -94,108 +97,6 @@ def rss_bytes() -> int:
         return int(peak) * (1 if peak > 1 << 30 else 1024)
     except Exception:
         return 0
-
-
-# ----------------------------------------------------------------------
-# The bus
-# ----------------------------------------------------------------------
-class NullTelemetryBus:
-    """The default bus: ``publish`` is a no-op costing one attribute
-    lookup and a truth test at each call site (via ``enabled``)."""
-
-    enabled = False
-    #: Worker heartbeat period; ``None`` tells the pool not to start
-    #: heartbeat threads at all.
-    heartbeat_interval: float | None = None
-
-    def publish(self, kind: str, **fields) -> None:
-        return None
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:  # pragma: no cover
-        raise RuntimeError("cannot subscribe to the null telemetry bus")
-
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        return None
-
-
-NULL_BUS = NullTelemetryBus()
-
-
-class TelemetryBus(NullTelemetryBus):
-    """Synchronous in-process pub/sub for campaign telemetry events.
-
-    An event is a plain dict ``{"ts": unix_time, "kind": ..., **fields}``.
-    Publishing fans out to every subscriber under a lock (publishers
-    live on several threads: the supervisor loop, serial heartbeat
-    threads). A raising subscriber is dropped from the fan-out for the
-    rest of the run and counted — telemetry must never be able to take
-    a campaign down.
-    """
-
-    enabled = True
-
-    def __init__(self, heartbeat_interval: float | None = 1.0) -> None:
-        self.heartbeat_interval = heartbeat_interval
-        self._lock = threading.RLock()
-        self._subscribers: list[Callable[[dict], None]] = []
-        self.dropped_subscribers = 0
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:
-        with self._lock:
-            self._subscribers.append(fn)
-
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        with self._lock:
-            if fn in self._subscribers:
-                self._subscribers.remove(fn)
-
-    def publish(self, kind: str, **fields) -> None:
-        with self._lock:
-            # Stamped under the lock, so subscribers see events in
-            # timestamp order whichever thread publishes them.
-            event = {"ts": time.time(), "kind": kind}
-            event.update(fields)
-            for fn in list(self._subscribers):
-                try:
-                    fn(event)
-                except Exception as exc:
-                    self.dropped_subscribers += 1
-                    self._subscribers.remove(fn)
-                    logger.warning(
-                        "telemetry subscriber %r raised %s: %s; dropped",
-                        fn, type(exc).__name__, exc,
-                    )
-
-
-# -- the ambient (per-process) current bus -----------------------------
-_CURRENT: NullTelemetryBus = NULL_BUS
-
-
-def get_bus() -> NullTelemetryBus:
-    """The process-wide current telemetry bus (no-op by default)."""
-    return _CURRENT
-
-
-def set_bus(bus: NullTelemetryBus | None) -> NullTelemetryBus:
-    """Install ``bus`` (``None`` restores the no-op); returns the
-    previous one so callers can restore it. Fork-pool workers must not
-    inherit the parent's live bus (its subscribers hold the parent's
-    file handles and server thread), so the worker entrypoint resets
-    this to the null bus immediately after fork."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = bus if bus is not None else NULL_BUS
-    return previous
-
-
-@contextlib.contextmanager
-def use_bus(bus: NullTelemetryBus) -> Iterator[NullTelemetryBus]:
-    """Scoped :func:`set_bus` (restores the previous bus)."""
-    previous = set_bus(bus)
-    try:
-        yield bus
-    finally:
-        set_bus(previous)
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +180,7 @@ def stalled(worker: WorkerState, now: float, stall_after: float | None) -> bool:
     (hung in native code, paused by the kernel, heartbeat thread dead)
     from a merely slow cell: a slow cell keeps heartbeating with a
     growing ``cell_elapsed``; a stalled worker goes silent. With no
-    threshold (``stall_after`` None: a bus without heartbeats) no
+    threshold (``stall_after`` None: a recorder without heartbeats) no
     worker is stalled.
     """
     if stall_after is None or worker.state != "busy":
@@ -351,10 +252,10 @@ class NodeState:
 
 
 class CampaignSnapshot:
-    """Folds the bus's event stream into one thread-safe aggregate.
+    """Folds the recorder's event stream into one thread-safe aggregate.
 
     This is the one place that counts finished cells. Subscribe it to a
-    bus (:meth:`attach`) and read it from anywhere: the status-file
+    recorder (:meth:`attach`) and read it from anywhere: the status-file
     writer and the metrics endpoint's server thread read the live
     campaign's instance, and the progress line
     (:class:`~repro.obs.progress.CampaignProgress`) is a subclass that
@@ -374,7 +275,7 @@ class CampaignSnapshot:
         #: the journal-replayed ones: the rate's numerator.
         self.computed = 0
         #: Heartbeat silence after which a busy worker is stalled
-        #: (None: the bus carries no heartbeats, so none is).
+        #: (None: the recorder carries no heartbeats, so none is).
         self.stall_after: float | None = self.settings.stall_after
         self.verdicts = {
             "proved": 0, "unproved": 0, "witnessed": 0,
@@ -382,7 +283,6 @@ class CampaignSnapshot:
         }
         self.retries = 0
         self.respawns = 0
-        self.quarantined = 0
         self.interrupted: str | None = None
         self.workers: dict[int, WorkerState] = {}
         self.nodes: dict[str, NodeState] = {}
@@ -392,13 +292,13 @@ class CampaignSnapshot:
         self.metrics_port: int | None = None
 
     # -- folding -------------------------------------------------------
-    def attach(self, bus: TelemetryBus) -> "CampaignSnapshot":
-        """Fold ``bus``'s events from now on, judging stalls against
-        its heartbeat period."""
-        interval = bus.heartbeat_interval
+    def attach(self, recorder: Recorder) -> "CampaignSnapshot":
+        """Fold ``recorder``'s events from now on, judging stalls
+        against its heartbeat period."""
+        interval = recorder.heartbeat_interval
         with self._lock:
             self.stall_after = None if interval is None else self.settings.stall_factor * interval
-        bus.subscribe(self.on_event)
+        recorder.subscribe(self.on_event)
         return self
 
     def _worker(self, wid: int) -> WorkerState:
@@ -418,15 +318,15 @@ class CampaignSnapshot:
         return state
 
     def on_event(self, event: dict) -> None:
-        kind = event.get("kind")
+        name = event.get("name")
         ts = event.get("ts", time.time())
         with self._lock:
-            if kind == "campaign.started":
+            if name == "campaign.started":
                 self.state = "running"
                 self.started_at = ts
                 self.total = int(event.get("total", 0))
                 self.shards = int(event.get("shards", 0) or 0)
-            elif kind == "campaign.finished":
+            elif name == "campaign.finished":
                 self.state = "interrupted" if event.get("interrupted") else "finished"
                 self.interrupted = event.get("interrupted")
                 if event.get("verdicts"):
@@ -440,15 +340,15 @@ class CampaignSnapshot:
                         worker.state = "done"
                         worker.cell_id = None
                         worker.cell_started_at = None
-            elif kind == "campaign.interrupted":
+            elif name == "campaign.interrupted":
                 self.interrupted = event.get("reason")
-            elif kind == "worker.spawned":
+            elif name == "worker.spawned":
                 self._worker(int(event["worker"]))
-            elif kind == "worker.ready":
+            elif name == "worker.ready":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "idle"
                 worker.pid = event.get("pid")
-            elif kind == "worker.heartbeat":
+            elif name == "worker.heartbeat":
                 worker = self._worker(int(event["worker"]))
                 worker.last_heartbeat_at = ts
                 if event.get("pid") is not None:
@@ -457,12 +357,12 @@ class CampaignSnapshot:
                 worker.cell_elapsed = float(event.get("cell_elapsed", 0.0) or 0.0)
                 if event.get("cells_completed") is not None:
                     worker.cells_completed = int(event["cells_completed"])
-            elif kind == "cell.dispatched":
+            elif name == "cell.dispatched":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "busy"
                 worker.cell_id = event.get("cell_id")
                 worker.cell_started_at = ts
-            elif kind == "cell.finished":
+            elif name == "cell.finished":
                 self.done += 1
                 if not event.get("cached"):
                     self.computed += 1
@@ -478,47 +378,45 @@ class CampaignSnapshot:
                     worker.cells_completed += 1
                 elif event.get("node") is not None:
                     self._node(str(event["node"])).cells_completed += 1
-            elif kind == "cell.retried":
+            elif name == "cell.retried":
                 self.retries += 1
-            elif kind == "cell.quarantined":
-                self.quarantined += 1
-            elif kind == "worker.crash":
+            elif name == "worker.crash":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "dead"
                 worker.crashes += 1
                 worker.cell_id = None
                 worker.cell_started_at = None
-            elif kind == "worker.killed":
+            elif name == "worker.killed":
                 worker = self._worker(int(event["worker"]))
                 worker.state = "killed"
                 worker.cell_id = None
                 worker.cell_started_at = None
-            elif kind == "worker.respawn":
+            elif name == "worker.respawn":
                 self.respawns += 1
-            elif kind == "worker.exit":
+            elif name == "worker.exit":
                 worker = self._worker(int(event["worker"]))
                 if worker.state not in ("dead", "killed"):
                     worker.state = "done"
-            elif kind == "node.connected":
+            elif name == "node.connected":
                 node = self._node(str(event["node"]))
                 node.state = "connected"
                 node.connected_at = ts
                 node.pid = event.get("pid")
                 node.workers = event.get("workers")
                 node.disconnect_reason = None
-            elif kind == "node.heartbeat":
+            elif name == "node.heartbeat":
                 node = self._node(str(event["node"]))
                 node.last_heartbeat_at = ts
                 if event.get("pid") is not None:
                     node.pid = event["pid"]
                 node.rss_bytes = int(event.get("rss_bytes", node.rss_bytes) or 0)
-            elif kind == "lease.granted":
+            elif name == "lease.granted":
                 node = self._node(str(event["node"]))
                 node.state = "computing"
                 node.shard = event.get("shard")
                 node.epoch = event.get("epoch")
                 node.lease_granted_at = ts
-            elif kind == "lease.completed":
+            elif name == "lease.completed":
                 if event.get("node") is not None:
                     node = self._node(str(event["node"]))
                     if node.shard == event.get("shard"):
@@ -526,7 +424,7 @@ class CampaignSnapshot:
                         node.shard = None
                         node.epoch = None
                         node.lease_granted_at = None
-            elif kind == "lease.expired":
+            elif name == "lease.expired":
                 self.leases_expired += 1
                 if event.get("node") is not None:
                     node = self._node(str(event["node"]))
@@ -535,11 +433,11 @@ class CampaignSnapshot:
                         node.shard = None
                         node.epoch = None
                         node.lease_granted_at = None
-            elif kind == "node.fenced":
+            elif name == "node.fenced":
                 self.fenced_frames += 1
                 if event.get("node") is not None:
                     self._node(str(event["node"])).fenced += 1
-            elif kind == "node.disconnected":
+            elif name == "node.disconnected":
                 node = self._node(str(event["node"]))
                 node.state = "disconnected"
                 node.disconnect_reason = event.get("reason")
@@ -548,6 +446,12 @@ class CampaignSnapshot:
                 node.lease_granted_at = None
 
     # -- derived -------------------------------------------------------
+    @property
+    def quarantined(self) -> int:
+        """Finished cells that degraded to a quarantine verdict, in the
+        pool or in-process: aborted plus timed out."""
+        return self.verdicts["aborted"] + self.verdicts["timed-out"]
+
     def rate(self, now: float | None = None) -> float:
         """Cells computed per second since the campaign started. A
         journal-replayed cell counts toward ``done`` but not the rate:
@@ -619,8 +523,8 @@ class HeartbeatReporter:
     :meth:`end_cell`); a daemon thread ships a payload — PID, RSS,
     cells completed, current cell and time-in-cell — through ``send``
     every ``interval`` seconds. Used by pool workers (``send`` writes a
-    pipe message) and by the serial driver (``send`` publishes straight
-    onto the bus). A ``stall`` fault (:mod:`repro.testing.faults`)
+    pipe message) and by the serial driver (``send`` emits a recorder
+    event). A ``stall`` fault (:mod:`repro.testing.faults`)
     suppresses the beats while the computation continues, which is
     exactly how a wedged worker looks from outside.
     """
@@ -723,7 +627,7 @@ def write_status_atomic(path: Path, payload: dict) -> None:
 
 
 class LiveStatusWriter:
-    """Bus subscriber persisting the campaign under
+    """Recorder subscriber persisting the campaign under
     ``<root>/<run-id>/``: every event appended to ``events.jsonl`` and
     the snapshot rewritten to ``status.json`` (atomic rename) at most
     every ``interval`` seconds — plus a final write on close, so the
@@ -745,8 +649,8 @@ class LiveStatusWriter:
         self._last_status = float("-inf")
         self.write_status(force=True)
 
-    def attach(self, bus: TelemetryBus) -> "LiveStatusWriter":
-        bus.subscribe(self.on_event)
+    def attach(self, recorder: Recorder) -> "LiveStatusWriter":
+        recorder.subscribe(self.on_event)
         return self
 
     def on_event(self, event: dict) -> None:
@@ -1289,56 +1193,72 @@ class MetricsServer:
 # One-call assembly
 # ----------------------------------------------------------------------
 class LiveTelemetry:
-    """Bus + snapshot + status writer (+ optional metrics endpoint),
-    wired together and installed as the ambient bus for a ``with``
-    block::
+    """Snapshot + status writer (+ optional metrics endpoint),
+    subscribed to a recorder for a ``with`` block::
 
         settings = TelemetrySettings(metrics_port=0)
         with LiveTelemetry("20260807T...-verify-ab12cd", settings) as live:
             report = verify_partition(factory, cells, runner_settings)
         # .repro/live/<run-id>/status.json now holds the final snapshot
 
-    The supervisor and runner publish onto :func:`get_bus`, so no
-    plumbing changes are needed anywhere a campaign is driven.
-    ``recorder`` (a live :class:`repro.obs.Recorder`) additionally
-    exposes the process's internal metrics on ``/metrics``.
+    The views subscribe to ``recorder``, else to the enabled ambient
+    recorder, else to a fresh :class:`~repro.obs.recorder.Recorder`
+    installed as the ambient one for the block. The supervisor and
+    runner emit through :func:`~repro.obs.recorder.get_recorder`, so no
+    plumbing changes are needed anywhere a campaign is driven. For the
+    block, the recorder's heartbeat period is ``settings.interval``;
+    its metrics ride along on ``/metrics``.
     """
 
     def __init__(
         self,
         run_id: str,
         settings: TelemetrySettings | None = None,
-        recorder=None,
+        recorder: Recorder | None = None,
     ):
         self.settings = settings or TelemetrySettings()
         self.run_id = run_id
+        ambient = get_recorder()
+        if recorder is None and ambient.enabled:
+            recorder = ambient
+        self._installs = recorder is None
+        self.recorder: Recorder = recorder if recorder is not None else Recorder()
         prune_stale_runs(self.settings.root)
-        self.bus = TelemetryBus(heartbeat_interval=self.settings.interval)
-        self.snapshot = CampaignSnapshot(run_id, self.settings).attach(self.bus)
-        self.writer = LiveStatusWriter(self.snapshot).attach(self.bus)
+        self.snapshot = CampaignSnapshot(run_id, self.settings)
+        self.writer = LiveStatusWriter(self.snapshot)
         self.server: MetricsServer | None = None
         if self.settings.metrics_port is not None:
             self.server = MetricsServer(
-                self.snapshot, port=self.settings.metrics_port, recorder=recorder
+                self.snapshot, port=self.settings.metrics_port, recorder=self.recorder
             )
             self.writer.write_status(force=True)
-        self._previous_bus: NullTelemetryBus | None = None
+        self._restore: tuple[float | None, NullRecorder | None] | None = None
 
     @property
     def status_path(self) -> Path:
         return self.writer.status_path
 
     def __enter__(self) -> "LiveTelemetry":
-        self._previous_bus = set_bus(self.bus)
+        recorder = self.recorder
+        previous = set_recorder(recorder) if self._installs else None
+        self._restore = (recorder.heartbeat_interval, previous)
+        recorder.heartbeat_interval = self.settings.interval
+        self.snapshot.attach(recorder)
+        self.writer.attach(recorder)
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     def close(self) -> None:
-        if self._previous_bus is not None:
-            set_bus(self._previous_bus)
-            self._previous_bus = None
+        if self._restore is not None:
+            interval, previous = self._restore
+            self._restore = None
+            self.recorder.unsubscribe(self.snapshot.on_event)
+            self.recorder.unsubscribe(self.writer.on_event)
+            self.recorder.heartbeat_interval = interval
+            if previous is not None:
+                set_recorder(previous)
         if self.server is not None:
             self.server.close()
             self.server = None

@@ -4,13 +4,13 @@
 that prints. The campaign drivers
 (:func:`repro.core.runner.verify_partition` and the distributed
 :class:`~repro.core.coordinator.Coordinator`) subscribe it to the
-campaign's telemetry bus, so ``cell.finished`` events are its only
-input and its counts, rate and ETA are the fold's::
+campaign's recorder, so ``cell.finished`` events are its only input
+and its counts, rate and ETA are the fold's::
 
     cells 120/216 (55.6%) | 3.40 cell/s | ETA 28s | proved 97 unproved 20 witnessed 3
 
-With live telemetry off, the driver gives the campaign a private bus
-without heartbeats, which flags no stalled worker.
+With no enabled recorder, the driver runs the campaign on a private
+recorder without trace or heartbeats, which flags no stalled worker.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ class CampaignProgress(CampaignSnapshot):
         super().on_event(event)
         if self.stream is None:
             return
-        kind = event.get("kind")
+        name = event.get("name")
         ts = event.get("ts", time.time())
         # The last cell's line waits for campaign.finished, which every
-        # campaign publishes once, so it prints exactly once.
-        if kind == "campaign.finished" or (
-            kind == "cell.finished"
+        # campaign emits once, so it prints exactly once.
+        if name == "campaign.finished" or (
+            name == "cell.finished"
             and self.done < self.total
             and ts - self._last_print >= self.min_interval
         ):

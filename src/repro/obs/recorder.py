@@ -20,6 +20,14 @@ A real :class:`Recorder` owns a :class:`~repro.obs.metrics.MetricsRegistry`
 and, optionally, a JSONL trace sink (one event object per line). Spans
 write both: a ``{"kind": "span", "name": ..., "dur": ...}`` trace event
 and a ``<name>.seconds`` histogram observation.
+
+The recorder is also the campaign's one event stream. Each
+``rec.event(name, **fields)`` becomes one dict, ``{"ts", "kind":
+"event", "name", **fields}``, that is written to the trace (when
+tracing) and handed to every subscriber: the live telemetry fold
+(:class:`~repro.obs.live.CampaignSnapshot`), the progress line and the
+status writer (:mod:`repro.obs.live`). ``heartbeat_interval`` tells the
+campaign executors whether, and how often, workers beat.
 """
 
 from __future__ import annotations
@@ -28,9 +36,10 @@ import contextlib
 import json
 import logging
 import os
+import threading
 import time
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .metrics import MetricsRegistry
 
@@ -60,6 +69,9 @@ class NullRecorder:
     """
 
     enabled = False
+    #: Worker heartbeat period; ``None`` tells the campaign executors
+    #: not to start heartbeat threads at all.
+    heartbeat_interval: float | None = None
 
     def span(self, name: str, **fields) -> _NullSpan:
         return _NULL_SPAN
@@ -110,7 +122,16 @@ class _Span:
 
 
 class Recorder(NullRecorder):
-    """A live recorder: metrics registry + optional JSONL trace sink."""
+    """A live recorder: metrics registry, optional JSONL trace sink and
+    the event subscribers.
+
+    Events are stamped and written under one lock, so the trace and
+    every subscriber see them in timestamp order whichever thread
+    emits them (the supervisor loop, a serial heartbeat thread). A
+    raising subscriber is dropped for the rest of the run and counted
+    in ``dropped_subscribers``: telemetry must never be able to take a
+    campaign down.
+    """
 
     enabled = True
 
@@ -118,9 +139,14 @@ class Recorder(NullRecorder):
         self,
         trace_path: str | Path | None = None,
         metrics: MetricsRegistry | None = None,
+        heartbeat_interval: float | None = None,
     ):
         self.metrics = metrics or MetricsRegistry()
+        self.heartbeat_interval = heartbeat_interval
         self.trace_path = Path(trace_path) if trace_path else None
+        self._lock = threading.RLock()
+        self._subscribers: list[Callable[[dict], None]] = []
+        self.dropped_subscribers = 0
         self._sink: IO[str] | None = None
         if self.trace_path is not None:
             self.trace_path.parent.mkdir(parents=True, exist_ok=True)
@@ -139,7 +165,9 @@ class Recorder(NullRecorder):
         self, name: str, duration: float, fields: dict, exc_type
     ) -> None:
         self.metrics.observe(f"{name}.seconds", duration)
-        if self._sink is not None:
+        if self._sink is None:
+            return
+        with self._lock:
             event = {"ts": time.time(), "kind": "span", "name": name, "dur": duration}
             if exc_type is not None:
                 event["error"] = exc_type.__name__
@@ -148,16 +176,41 @@ class Recorder(NullRecorder):
             self._write(event)
 
     def event(self, name: str, **fields) -> None:
-        """A point-in-time trace event (also logged at DEBUG)."""
+        """A point-in-time event: written to the trace, handed to every
+        subscriber, and logged at DEBUG."""
         logger.debug("event %s %s", name, fields)
-        if self._sink is not None:
+        if self._sink is None and not self._subscribers:
+            return
+        with self._lock:
+            # Stamped under the lock, so the trace and the subscribers
+            # see events in timestamp order.
             event = {"ts": time.time(), "kind": "event", "name": name}
             event.update(fields)
             self._write(event)
+            for fn in list(self._subscribers):
+                try:
+                    fn(event)
+                except Exception as exc:
+                    self.dropped_subscribers += 1
+                    self._subscribers.remove(fn)
+                    logger.warning(
+                        "event subscriber %r raised %s: %s; dropped",
+                        fn, type(exc).__name__, exc,
+                    )
 
     def _write(self, event: dict) -> None:
-        assert self._sink is not None
-        self._sink.write(json.dumps(event, default=str) + "\n")
+        if self._sink is not None:
+            self._sink.write(json.dumps(event, default=str) + "\n")
+
+    def subscribe(self, fn: Callable[[dict], None]) -> None:
+        """Hand every event from now on to ``fn``."""
+        with self._lock:
+            self._subscribers.append(fn)
+
+    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
+        with self._lock:
+            if fn in self._subscribers:
+                self._subscribers.remove(fn)
 
     # -- metrics passthrough -------------------------------------------
     def inc(self, name: str, value: float = 1.0) -> None:
@@ -171,14 +224,16 @@ class Recorder(NullRecorder):
 
     # -- lifecycle -----------------------------------------------------
     def flush(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
 
     def close(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
-            self._sink.close()
-            self._sink = None
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
+                self._sink.close()
+                self._sink = None
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..intervals import Box, Interval, ihypot
-from ..intervals.batched import IntervalBatch, badd, bhypot, bmul, bsub
+from ..intervals.batched import IntervalBatch, badd, bhypot, bsub
 
 
 class BallSet:

@@ -22,7 +22,7 @@ exponential in the number of unstable neurons).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,15 +6,12 @@ trajectories, and (b) a PROVED_SAFE verdict is never contradicted by a
 concrete collision from that cell.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.acasxu import initial_cells
 from repro.baselines import simulate
 from repro.core import ReachSettings, Verdict, reach_from_box
-from repro.intervals import Box
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 """Tests for the ACAS phi-style property catalog."""
 
 import numpy as np
-import pytest
 
 from repro.acasxu.properties import (
     check_catalog,

@@ -16,7 +16,6 @@ from repro.acasxu import (
     sample_initial_state,
     target_set,
 )
-from repro.intervals import Box
 
 
 class TestSets:

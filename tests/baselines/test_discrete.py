@@ -1,7 +1,6 @@
 """Tests for the discrete-instant baseline and its blind spots."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import (
     DiscreteVerdict,
@@ -11,7 +10,7 @@ from repro.core import ClosedLoopSystem, CommandSet, Controller, Plant
 from repro.intervals import Box
 from repro.nn import Network
 from repro.ode import ODESystem, TaylorIntegrator
-from repro.sets import BoxSet, EmptySet, UnionSet
+from repro.sets import BoxSet, EmptySet
 from tests.core.fixtures import make_system, runaway_network
 
 

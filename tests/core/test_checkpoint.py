@@ -106,16 +106,16 @@ class TestResumedCampaignEvents:
     """A resumed campaign reports replayed and fresh cells alike."""
 
     def test_cell_finished_seq_is_the_partition_index(self, tmp_path):
-        from repro.obs import TelemetryBus, use_bus
+        from repro.obs import Recorder, use_recorder
 
         journal = tmp_path / "journal.jsonl"
         verify_partition(make_system, cells()[:2], journal=journal)
-        bus = TelemetryBus()
+        rec = Recorder()
         events = []
-        bus.subscribe(events.append)
-        with use_bus(bus):
+        rec.subscribe(events.append)
+        with use_recorder(rec):
             verify_partition(make_system, cells(), journal=journal)
-        finished = [e for e in events if e["kind"] == "cell.finished"]
+        finished = [e for e in events if e["name"] == "cell.finished"]
         assert sorted(e["seq"] for e in finished) == [0, 1, 2, 3]
         assert all(e["cell_id"] == f"cell-{e['seq']}" for e in finished)
         assert [e["cached"] for e in finished] == [True, True, False, False]

@@ -35,6 +35,19 @@ def cells():
     ]
 
 
+def tree(cell) -> tuple:
+    """A result tree without its wall-clock fields."""
+    return (
+        cell.box.lo.tobytes(),
+        cell.box.hi.tobytes(),
+        cell.verdict,
+        cell.steps_completed,
+        cell.joins_performed,
+        cell.integrations,
+        tuple(tree(child) for child in cell.children),
+    )
+
+
 class TestSpecParsing:
     def test_crash_variants(self):
         assert parse_faults("crash:cell-3") == [
@@ -197,9 +210,9 @@ class TestCheckpointResumeUnderFaults:
     def test_crash_mid_campaign_then_resume_covers_partition_exactly_once(
         self, tmp_path
     ):
-        """Satellite: kill a worker mid-campaign, restart from the
-        journal, and the union of journaled + rerun cells equals the
-        partition with no duplicates."""
+        """Kill a worker mid-campaign, restart from the journal, and the
+        union of journaled + rerun cells equals the partition with no
+        duplicates, with the same trees as an unfaulted run."""
         journal = tmp_path / "journal.jsonl"
         settings = RunnerSettings(workers=2, max_retries=0, retry_backoff=0.01)
         with injected_faults("crash:cell-2:*"):
@@ -221,6 +234,8 @@ class TestCheckpointResumeUnderFaults:
         with open(journal) as handle:
             keys = [json.loads(line)["key"] for line in handle if line.strip()]
         assert len(keys) == len(set(keys)) == 4
+        clean = verify_partition(make_system, cells(), settings)
+        assert [tree(c) for c in second.cells] == [tree(c) for c in clean.cells]
 
     def test_acceptance_combo(self, tmp_path):
         """The issue's acceptance scenario: two workers, one crashing

@@ -9,7 +9,6 @@ never coexist with a concrete trajectory entering E.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -306,7 +306,7 @@ class TestVerifyPartition:
         class Progress(CampaignProgress):
             def on_event(self, event):
                 super().on_event(event)
-                if event["kind"] == "cell.finished":
+                if event["name"] == "cell.finished":
                     seen.append((self.done, self.total))
 
         verify_partition(system_factory, cells_for(boxes), progress=Progress(stream=None))
@@ -324,7 +324,7 @@ class TestVerifyPartition:
         class Progress(CampaignProgress):
             def on_event(self, event):
                 super().on_event(event)
-                if event["kind"] == "cell.finished":
+                if event["name"] == "cell.finished":
                     log.append(("progress", self.done, event["cell_id"]))
 
         monkeypatch.setattr(runner_module, "reach_many", logging_reach_many)
@@ -355,7 +355,7 @@ class TestVerifyPartition:
         class Interrupt(CampaignProgress):
             def on_event(self, event):
                 super().on_event(event)
-                if event["kind"] == "cell.finished":
+                if event["name"] == "cell.finished":
                     os.kill(os.getpid(), signal.SIGINT)
 
         monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)

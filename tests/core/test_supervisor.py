@@ -17,7 +17,7 @@ from repro.core import (
     verify_partition,
 )
 from repro.intervals import Box
-from repro.obs import CampaignProgress, TelemetryBus, use_bus
+from repro.obs import CampaignProgress, Recorder, use_recorder
 from repro.testing import injected_faults
 from repro.testing.faults import CRASH_EXIT_CODE
 
@@ -125,12 +125,12 @@ class TestSerialFaultTolerance:
             def on_event(self, event):
                 raise ValueError("broken progress bar")
 
-        with use_bus(TelemetryBus(heartbeat_interval=None)) as bus:
+        with use_recorder(Recorder()) as rec:
             report = verify_partition(
                 make_system, four_cells(), progress=ExplodingProgress(stream=None)
             )
-        # The bus dropped the raising subscriber at its first event.
-        assert bus.dropped_subscribers == 1
+        # The recorder dropped the raising subscriber at its first event.
+        assert rec.dropped_subscribers == 1
         assert report.total_cells == 4
         assert report.coverage_percent() == pytest.approx(100.0)
 
@@ -240,20 +240,18 @@ class TestSupervisedPool:
 
 
 class TestPoolTelemetry:
-    """Bus plumbing through the supervised pool: worker heartbeats
-    travel the result pipe, and the supervisor republishes lifecycle
-    events onto the ambient bus."""
+    """Event plumbing through the supervised pool: worker heartbeats
+    travel the result pipe, and the supervisor emits lifecycle events
+    through the ambient recorder."""
 
     def collect(self, faults=None, **settings_kwargs):
         """Run four cells on a 2-worker pool. ``cell.finished`` is a
         campaign event, so the pool runs under the campaign driver."""
-        from repro.obs import TelemetryBus, use_bus
-
-        bus = TelemetryBus(heartbeat_interval=0.05)
+        rec = Recorder(heartbeat_interval=0.05)
         events = []
-        bus.subscribe(events.append)
+        rec.subscribe(events.append)
         settings = RunnerSettings(workers=2, **settings_kwargs)
-        with use_bus(bus):
+        with use_recorder(rec):
             if faults:
                 with injected_faults(faults):
                     report = verify_partition(make_system, four_cells(), settings)
@@ -265,18 +263,18 @@ class TestPoolTelemetry:
         import os
 
         report, events = self.collect(faults="slow:cell-0:0.2")
-        kinds = [e["kind"] for e in events]
+        kinds = [e["name"] for e in events]
         assert kinds.count("worker.spawned") == 2
         assert kinds.count("worker.ready") == 2
         assert kinds.count("cell.dispatched") == 4
         assert kinds.count("cell.finished") == 4
-        beats = [e for e in events if e["kind"] == "worker.heartbeat"]
+        beats = [e for e in events if e["name"] == "worker.heartbeat"]
         assert beats, "no heartbeats crossed the worker pipe"
         beat = beats[0]
         # Worker-originated: the PID is a child's, not the parent's.
         assert beat["pid"] != os.getpid() and beat["pid"] > 0
         assert {"rss_bytes", "cells_completed", "cell_elapsed"} <= set(beat)
-        finished = [e for e in events if e["kind"] == "cell.finished"]
+        finished = [e for e in events if e["name"] == "cell.finished"]
         assert all(e["verdict_class"] == "proved" for e in finished)
         assert len(report.cells) == 4
 
@@ -286,18 +284,26 @@ class TestPoolTelemetry:
         _report, events = self.collect(
             faults="crash:cell-0:1,crash:cell-1:*", max_retries=1, retry_backoff=0.01
         )
-        kinds = [e["kind"] for e in events]
+        kinds = [e["name"] for e in events]
         assert "worker.crash" in kinds
         assert "worker.respawn" in kinds
         assert "cell.retried" in kinds
-        quarantined = [e for e in events if e["kind"] == "cell.quarantined"]
+        quarantined = [e for e in events if e["name"] == "cell.quarantined"]
         assert len(quarantined) == 1
         assert quarantined[0]["cell_id"] == "cell-1"
         assert quarantined[0]["reason"] == "crash"
 
-    def test_no_bus_no_heartbeat_threads(self):
-        """Without an enabled bus the pool passes heartbeat=None to the
-        workers — telemetry must cost nothing when off."""
+    def test_no_bus_no_heartbeat_threads(self, monkeypatch):
+        """Without a heartbeat period on the recorder the pool passes
+        heartbeat=None to the workers — telemetry must cost nothing
+        when off. A forked worker inherits the patch below, so one that
+        started a heartbeat thread would die and its cell be aborted."""
+        from repro.obs import HeartbeatReporter
+
+        def no_thread(self):
+            raise AssertionError("a heartbeat thread was started")
+
+        monkeypatch.setattr(HeartbeatReporter, "start", no_thread)
         tasks = [("cell-0", Box([2.0], [2.2]), 1, {})]
         outcome = run_supervised(make_system, tasks, RunnerSettings(workers=2))
         assert outcome.results[0].proved

@@ -1,7 +1,6 @@
 """Tests for falsification-guided refinement (Section 8 coupling)."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import make_cell_witness_search
 from repro.core import (

@@ -1,7 +1,5 @@
 """Tests for the SVG safety-map renderer."""
 
-import pytest
-
 from repro.core import CellResult, Verdict, VerificationReport
 from repro.experiments import render_fig9a_svg, write_fig9a_svg
 from repro.intervals import Box

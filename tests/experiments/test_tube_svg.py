@@ -1,6 +1,5 @@
 """Tests for the flow-tube SVG renderer."""
 
-import numpy as np
 import pytest
 
 from repro.acasxu import ADVISORIES, initial_cells

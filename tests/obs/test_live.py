@@ -1,8 +1,9 @@
-"""Live campaign telemetry: the bus, the snapshot fold, atomic status
-files, pruning, stall detection, the watch/Prometheus renderers, and
-the opt-in metrics endpoint — including the acceptance scenarios (no
-torn reads ever; final snapshot equals the ledger's verdict counts;
-a stalled worker is flagged within two heartbeat intervals)."""
+"""Live campaign telemetry: the snapshot fold of the recorder's events,
+atomic status files, pruning, stall detection, the watch/Prometheus
+renderers, and the opt-in metrics endpoint — including the acceptance
+scenarios (no torn reads ever; final snapshot equals the ledger's
+verdict counts; a stalled worker is flagged within two heartbeat
+intervals; events.jsonl is the trace's events)."""
 
 import json
 import threading
@@ -14,21 +15,22 @@ import pytest
 from repro.core import RunnerSettings, grid_partition, verify_partition
 from repro.intervals import Box
 from repro.obs import (
-    NULL_BUS,
+    NULL_RECORDER,
     CampaignSnapshot,
     HeartbeatReporter,
     LiveTelemetry,
     MetricsServer,
-    TelemetryBus,
+    Recorder,
     TelemetrySettings,
-    get_bus,
+    get_recorder,
     list_live_runs,
     prune_stale_runs,
     read_status,
+    read_trace,
     record_from_report,
     render_prometheus,
     render_watch,
-    use_bus,
+    use_recorder,
     write_status_atomic,
 )
 from repro.obs.live import WorkerState, stalled, verdict_bar
@@ -44,113 +46,29 @@ def cells(n=4):
     ]
 
 
-# ----------------------------------------------------------------------
-# The bus
-# ----------------------------------------------------------------------
 class TestTelemetryBus:
-    def test_publish_stamps_ts_and_kind(self):
-        bus = TelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.publish("cell.finished", worker=1, verdict_class="proved")
-        assert len(seen) == 1
-        event = seen[0]
-        assert event["kind"] == "cell.finished"
-        assert event["worker"] == 1
-        assert event["ts"] == pytest.approx(time.time(), abs=5.0)
-
-    def test_raising_subscriber_dropped_not_propagated(self):
-        bus = TelemetryBus()
-        seen = []
-
-        def bad(event):
-            raise RuntimeError("boom")
-
-        bus.subscribe(bad)
-        bus.subscribe(seen.append)
-        bus.publish("a")
-        bus.publish("b")
-        assert [e["kind"] for e in seen] == ["a", "b"]
-        assert bus.dropped_subscribers == 1
-
-    def test_unsubscribe(self):
-        bus = TelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.unsubscribe(seen.append)
-        bus.publish("a")
-        assert seen == []
-
-    def test_concurrent_publishers_deliver_in_timestamp_order(self, monkeypatch):
-        """A publisher parked between its timestamp and its fan-out must
-        not let a later-stamped event overtake it (a heartbeat thread and
-        the main thread share one events.jsonl)."""
-        bus = TelemetryBus()
-        seen = []
-        queued = threading.Event()
-        written = threading.Event()
-        stamped = threading.Event()
-
-        def subscriber(event):
-            seen.append(event)
-            if event["kind"] == "second":
-                written.set()
-
-        bus.subscribe(subscriber)
-        first = threading.Thread(target=bus.publish, args=("first",))
-        second = threading.Thread(target=bus.publish, args=("second",))
-        inner = bus._lock
-        owner = []
-
-        class TrackedLock:
-            def __enter__(self):
-                if threading.current_thread() is second:
-                    queued.set()
-                inner.acquire()
-                owner.append(threading.get_ident())
-
-            def __exit__(self, *exc):
-                owner.pop()
-                inner.release()
-
-        class Clock:
-            def __getattr__(self, name):
-                return getattr(time, name)
-
-            def time(self):
-                if threading.current_thread() is second:
-                    return 2.0
-                if threading.current_thread() is not first:
-                    return time.time()
-                stamped.set()
-                # Park until the second publisher has written, or, if this
-                # thread stamps under the bus lock (so the second cannot
-                # write first), until the second is queued on that lock.
-                holds_lock = bool(owner) and owner[-1] == threading.get_ident()
-                assert (queued if holds_lock else written).wait(10.0)
-                return 1.0
-
-        bus._lock = TrackedLock()
-        monkeypatch.setattr("repro.obs.live.time", Clock())
-        first.start()
-        assert stamped.wait(10.0)
-        second.start()
-        first.join(10.0)
-        second.join(10.0)
-        assert not first.is_alive() and not second.is_alive()
-        assert [(e["kind"], e["ts"]) for e in seen] == [("first", 1.0), ("second", 2.0)]
+    """The recorder is the campaign's telemetry bus: executors read the
+    heartbeat period from the ambient recorder and emit events through it."""
 
     def test_null_bus_is_inert_and_ambient_by_default(self):
-        assert get_bus() is NULL_BUS
-        assert not NULL_BUS.enabled
-        assert NULL_BUS.heartbeat_interval is None
-        NULL_BUS.publish("anything", x=1)  # no-op, no error
+        bus = get_recorder()
+        assert bus is NULL_RECORDER
+        assert not bus.enabled
+        # No heartbeat period: executors start no heartbeat thread.
+        assert bus.heartbeat_interval is None
+        assert Recorder().heartbeat_interval is None
+        bus.event("anything", x=1)  # no-op, no error
 
     def test_use_bus_scopes_and_restores(self):
-        bus = TelemetryBus()
-        with use_bus(bus):
-            assert get_bus() is bus
-        assert get_bus() is NULL_BUS
+        bus = Recorder()
+        seen = []
+        bus.subscribe(seen.append)
+        with use_recorder(bus):
+            assert get_recorder() is bus
+            get_recorder().event("cell.finished", worker=1)
+        assert get_recorder() is NULL_RECORDER
+        get_recorder().event("after")  # outside the block: not delivered
+        assert [e["name"] for e in seen] == ["cell.finished"]
 
 
 class TestTelemetrySettings:
@@ -173,7 +91,7 @@ class TestTelemetrySettings:
 class TestCampaignSnapshot:
     def fold(self, snapshot, *events):
         for kind, fields in events:
-            snapshot.on_event({"ts": time.time(), "kind": kind, **fields})
+            snapshot.on_event({"ts": time.time(), "kind": "event", "name": kind, **fields})
 
     def test_worker_lifecycle_and_counters(self):
         snap = CampaignSnapshot("run-1")
@@ -236,11 +154,12 @@ class TestCampaignSnapshot:
         toward done and percent, but the rate and ETA only see the cells
         this campaign computed."""
         snap = CampaignSnapshot("run-1")
+        replayed = {"name": "cell.finished", "cached": True, "verdict_class": "proved"}
         for event in (
-            {"ts": 100.0, "kind": "campaign.started", "total": 10},
-            {"ts": 100.0, "kind": "cell.finished", "cached": True, "verdict_class": "proved"},
-            {"ts": 100.0, "kind": "cell.finished", "cached": True, "verdict_class": "proved"},
-            {"ts": 110.0, "kind": "cell.finished", "cached": False, "verdict_class": "proved"},
+            {"ts": 100.0, "kind": "event", "name": "campaign.started", "total": 10},
+            {"ts": 100.0, "kind": "event", **replayed},
+            {"ts": 100.0, "kind": "event", **replayed},
+            {"ts": 110.0, "kind": "event", **replayed, "cached": False},
         ):
             snap.on_event(event)
         assert snap.rate(now=110.0) == pytest.approx(0.1)
@@ -282,11 +201,13 @@ class TestStallDetection:
         assert stalled(worker, now, stall_after=3.0)
 
     def test_threshold_follows_the_attached_bus(self):
-        """The snapshot judges silence against its bus's heartbeat
-        period; on a bus without heartbeats no worker is stalled."""
-        dispatch = {"ts": 0.0, "kind": "cell.dispatched", "worker": 0, "cell_id": "c"}
-        slow_beats = CampaignSnapshot("run-1").attach(TelemetryBus(heartbeat_interval=5.0))
-        no_beats = CampaignSnapshot("run-2").attach(TelemetryBus(heartbeat_interval=None))
+        """The snapshot judges silence against its recorder's heartbeat
+        period; on a recorder without heartbeats no worker is stalled."""
+        dispatch = {
+            "ts": 0.0, "kind": "event", "name": "cell.dispatched", "worker": 0, "cell_id": "c",
+        }
+        slow_beats = CampaignSnapshot("run-1").attach(Recorder(heartbeat_interval=5.0))
+        no_beats = CampaignSnapshot("run-2").attach(Recorder())
         for snap in (slow_beats, no_beats):
             snap.on_event(dispatch)
         assert slow_beats.stall_after == pytest.approx(15.0)
@@ -305,9 +226,9 @@ class TestStallDetection:
         settings = TelemetrySettings(interval=interval, stall_factor=2.0)
         snap = CampaignSnapshot("run-1", settings)
         beat = time.time()
-        snap.on_event({"ts": beat, "kind": "cell.dispatched",
+        snap.on_event({"ts": beat, "kind": "event", "name": "cell.dispatched",
                        "worker": 0, "cell_id": "cell-0", "seq": 0})
-        snap.on_event({"ts": beat, "kind": "worker.heartbeat", "worker": 0})
+        snap.on_event({"ts": beat, "kind": "event", "name": "worker.heartbeat", "worker": 0})
         assert snap.stalled_count(now=beat + interval) == 0
         assert snap.stalled_count(now=beat + 2 * interval + 0.01) == 1
 
@@ -570,7 +491,7 @@ class TestMetricsServer:
     def test_endpoint_live_during_multiworker_campaign(self, tmp_path):
         """The CI acceptance scenario, in-process: scrape both formats
         *while* the supervised pool is mid-campaign (triggered from a
-        bus subscriber, so the campaign is provably still running)."""
+        recorder subscriber, so the campaign is provably still running)."""
         settings = TelemetrySettings(
             interval=0.1, root=tmp_path, metrics_port=0
         )
@@ -578,7 +499,7 @@ class TestMetricsServer:
         scraped = {}
 
         def scrape_once(event):
-            if event["kind"] != "cell.finished" or scraped:
+            if event["name"] != "cell.finished" or scraped:
                 return
             url = f"http://127.0.0.1:{live.server.port}"
             _, _, body = self.get(url + "/status.json")
@@ -586,7 +507,7 @@ class TestMetricsServer:
             _, _, prom = self.get(url + "/metrics")
             scraped["prom"] = prom
 
-        live.bus.subscribe(scrape_once)
+        live.recorder.subscribe(scrape_once)
         with live:
             report = verify_partition(
                 make_system, cells(4), RunnerSettings(workers=2)
@@ -648,7 +569,7 @@ class TestLiveTelemetryEndToEnd:
         live, report = self.run_campaign(tmp_path, workers=1)
         lines = live.writer.events_path.read_text().splitlines()
         events = [json.loads(line) for line in lines]
-        kinds = [e["kind"] for e in events]
+        kinds = [e["name"] for e in events]
         assert kinds[0] == "campaign.started"
         assert kinds[-1] == "campaign.finished"
         assert kinds.count("cell.finished") == 4
@@ -681,17 +602,97 @@ class TestLiveTelemetryEndToEnd:
         assert "--live" in capsys.readouterr().err
 
     def test_worker_bus_not_inherited(self, tmp_path):
-        """Fork workers drop the parent's live bus: only the parent
-        writes events.jsonl, so event counts stay exact (one
-        cell.finished per cell, not one per process)."""
+        """Fork workers drop the parent's recorder and its subscribers:
+        only the parent writes events.jsonl, so event counts stay exact
+        (one cell.finished per cell, not one per process)."""
         live, report = self.run_campaign(tmp_path, workers=2)
         events = [
             json.loads(line)
             for line in live.writer.events_path.read_text().splitlines()
         ]
-        finished = [e for e in events if e["kind"] == "cell.finished"]
+        finished = [e for e in events if e["name"] == "cell.finished"]
         assert len(finished) == 4
-        assert len([e for e in events if e["kind"] == "campaign.started"]) == 1
+        assert len([e for e in events if e["name"] == "campaign.started"]) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_process_timeout_counts_as_quarantined(self, tmp_path, workers):
+        """A cell the budget guard times out inside its process is
+        quarantined like a crash-exhausted one: status.json, the watch
+        frame and /metrics all count it (no pool kill is involved)."""
+        live, report = self.run_campaign(
+            tmp_path, workers, faults="slow:cell-1:5", cell_timeout=0.5
+        )
+        assert [c.cell_id for c in report.quarantined_cells()] == ["cell-1"]
+        final = json.loads(live.status_path.read_text())
+        assert final["verdicts"]["timed-out"] == 1
+        assert final["quarantined"] == 1
+        assert "quarantined 1" in render_watch(final)
+        assert "repro_campaign_quarantined_total 1\n" in render_prometheus(final)
+
+    def test_events_jsonl_is_the_trace(self, tmp_path, capsys):
+        """One stream: under a tracing recorder, every line of
+        events.jsonl is a line of the trace, and `repro stats` reads
+        events.jsonl with the trace's fault-recovery counts."""
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=trace)
+        # cell-0 crashes once too: with both first cells crashing, work
+        # is still pending at the first reap, so the respawn is certain.
+        with use_recorder(rec):
+            live, _report = self.run_campaign(
+                tmp_path, workers=2, faults="crash:cell-0:1,crash:cell-1:*",
+                max_retries=1, retry_backoff=0.01,
+            )
+        rec.close()
+        assert live.recorder is rec
+        trace_lines = set(trace.read_text().splitlines())
+        event_lines = live.writer.events_path.read_text().splitlines()
+        assert event_lines and set(event_lines) <= trace_lines
+        counts = {}
+        for event in read_trace(trace):
+            counts[event["name"]] = counts.get(event["name"], 0) + 1
+        assert counts["worker.crash"] >= 2 and counts["worker.respawn"] >= 1
+        assert main(["stats", str(live.writer.events_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"worker crashes: {counts['worker.crash']}\n" in out
+        assert f"worker respawns: {counts['worker.respawn']}\n" in out
+        assert "cell.finished: 4\n" in out
+
+
+class TestLiveTelemetryRecorder:
+    """Which recorder the live views subscribe to, and what the block
+    changes on it."""
+
+    def test_given_recorder_gets_the_heartbeat_period_for_the_block(self, tmp_path):
+        rec = Recorder()
+        live = LiveTelemetry("given", TelemetrySettings(interval=0.3, root=tmp_path),
+                             recorder=rec)
+        with live:
+            assert live.recorder is rec
+            assert get_recorder() is NULL_RECORDER  # not installed
+            assert rec.heartbeat_interval == 0.3
+            assert live.snapshot.stall_after == pytest.approx(0.9)
+            rec.event("campaign.started", total=2)
+        assert rec.heartbeat_interval is None
+        rec.event("campaign.started", total=7)  # unsubscribed: not folded
+        assert live.snapshot.total == 2
+        assert len(live.writer.events_path.read_text().splitlines()) == 1
+
+    def test_enabled_ambient_recorder_is_used(self, tmp_path):
+        rec = Recorder()
+        with use_recorder(rec):
+            live = LiveTelemetry("ambient", TelemetrySettings(root=tmp_path))
+            with live:
+                assert live.recorder is rec and get_recorder() is rec
+            assert get_recorder() is rec
+
+    def test_fresh_recorder_installed_for_the_block(self, tmp_path):
+        live = LiveTelemetry("fresh", TelemetrySettings(root=tmp_path))
+        assert live.recorder is not NULL_RECORDER and live.recorder.enabled
+        with live:
+            assert get_recorder() is live.recorder
+        assert get_recorder() is NULL_RECORDER
 
 
 # ----------------------------------------------------------------------
@@ -701,7 +702,7 @@ class TestNodeTelemetry:
     def fold(self, snapshot, *events):
         now = time.time()
         for kind, fields in events:
-            snapshot.on_event({"ts": now, "kind": kind, **fields})
+            snapshot.on_event({"ts": now, "kind": "event", "name": kind, **fields})
 
     def node_events(self):
         return [

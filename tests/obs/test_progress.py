@@ -8,26 +8,30 @@ import pytest
 from repro.core import CellResult, RunnerSettings, Verdict, grid_partition, verify_partition
 from repro.core.runner import _publish_finished
 from repro.intervals import Box
-from repro.obs import CampaignProgress, TelemetryBus, format_eta, use_bus
+from repro.obs import CampaignProgress, Recorder, format_eta, use_recorder
 from repro.testing import injected_faults
 
 from ..core.fixtures import make_system
 
 
+def event(name, ts, **fields):
+    """A recorder event as subscribers receive it."""
+    return {"ts": ts, "kind": "event", "name": name, **fields}
+
+
 def started(total, ts=0.0):
-    return {"kind": "campaign.started", "ts": ts, "total": total}
+    return event("campaign.started", ts, total=total)
 
 
 def finished(ts, verdict_class="proved", cached=False, worker=None):
-    return {
-        "kind": "cell.finished", "ts": ts, "verdict_class": verdict_class,
-        "cached": cached, "worker": worker,
-    }
+    return event(
+        "cell.finished", ts, verdict_class=verdict_class, cached=cached, worker=worker
+    )
 
 
 def feed(progress, *events):
-    for event in events:
-        progress.on_event(event)
+    for item in events:
+        progress.on_event(item)
     return progress
 
 
@@ -109,9 +113,9 @@ class TestRollingVerdicts:
             CellResult("cell-0.0", box, 0, Verdict.PROVED_SAFE, depth=1),
             CellResult("cell-0.1", box, 0, Verdict.POSSIBLY_UNSAFE, depth=1),
         ]
-        bus = TelemetryBus(heartbeat_interval=None)
-        progress = quiet().attach(bus)
-        with use_bus(bus):
+        rec = Recorder()
+        progress = quiet().attach(rec)
+        with use_recorder(rec):
             _publish_finished(0, root, worker=0)
         assert progress.verdicts["unproved"] == 1
         assert progress.verdicts["proved"] == 0
@@ -122,9 +126,9 @@ class TestRollingVerdicts:
         progress = feed(
             quiet(),
             started(2),
-            {"kind": "worker.ready", "ts": 0.1, "worker": 0, "pid": 1},
-            {"kind": "cell.dispatched", "ts": 0.2, "worker": 0, "cell_id": "cell-0"},
-            {"kind": "worker.heartbeat", "ts": 0.3, "worker": 0},
+            event("worker.ready", 0.1, worker=0, pid=1),
+            event("cell.dispatched", 0.2, worker=0, cell_id="cell-0"),
+            event("worker.heartbeat", 0.3, worker=0),
         )
         assert progress.done == 0
         assert set(progress.verdicts.values()) == {0}
@@ -153,7 +157,7 @@ class TestRendering:
             finished(1.0),  # first one prints (interval from -inf)
             finished(2.0),  # throttled
             finished(3.0),  # the last cell: its line waits for ...
-            {"kind": "campaign.finished", "ts": 3.0, "interrupted": None},  # ... this
+            event("campaign.finished", 3.0, interrupted=None),  # ... this
         )
         printed = lines(stream)
         assert len(printed) == 2
@@ -163,7 +167,7 @@ class TestRendering:
         stream = io.StringIO()
         progress = CampaignProgress(stream=stream, min_interval=0.0)
         feed(progress, started(3), finished(1.0), finished(2.0), finished(3.0))
-        feed(progress, {"kind": "campaign.finished", "ts": 3.0, "interrupted": None})
+        feed(progress, event("campaign.finished", 3.0, interrupted=None))
         printed = lines(stream)
         assert [line.split(" (")[0] for line in printed] == [
             "cells 1/3", "cells 2/3", "cells 3/3",
@@ -177,7 +181,7 @@ class TestRendering:
             started(4),
             finished(1.0),
             finished(2.0),
-            {"kind": "campaign.finished", "ts": 2.5, "interrupted": "deadline"},
+            event("campaign.finished", 2.5, interrupted="deadline"),
         )
         assert lines(stream)[-1].startswith("cells 2/4 (50.0%)")
 
@@ -204,15 +208,15 @@ class TestStalledMarker:
     @staticmethod
     def busy_pool(beat_at):
         """Two workers dispatched at 0 whose newest beats are at
-        ``beat_at``, folded by a progress line on a bus beating every
-        second (stalled after 3 s of silence)."""
-        progress = quiet().attach(TelemetryBus(heartbeat_interval=1.0))
+        ``beat_at``, folded by a progress line on a recorder beating
+        every second (stalled after 3 s of silence)."""
+        progress = quiet().attach(Recorder(heartbeat_interval=1.0))
         feed(progress, started(10))
         for worker in (0, 1):
             feed(
                 progress,
-                {"kind": "cell.dispatched", "ts": 0.0, "worker": worker, "cell_id": "c"},
-                {"kind": "worker.heartbeat", "ts": beat_at, "worker": worker},
+                event("cell.dispatched", 0.0, worker=worker, cell_id="c"),
+                event("worker.heartbeat", beat_at, worker=worker),
             )
         return progress
 
@@ -221,12 +225,13 @@ class TestStalledMarker:
 
     def test_hidden_when_zero_or_absent(self):
         assert "stalled" not in self.busy_pool(beat_at=9.5).render(now=10.0)
-        # A bus without heartbeats flags no stall, however long a cell runs.
-        plain = quiet().attach(TelemetryBus(heartbeat_interval=None))
+        # A recorder without heartbeats flags no stall, however long a
+        # cell runs.
+        plain = quiet().attach(Recorder())
         feed(
             plain,
             started(10),
-            {"kind": "cell.dispatched", "ts": 0.0, "worker": 0, "cell_id": "c"},
+            event("cell.dispatched", 0.0, worker=0, cell_id="c"),
         )
         assert "stalled" not in plain.render(now=100.0)
 
@@ -262,10 +267,10 @@ class TestCampaignProgress:
                 tags=tags or {},
             )
 
-        bus = TelemetryBus(heartbeat_interval=None)
-        progress = quiet().attach(bus)
-        with use_bus(bus):
-            bus.publish("campaign.started", total=4)
+        rec = Recorder()
+        progress = quiet().attach(rec)
+        with use_recorder(rec):
+            rec.event("campaign.started", total=4)
             _publish_finished(0, cell(Verdict.PROVED_SAFE), worker=0)
             _publish_finished(1, cell(Verdict.POSSIBLY_UNSAFE), worker=0)
             _publish_finished(

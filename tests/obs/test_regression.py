@@ -4,8 +4,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.obs import (
     RunRecord,
     compare_records,

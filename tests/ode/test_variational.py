@@ -248,7 +248,7 @@ class TestQrMode:
             assert end.max_width < 0.21
 
     def test_inverse_enclosure_rigorous(self):
-        from repro.ode.variational import inverse_enclosure, mat_vec
+        from repro.ode.variational import inverse_enclosure
 
         rng = np.random.default_rng(4)
         m = rng.normal(size=(3, 3))

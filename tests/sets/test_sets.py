@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.intervals import Box, Interval
+from repro.intervals import Box
 from repro.sets import (
     BallSet,
     BoxSet,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.intervals import Box
 from repro.verify import LinearBounds
 from repro.verify.symbolic import (
     _affine_transform,
