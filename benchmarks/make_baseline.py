@@ -45,10 +45,6 @@ def build_baseline_record(arcs: int = 8, headings: int = 3):
             reach=ReachSettings(substeps=10, max_symbolic_states=5),
             refinement=RefinementPolicy(dims=(0, 1, 2), max_depth=1),
             workers=1,
-            # Lockstep SoA waves — the same mode `repro verify` picks by
-            # default for a serial, unbudgeted campaign, so the CI
-            # regression gate compares like with like.
-            batch_cells=True,
         ),
     )
     started = time.perf_counter()
@@ -67,7 +63,6 @@ def build_baseline_record(arcs: int = 8, headings: int = 3):
             "substeps": 10,
             "gamma": 5,
             "workers": 1,
-            "batch_cells": True,
         },
         wall_seconds=wall,
         extra={"generator": "benchmarks/make_baseline.py"},

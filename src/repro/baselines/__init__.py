@@ -10,7 +10,6 @@ from .falsify import (
     FalsificationResult,
     cross_entropy_falsification,
     error_distance_robustness,
-    make_cell_witness_search,
     min_distance_robustness,
     random_falsification,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "cross_entropy_falsification",
     "discrete_instant_analysis",
     "error_distance_robustness",
-    "make_cell_witness_search",
     "min_distance_robustness",
     "random_falsification",
     "simulate",

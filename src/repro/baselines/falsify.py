@@ -155,43 +155,3 @@ def _run(
         samples_per_period=samples_per_period,
         stop_on_error=True,
     )
-
-
-def make_cell_witness_search(
-    robustness: Robustness | None = None,
-    population: int = 16,
-    elites: int = 4,
-    generations: int = 3,
-    seed: int = 0,
-    samples_per_period: int = 4,
-):
-    """A ``RunnerSettings.witness_search`` built on the CE falsifier.
-
-    The returned callable searches one initial cell for a concrete
-    unsafe initial state (parameterizing directly over the cell box)
-    and returns it, or None. Plug into
-    :class:`repro.core.RunnerSettings` to implement the Section 8
-    falsification coupling: genuinely-unsafe cells are identified with
-    a witness instead of being refined in vain.
-    """
-
-    def search(system: ClosedLoopSystem, cell: Box, command: int):
-        def decode(params):
-            return np.asarray(params, dtype=float), command
-
-        result = cross_entropy_falsification(
-            system,
-            cell,
-            decode,
-            robustness=robustness,
-            population=population,
-            elites=elites,
-            generations=generations,
-            seed=seed,
-            samples_per_period=samples_per_period,
-        )
-        if result.falsified:
-            return result.witness_params
-        return None
-
-    return search

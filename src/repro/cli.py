@@ -188,12 +188,14 @@ def _campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell wall-clock budget, enforced where the cell runs; "
-        "overruns quarantine as timed-out",
+        "overruns quarantine as timed-out (a serial campaign then runs "
+        "its cells one at a time)",
     )
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="campaign wall-clock budget; stop dispatching once exceeded "
-        "and return a partial report",
+        help="campaign wall-clock budget; once exceeded, a serial campaign "
+        "stops at the next wave boundary and a pool stops dispatching, "
+        "and the finished cells make a partial report",
     )
     parser.add_argument(
         "--max-retries", type=int, default=1,
@@ -239,8 +241,7 @@ def _distributed_journal(args: argparse.Namespace, run_id: str) -> str:
     return args.journal or os.path.join(".repro", "distributed", f"{run_id}.jsonl")
 
 
-def _run_campaign(args: argparse.Namespace, kind: str, workers: int,
-                  lockstep: bool, execute) -> int:
+def _run_campaign(args: argparse.Namespace, kind: str, workers: int, execute) -> int:
     """Run one campaign: everything around
     ``execute(runner_settings, run_id, progress) -> VerificationReport``."""
     import contextlib
@@ -271,7 +272,6 @@ def _run_campaign(args: argparse.Namespace, kind: str, workers: int,
             cell_timeout=args.cell_timeout,
             deadline=args.deadline,
             max_retries=args.max_retries,
-            batch_cells=lockstep,
         )
     except ValueError as error:
         print(
@@ -417,13 +417,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Verify the partition on this machine: serially, on a worker
     pool, or (``--distributed``) by a loopback coordinator with forked
     node agents, whose journal and report match a single-host run."""
-    # Lockstep waves whenever the campaign is serial and unbudgeted;
-    # budgets are enforced per dispatched cell.
-    lockstep = (
-        args.workers == 1
-        and args.cell_timeout is None
-        and args.deadline is None
-    )
 
     def execute(runner, run_id, progress):
         from .experiments import ExperimentConfig, run_experiment
@@ -459,7 +452,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report.settings_summary["num_headings"] = config.num_headings
         return report
 
-    return _run_campaign(args, "verify", args.workers, lockstep, execute)
+    return _run_campaign(args, "verify", args.workers, execute)
 
 
 def _coordinate_arguments(parser: argparse.ArgumentParser) -> None:
@@ -503,7 +496,7 @@ def cmd_coordinate(args: argparse.Namespace) -> int:
         return coordinator.serve()
 
     # The nodes bring their own pools; the coordinator runs no cell.
-    return _run_campaign(args, "coordinate", 1, False, execute)
+    return _run_campaign(args, "coordinate", 1, execute)
 
 
 def _node_arguments(parser: argparse.ArgumentParser) -> None:

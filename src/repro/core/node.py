@@ -210,8 +210,6 @@ def run_node(
             cell_timeout=runner_settings.cell_timeout,
             max_retries=runner_settings.max_retries,
             retry_backoff=runner_settings.retry_backoff,
-            witness_search=runner_settings.witness_search,
-            witness_timeout=runner_settings.witness_timeout,
         )
     else:
         pool_settings = RunnerSettings(

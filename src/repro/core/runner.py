@@ -6,10 +6,12 @@ verification problems, so the partition is embarrassingly parallel.
 pool (:mod:`repro.core.supervisor` — fork-based, so the closed-loop
 system object does not need to be picklable) and applies split
 refinement to cells that fail, each refinement round as one lockstep
-wave of reach runs. The execution layer is fault-tolerant:
-worker crashes are retried and then quarantined as ``ABORTED``, cells
-exceeding their wall-clock budget become ``TIMED_OUT``, a campaign
-deadline or SIGINT/SIGTERM drains in-flight cells and returns a
+wave of reach runs. A serial campaign runs its cells in chunks, each
+chunk one lockstep wave-driver call. The execution layer is
+fault-tolerant: worker crashes are retried and then quarantined as
+``ABORTED``, cells exceeding their wall-clock budget become
+``TIMED_OUT``, a campaign deadline or SIGINT/SIGTERM stops at the next
+wave boundary (serial) or drains in-flight cells (pool) and returns a
 partial report. With a journal the campaign resumes where it stopped.
 """
 
@@ -21,9 +23,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, Sequence
 
 from ..intervals import Box
 from ..obs import CampaignProgress, Recorder, get_recorder, use_recorder
@@ -32,36 +32,31 @@ from .partition import RefinementPolicy
 from .reach import ReachSettings, Verdict, reach_many
 from .symbolic import SymbolicSet, SymbolicState
 from .result import CellResult, VerificationReport
-from .supervisor import BudgetExceeded, budget_guard, run_serial, run_supervised
+from .supervisor import run_serial, run_supervised
 from .system import ClosedLoopSystem
 
 logger = logging.getLogger("repro.core.runner")
-
-#: Optional counterexample search invoked on failed cells before
-#: refinement: (system, box, command) -> concrete unsafe initial state,
-#: or None. Section 8 suggests coupling the procedure with an efficient
-#: falsification strategy; a found witness proves the cell genuinely
-#: unsafe, so refining it further would be wasted work.
-WitnessSearch = Callable[[ClosedLoopSystem, Box, int], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
 class RunnerSettings:
     """Per-cell reachability settings, the refinement policy, and the
-    fault-tolerance budgets enforced by the supervised runner."""
+    fault-tolerance budgets enforced by the campaign executors."""
 
     reach: ReachSettings = field(default_factory=ReachSettings)
     refinement: RefinementPolicy | None = None
     workers: int = 1
-    witness_search: WitnessSearch | None = None
     #: Wall-clock budget per top-level cell in seconds, refinement
     #: included (None = unbounded). Enforced in-process via SIGALRM and,
     #: for workers hung in native code, by a supervisor kill; either way
-    #: the cell degrades to ``Verdict.TIMED_OUT``.
+    #: the cell degrades to ``Verdict.TIMED_OUT``. The budget needs the
+    #: cell to run alone, so a serial campaign with one runs its cells
+    #: one at a time.
     cell_timeout: float | None = None
     #: Campaign wall-clock budget in seconds (None = unbounded). Once
-    #: exceeded, no further cells are dispatched; in-flight cells drain
-    #: and the report is partial.
+    #: exceeded, a serial campaign stops at the next wave boundary,
+    #: keeping the trees finished so far, and the pool stops dispatching
+    #: and drains its in-flight cells; the report is partial.
     deadline: float | None = None
     #: How many times a cell whose worker died is retried (on a fresh
     #: worker, with exponential backoff) before being quarantined as
@@ -69,20 +64,8 @@ class RunnerSettings:
     max_retries: int = 1
     #: Base of the exponential retry backoff, in seconds.
     retry_backoff: float = 0.25
-    #: Wall-clock budget for the ``witness_search`` hook per cell
-    #: (None = unbounded); a timed-out search counts as "no witness
-    #: found" and refinement proceeds.
-    witness_timeout: float | None = None
-    #: Verify the whole partition in lockstep *waves*: all top-level
-    #: cells (and, per refinement round, all their children) advance
-    #: through the control steps together in one
-    #: :func:`~repro.core.reach.reach_many` call, so every step issues
-    #: one batched integrator call over the whole wave's symbolic
-    #: states. Otherwise each top-level cell is dispatched on its own
-    #: and only its own refinement rounds share a wave; verdicts and
-    #: result trees are the same either way. Serial mode only
-    #: (``workers == 1``) and incompatible with the per-cell/campaign
-    #: wall-clock budgets, which are enforced per dispatched cell.
+    #: Accepted and ignored: every serial campaign runs chunked lockstep
+    #: waves. Kept only because the campaign benchmark still passes it.
     batch_cells: bool = False
 
     def __post_init__(self) -> None:
@@ -96,54 +79,6 @@ class RunnerSettings:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if self.witness_timeout is not None and self.witness_timeout <= 0:
-            raise ValueError("witness_timeout must be positive (or None)")
-        if self.batch_cells:
-            if self.workers != 1:
-                raise ValueError("batch_cells requires workers == 1")
-            if self.cell_timeout is not None or self.deadline is not None:
-                raise ValueError(
-                    "batch_cells is incompatible with cell_timeout/deadline "
-                    "(budgets are enforced per dispatched cell)"
-                )
-
-
-def _search_witness(
-    system: ClosedLoopSystem,
-    result: CellResult,
-    settings: RunnerSettings,
-    depth: int,
-) -> bool:
-    """Run the falsification hook on a failed cell (Section 8 coupling).
-
-    Returns True when a concrete counterexample was found — the cell is
-    genuinely unsafe, so split refinement cannot rescue it and the
-    caller should skip it. A timed-out search counts as "no witness"."""
-    rec = get_recorder()
-    cell_id = result.cell_id
-    witness = None
-    try:
-        with budget_guard(settings.witness_timeout, scope="witness"):
-            with rec.span("witness_search", cell_id=cell_id):
-                witness = settings.witness_search(system, result.box, result.command)
-    except BudgetExceeded as exc:
-        if exc.scope != "witness":
-            raise
-        # A stuck falsifier must not stall the cell: treat it as
-        # "no witness found" and fall through to refinement.
-        result.tags["witness_timeout"] = exc.seconds
-        rec.inc("runner.witness_timeouts")
-        rec.event("runner.witness_timeout", cell_id=cell_id, budget_seconds=exc.seconds)
-        logger.warning(
-            "witness search on %s exceeded its %.3gs budget; refining instead",
-            cell_id, exc.seconds,
-        )
-    if witness is None:
-        return False
-    result.tags["witness"] = [float(v) for v in np.asarray(witness)]
-    rec.inc("runner.witnesses")
-    rec.event("runner.witness", cell_id=cell_id, depth=depth)
-    return True
 
 
 def verify_cell(
@@ -244,12 +179,8 @@ def _verify_cells_lockstep(
                 roots[slot] = result
             else:
                 parent.children.append(result)
-            witnessed = False
-            if result.verdict is not Verdict.PROVED_SAFE and settings.witness_search:
-                witnessed = _search_witness(system, result, settings, depth)
             if (
-                not witnessed
-                and result.verdict is not Verdict.PROVED_SAFE
+                result.verdict is not Verdict.PROVED_SAFE
                 and policy is not None
                 and depth < policy.max_depth
             ):
@@ -306,7 +237,6 @@ def _settings_summary(settings: RunnerSettings, interrupted: str | None) -> dict
         "cell_timeout": settings.cell_timeout,
         "deadline": settings.deadline,
         "max_retries": settings.max_retries,
-        "batch_cells": settings.batch_cells,
     }
     if interrupted:
         summary["interrupted"] = interrupted
@@ -385,7 +315,8 @@ def verify_partition(
     journal-replayed cells included.
 
     ``settings.workers`` picks the executor: this process
-    (:func:`repro.core.supervisor.run_serial`) or the supervised pool
+    (:func:`repro.core.supervisor.run_serial`, chunks of lockstep
+    waves) or the supervised pool
     (:func:`repro.core.supervisor.run_supervised`, where worker crashes
     retry then quarantine as ``ABORTED``). A cell that raises becomes
     ``ABORTED``, budget overruns become ``TIMED_OUT``, and a deadline

@@ -27,8 +27,10 @@ on one duplex pipe per worker:
   and return the partial results so journals and ledgers stay intact.
 
 :func:`run_serial` is the same contract in one process, the executor
-for ``workers == 1``: the guarded per-cell loop, or with
-``batch_cells`` one lockstep wave driver call over every cell.
+for ``workers == 1``: chunks of at most :data:`CHUNK_CELLS` top-level
+cells, each one lockstep wave-driver call under the guard a pool
+worker gives one cell, with the deadline and SIGINT/SIGTERM checked
+before every wave.
 
 Executors only hand each finished cell back through ``on_result``; the
 campaign drivers journal it and emit ``cell.finished``.
@@ -49,12 +51,12 @@ import signal
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from ..obs import Recorder, get_recorder, merge_traces, set_recorder, worker_trace_path
+from ..obs import Recorder, get_recorder, set_recorder, worker_trace_path
 from ..obs.live import HeartbeatReporter
 from ..testing.faults import get_fault_injector
 from .reach import Verdict
@@ -75,46 +77,25 @@ _TICK = 0.1
 _KILL_GRACE_MIN = 1.0
 _KILL_GRACE_FRACTION = 0.5
 
+#: Top-level cells per wave-driver call of the serial executor. Memory
+#: grows with the cells in a wave, so a bounded chunk keeps a campaign
+#: of any size flat, while 64 cells still stack enough rows per wave:
+#: over a 512-cell pool, 64-cell calls took 0.99-1.13x the wall of one
+#: whole-pool call.
+CHUNK_CELLS = 64
+
 
 # ----------------------------------------------------------------------
-# In-process budget machinery (SIGALRM-based, scope-labelled)
+# In-process budget machinery (SIGALRM-based)
 # ----------------------------------------------------------------------
 class BudgetExceeded(Exception):
-    """A wall-clock budget installed by :func:`budget_guard` expired.
-
-    ``scope`` identifies which guard fired (guards nest: the witness
-    budget runs inside the cell budget), so handlers can catch their
-    own scope and re-raise the rest.
-    """
+    """A wall-clock budget installed by :func:`budget_guard` expired;
+    ``scope`` labels the guard."""
 
     def __init__(self, scope: str, seconds: float):
         super().__init__(f"{scope} wall-clock budget of {seconds:g}s exceeded")
         self.scope = scope
         self.seconds = seconds
-
-
-#: Active guards in this process: (absolute monotonic deadline, scope,
-#: budget seconds). SIGALRM is armed for the earliest deadline.
-_GUARDS: list[tuple[float, str, float]] = []
-
-
-def _arm_earliest() -> None:
-    if not _GUARDS:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        return
-    delay = max(1e-4, min(g[0] for g in _GUARDS) - time.monotonic())
-    signal.setitimer(signal.ITIMER_REAL, delay)
-
-
-def _on_alarm(signum, frame) -> None:
-    now = time.monotonic()
-    due = [g for g in _GUARDS if g[0] <= now + 1e-3]
-    if not due:
-        # Spurious/early wakeup: re-arm and keep going.
-        _arm_earliest()
-        return
-    deadline, scope, seconds = min(due)
-    raise BudgetExceeded(scope, seconds)
 
 
 def _can_guard() -> bool:
@@ -130,29 +111,29 @@ def budget_guard(seconds: float | None, scope: str = "budget") -> Iterator[None]
 
     No-op when ``seconds`` is ``None``/non-positive, off the main
     thread, or on platforms without ``setitimer`` — budgets are a
-    best-effort safety net, not a scheduling primitive. Guards nest;
-    the earliest deadline fires first and carries its own scope.
+    best-effort safety net, not a scheduling primitive. One guard at a
+    time: guards do not nest.
     """
     if not seconds or seconds <= 0 or not _can_guard():
         yield
         return
-    entry = (time.monotonic() + float(seconds), scope, float(seconds))
-    outermost = not _GUARDS
-    if outermost:
-        previous_handler = signal.signal(signal.SIGALRM, _on_alarm)
-    # sound: ok [C001] _GUARDS is per-process by design: each fork
-    # worker arms budgets against its own copy and nothing reads it
-    # across the fork boundary.
-    _GUARDS.append(entry)
-    _arm_earliest()
+    deadline = time.monotonic() + float(seconds)
+
+    def on_alarm(signum, frame) -> None:
+        left = deadline - time.monotonic()
+        if left > 1e-3:
+            # An early or foreign SIGALRM: re-arm for the rest.
+            signal.setitimer(signal.ITIMER_REAL, left)
+            return
+        raise BudgetExceeded(scope, float(seconds))
+
+    previous_handler = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, float(seconds))
     try:
         yield
     finally:
-        # sound: ok [C001] same per-process guard stack as the append.
-        _GUARDS.remove(entry)
-        _arm_earliest()
-        if outermost:
-            signal.signal(signal.SIGALRM, previous_handler)
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous_handler)
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +163,99 @@ def quarantine_result(
     return result
 
 
+def _quarantine_failure(task: Task, exc: Exception, elapsed: float, attempt: int) -> CellResult:
+    """The quarantine result of a cell whose guarded run raised ``exc``:
+    ``TIMED_OUT`` when its budget expired, ``ABORTED`` otherwise."""
+    cell_id, box, command, _tags = task
+    rec = get_recorder()
+    if isinstance(exc, BudgetExceeded):
+        rec.inc("runner.cells_timed_out")
+        rec.event("cell.timeout", cell_id=cell_id, budget_seconds=exc.seconds)
+        logger.warning("cell %s exceeded its %.3gs budget; quarantined", cell_id, exc.seconds)
+        verdict = Verdict.TIMED_OUT
+        reason = {"kind": "timeout", "budget_seconds": exc.seconds, "enforced": "budget-guard"}
+    else:
+        rec.inc("runner.cells_errored")
+        rec.event("cell.error", cell_id=cell_id, error=type(exc).__name__)
+        logger.warning(
+            "cell %s raised %s: %s; quarantined", cell_id, type(exc).__name__, exc
+        )
+        verdict = Verdict.ABORTED
+        reason = {"kind": "exception", "error": f"{type(exc).__name__}: {exc}"}
+    return quarantine_result(
+        cell_id, box, command, verdict, reason, elapsed_seconds=elapsed, attempts=attempt + 1
+    )
+
+
+def _run_guarded(
+    system,
+    chunk: Sequence[Task],
+    settings,
+    deliver: Callable[[int, CellResult], None],
+    stop: Callable[[], bool] | None = None,
+    attempt: int = 0,
+) -> None:
+    """Verify ``chunk`` as one call of the lockstep wave driver, each
+    tree handed to ``deliver(slot, result)`` as it finishes, under the
+    guard that keeps a cell from taking the campaign down: the
+    ``cell_timeout`` budget, the fault hooks of every cell, and
+    quarantine instead of a raise.
+
+    If the driver raises, the trees it delivered stay and each
+    unfinished cell reruns alone through :func:`run_cell_guarded`, so a
+    bad cell ends ``ABORTED`` by itself; a one-cell chunk already ran
+    alone, so its failure is its own (``TIMED_OUT`` for an expired
+    budget, else ``ABORTED``). ``stop`` is asked before every wave and
+    every rerun; an unfinished tree it stops is not delivered. A raise
+    out of ``deliver`` (the campaign's journal or socket) propagates.
+    """
+    from .runner import _verify_cells_lockstep  # deferred: runner imports this module
+
+    injector = get_fault_injector()
+    done: set[int] = set()
+    # A budgeted chunk is one cell, and its tree is handed on once the
+    # guard is off, so the alarm cannot cut a delivery short.
+    held: list[tuple[int, CellResult]] = []
+    delivering = False
+
+    def on_tree(slot: int, result: CellResult) -> None:
+        nonlocal delivering
+        result.attempts = attempt + 1
+        done.add(slot)
+        if settings.cell_timeout:
+            held.append((slot, result))
+            return
+        delivering = True
+        deliver(slot, result)
+        delivering = False
+
+    started = time.perf_counter()
+    try:
+        with budget_guard(settings.cell_timeout, scope="cell"):
+            if injector is not None:
+                for cell_id, *_ in chunk:
+                    injector.on_guarded_cell(cell_id, attempt)
+            _verify_cells_lockstep(system, chunk, settings, on_tree=on_tree, stop=stop)
+    except Exception as exc:
+        if delivering:
+            raise
+        if len(chunk) == 1:
+            if not done:  # else the alarm fired after the tree finished
+                elapsed = time.perf_counter() - started
+                held.append((0, _quarantine_failure(chunk[0], exc, elapsed, attempt)))
+        else:
+            logger.warning(
+                "a %d-cell chunk raised %s: %s; rerunning its unfinished cells alone",
+                len(chunk), type(exc).__name__, exc,
+            )
+            for slot, (cell_id, box, command, _tags) in enumerate(chunk):
+                if slot not in done and (stop is None or not stop()):
+                    result = run_cell_guarded(system, box, command, settings, cell_id, attempt + 1)
+                    deliver(slot, result)
+    for slot, result in held:
+        deliver(slot, result)
+
+
 def run_cell_guarded(
     system,
     box,
@@ -190,55 +264,17 @@ def run_cell_guarded(
     cell_id: str,
     attempt: int = 0,
 ) -> CellResult:
-    """:func:`~repro.core.runner.verify_cell` wrapped in the budget
-    machinery: a cell that exceeds ``cell_timeout`` degrades to
-    ``TIMED_OUT``, one that raises degrades to ``ABORTED``. Used by the
-    serial driver and by every pool worker — a cell never takes the
-    campaign down."""
-    from .runner import verify_cell  # deferred: runner imports this module
-
-    rec = get_recorder()
-    injector = get_fault_injector()
-    started = time.perf_counter()
-    try:
-        with budget_guard(settings.cell_timeout, scope="cell"):
-            if injector is not None:
-                injector.on_guarded_cell(cell_id, attempt)
-            result = verify_cell(system, box, command, settings, cell_id)
-    except BudgetExceeded as exc:
-        if exc.scope != "cell":
-            raise
-        elapsed = time.perf_counter() - started
-        rec.inc("runner.cells_timed_out")
-        rec.event("cell.timeout", cell_id=cell_id, budget_seconds=exc.seconds)
-        logger.warning("cell %s exceeded its %.3gs budget; quarantined", cell_id, exc.seconds)
-        return quarantine_result(
-            cell_id,
-            box,
-            command,
-            Verdict.TIMED_OUT,
-            {"kind": "timeout", "budget_seconds": exc.seconds, "enforced": "budget-guard"},
-            elapsed_seconds=elapsed,
-            attempts=attempt + 1,
-        )
-    except Exception as exc:
-        elapsed = time.perf_counter() - started
-        rec.inc("runner.cells_errored")
-        rec.event("cell.error", cell_id=cell_id, error=type(exc).__name__)
-        logger.warning(
-            "cell %s raised %s: %s; quarantined", cell_id, type(exc).__name__, exc
-        )
-        return quarantine_result(
-            cell_id,
-            box,
-            command,
-            Verdict.ABORTED,
-            {"kind": "exception", "error": f"{type(exc).__name__}: {exc}"},
-            elapsed_seconds=elapsed,
-            attempts=attempt + 1,
-        )
-    result.attempts = attempt + 1
-    return result
+    """:func:`~repro.core.runner.verify_cell` under the per-cell guard
+    (:func:`_run_guarded` with a one-cell chunk): a cell that exceeds
+    ``cell_timeout`` degrades to ``TIMED_OUT``, one that raises degrades
+    to ``ABORTED``. Used by every pool worker and for the cells of a
+    serial chunk that raised — a cell never takes the campaign down."""
+    results: dict[int, CellResult] = {}
+    _run_guarded(
+        system, [(cell_id, box, command, {})], settings, results.__setitem__,
+        attempt=attempt,
+    )
+    return results[0]
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +434,7 @@ def _worker_main(
         result = run_cell_guarded(system, box, command, settings, cell_id, attempt)
         result.tags.update(tags)
         if reporter is not None:
-            reporter.end_cell()
+            reporter.end_cell(cell_id)
         delta = None
         if rec.enabled:
             rec.flush()
@@ -466,16 +502,16 @@ def _terminate(proc: multiprocessing.Process) -> None:
 
 def merge_worker_traces(rec) -> None:
     """Fold per-worker trace files into the parent trace, globally
-    ordered by timestamp. Safe to call when tracing is off."""
+    ordered by timestamp; the recorder goes on appending to the merged
+    file. Safe to call when tracing is off."""
     parent = getattr(rec, "trace_path", None)
     if not (rec.enabled and parent):
         return
-    rec.flush()
     parent_path = Path(parent)
     worker_files = sorted(parent_path.parent.glob(f"{parent_path.stem}.worker-*.jsonl"))
     if not worker_files:
         return
-    merged = merge_traces(parent_path, worker_files, delete_sources=True)
+    merged = rec.merge_trace(worker_files)
     rec.event("trace.merged", workers=len(worker_files), events=merged)
     rec.flush()
 
@@ -805,65 +841,65 @@ def run_serial(
     task), ``on_result(task_index, result, 0)`` is called in completion
     order, and ``interrupted`` names why a partial run stopped.
 
-    With ``settings.batch_cells`` every task goes into one lockstep
-    wave driver call and each top-level cell is delivered as soon as
-    its tree finishes; SIGINT/SIGTERM is checked between waves, so the
-    current wave finishes and the unfinished trees are dropped.
-    Otherwise the cells run one at a time through
-    :func:`run_cell_guarded` (budgets, quarantine), with a heartbeat
-    thread when the recorder has a heartbeat period, and the campaign
-    deadline and SIGINT/SIGTERM are checked between cells.
+    The tasks run in chunks of at most :data:`CHUNK_CELLS` top-level
+    cells, one cell when ``settings.cell_timeout`` is set (a per-cell
+    budget needs the cell to run alone). Each chunk is one lockstep
+    wave-driver call under :func:`_run_guarded`, and each cell is
+    delivered as soon as its tree finishes. This process is worker 0:
+    it emits a ``cell.dispatched`` per cell of a chunk and, when the
+    recorder has a heartbeat period, beats from a thread.
+    SIGINT/SIGTERM and the campaign deadline are checked before every
+    wave: the current wave finishes, its finished trees are kept, the
+    unfinished ones are dropped and no further chunk starts.
     """
-    from .runner import _verify_cells_lockstep  # deferred: runner imports this module
-
     rec = get_recorder()
     outcome = SupervisorOutcome()
     if not tasks:
         return outcome
     system = system_factory()
-    # This process is the campaign's only worker, "worker 0".
     rec.event("worker.ready", worker=0, pid=os.getpid())
+    deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
+    size = 1 if settings.cell_timeout else CHUNK_CELLS
+    beats = (
+        HeartbeatReporter(
+            lambda payload: rec.event("worker.heartbeat", worker=0, **payload),
+            rec.heartbeat_interval,
+        )
+        if rec.heartbeat_interval
+        else nullcontext()
+    )
 
-    def finish(seq: int, result: CellResult) -> None:
-        result.tags.update(tasks[seq][3])
-        outcome.results[seq] = result
-        if on_result is not None:
-            on_result(seq, result, 0)
+    with trap_shutdown_signals() as signals, beats as reporter:
 
-    with trap_shutdown_signals() as stop:
-        if settings.batch_cells:
-            _verify_cells_lockstep(
-                system, tasks, settings, on_tree=finish, stop=lambda: stop.requested
-            )
-            if len(outcome.results) < len(tasks):
-                outcome.interrupted = stop.reason
-        else:
-            # A heartbeat thread beats from this process so stall
-            # detection (`repro watch`) works for serial campaigns too.
-            reporter = None
-            if rec.heartbeat_interval:
-                reporter = HeartbeatReporter(
-                    lambda payload: rec.event("worker.heartbeat", worker=0, **payload),
-                    rec.heartbeat_interval,
-                ).start()
-            deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
-            try:
-                for seq, (cell_id, box, command, _tags) in enumerate(tasks):
-                    outcome.interrupted = _interruption(stop, deadline_at)
-                    if outcome.interrupted:
-                        break
-                    rec.event(
-                        "cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0
-                    )
-                    if reporter is not None:
-                        reporter.begin_cell(cell_id)
-                    result = run_cell_guarded(system, box, command, settings, cell_id)
-                    if reporter is not None:
-                        reporter.end_cell()
-                    finish(seq, result)
-            finally:
+        def stop() -> bool:
+            outcome.interrupted = _interruption(signals, deadline_at)
+            return outcome.interrupted is not None
+
+        def deliver(seq: int, result: CellResult) -> None:
+            cell_id, _box, _command, tags = tasks[seq]
+            result.tags.update(tags)
+            outcome.results[seq] = result
+            if reporter is not None:
+                reporter.end_cell(cell_id)
+            if on_result is not None:
+                on_result(seq, result, 0)
+
+        for first in range(0, len(tasks), size):
+            if stop():
+                break
+            seqs = range(first, min(first + size, len(tasks)))
+            for seq in seqs:
+                cell_id = tasks[seq][0]
+                rec.event("cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0)
                 if reporter is not None:
-                    reporter.stop()
+                    reporter.begin_cell(cell_id)
+            _run_guarded(
+                system,
+                [tasks[seq] for seq in seqs],
+                settings,
+                lambda slot, result: deliver(seqs[slot], result),
+                stop,
+            )
         if outcome.interrupted:
             dropped = len(tasks) - len(outcome.results)
             _announce_interruption(outcome.interrupted, dropped)

@@ -22,10 +22,11 @@ the recorder and receives the trace's event dicts, ``{"ts", "kind":
   prints.
 * **LiveStatusWriter** — persists the snapshot under
   ``.repro/live/<run-id>/``: an append-only ``events.jsonl`` (the
-  campaign process's events, line for line as the trace has them) plus
-  a ``status.json`` rewritten via atomic rename at a configurable
-  interval, so any external process (``repro watch``, ``repro stats``,
-  a dashboard) can follow the campaign crash-safely — a reader never
+  campaign process's events, line for line as the trace has them, so
+  without heartbeats) plus a ``status.json`` rewritten via atomic
+  rename at a configurable interval, which keeps each worker's newest
+  beat, so any external process (``repro watch``, ``repro stats``, a
+  dashboard) can follow the campaign crash-safely — a reader never
   sees a torn file, and a killed campaign leaves a status file whose
   staleness is itself the signal. Stale directories from crashed runs
   are pruned on the next campaign start.
@@ -51,12 +52,12 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import IO, Callable
 
-from .recorder import NullRecorder, Recorder, get_recorder, set_recorder
+from .recorder import NullRecorder, Recorder, get_recorder, persisted, set_recorder
 
 logger = logging.getLogger("repro.obs.live")
 
@@ -141,13 +142,27 @@ class WorkerState:
     state: str = "starting"
     cells_completed: int = 0
     crashes: int = 0
-    cell_id: str | None = None
+    #: Cells dispatched to the worker and not finished, oldest first:
+    #: one on a pool worker, a whole chunk on the serial executor.
+    in_flight: list[str] = field(default_factory=list)
+    #: When the worker last went from idle to busy.
     cell_started_at: float | None = None
     #: From the newest heartbeat (worker-reported; the worker's own
     #: wall-clock time-in-cell rides in ``cell_elapsed``).
     last_heartbeat_at: float | None = None
     cell_elapsed: float = 0.0
     rss_bytes: int = 0
+
+    @property
+    def cell_id(self) -> str | None:
+        """The oldest cell in flight."""
+        return self.in_flight[0] if self.in_flight else None
+
+    def settle(self, state: str) -> None:
+        """Leave every cell in flight and take ``state``."""
+        self.state = state
+        self.in_flight.clear()
+        self.cell_started_at = None
 
     def to_dict(self, now: float, stall_after: float | None) -> dict:
         return {
@@ -337,9 +352,7 @@ class CampaignSnapshot:
                             self.verdicts[key] = int(value)
                 for worker in self.workers.values():
                     if worker.state in ("busy", "idle", "starting"):
-                        worker.state = "done"
-                        worker.cell_id = None
-                        worker.cell_started_at = None
+                        worker.settle("done")
             elif name == "campaign.interrupted":
                 self.interrupted = event.get("reason")
             elif name == "worker.spawned":
@@ -359,9 +372,10 @@ class CampaignSnapshot:
                     worker.cells_completed = int(event["cells_completed"])
             elif name == "cell.dispatched":
                 worker = self._worker(int(event["worker"]))
+                if not worker.in_flight:
+                    worker.cell_started_at = ts
                 worker.state = "busy"
-                worker.cell_id = event.get("cell_id")
-                worker.cell_started_at = ts
+                worker.in_flight.append(event.get("cell_id"))
             elif name == "cell.finished":
                 self.done += 1
                 if not event.get("cached"):
@@ -371,26 +385,23 @@ class CampaignSnapshot:
                     self.verdicts[cls] += 1
                 if event.get("worker") is not None:
                     worker = self._worker(int(event["worker"]))
-                    worker.state = "idle"
-                    worker.cell_id = None
-                    worker.cell_started_at = None
-                    worker.cell_elapsed = 0.0
                     worker.cells_completed += 1
+                    if event.get("cell_id") in worker.in_flight:
+                        worker.in_flight.remove(event["cell_id"])
+                    # Busy until the last cell of a serial chunk is done.
+                    if not worker.in_flight:
+                        worker.settle("idle")
+                        worker.cell_elapsed = 0.0
                 elif event.get("node") is not None:
                     self._node(str(event["node"])).cells_completed += 1
             elif name == "cell.retried":
                 self.retries += 1
             elif name == "worker.crash":
                 worker = self._worker(int(event["worker"]))
-                worker.state = "dead"
+                worker.settle("dead")
                 worker.crashes += 1
-                worker.cell_id = None
-                worker.cell_started_at = None
             elif name == "worker.killed":
-                worker = self._worker(int(event["worker"]))
-                worker.state = "killed"
-                worker.cell_id = None
-                worker.cell_started_at = None
+                self._worker(int(event["worker"])).settle("killed")
             elif name == "worker.respawn":
                 self.respawns += 1
             elif name == "worker.exit":
@@ -520,11 +531,12 @@ class HeartbeatReporter:
     """Emits liveness beats from *inside* the computing process.
 
     The main thread marks cell boundaries (:meth:`begin_cell` /
-    :meth:`end_cell`); a daemon thread ships a payload — PID, RSS,
-    cells completed, current cell and time-in-cell — through ``send``
-    every ``interval`` seconds. Used by pool workers (``send`` writes a
-    pipe message) and by the serial driver (``send`` emits a recorder
-    event). A ``stall`` fault (:mod:`repro.testing.faults`)
+    :meth:`end_cell`; a serial chunk has many cells in flight at once);
+    a daemon thread ships a payload — PID, RSS, cells completed, the
+    oldest cell in flight and the time since the process went busy —
+    through ``send`` every ``interval`` seconds. Used by pool workers
+    (``send`` writes a pipe message), node agents (a frame) and the
+    serial executor (a recorder event). A ``stall`` fault (:mod:`repro.testing.faults`)
     suppresses the beats while the computation continues, which is
     exactly how a wedged worker looks from outside.
     """
@@ -533,7 +545,7 @@ class HeartbeatReporter:
         self.send = send
         self.interval = interval
         self._lock = threading.Lock()
-        self._cell_id: str | None = None
+        self._cells: list[str] = []
         self._cell_started: float | None = None
         self.cells_completed = 0
         self._stop = threading.Event()
@@ -542,13 +554,20 @@ class HeartbeatReporter:
     # -- main-thread side ----------------------------------------------
     def begin_cell(self, cell_id: str) -> None:
         with self._lock:
-            self._cell_id = cell_id
-            self._cell_started = time.monotonic()
+            if not self._cells:
+                self._cell_started = time.monotonic()
+            self._cells.append(cell_id)
 
-    def end_cell(self) -> None:
+    def end_cell(self, cell_id: str | None = None) -> None:
+        """Count a finished cell, taking ``cell_id`` (default: the
+        oldest) out of flight."""
         with self._lock:
-            self._cell_id = None
-            self._cell_started = None
+            if cell_id in self._cells:
+                self._cells.remove(cell_id)
+            elif self._cells:
+                self._cells.pop(0)
+            if not self._cells:
+                self._cell_started = None
             self.cells_completed += 1
 
     def payload(self) -> dict:
@@ -562,7 +581,7 @@ class HeartbeatReporter:
                 "pid": os.getpid(),
                 "rss_bytes": rss_bytes(),
                 "cells_completed": self.cells_completed,
-                "cell_id": self._cell_id,
+                "cell_id": self._cells[0] if self._cells else None,
                 "cell_elapsed": round(elapsed, 3),
             }
 
@@ -628,9 +647,10 @@ def write_status_atomic(path: Path, payload: dict) -> None:
 
 class LiveStatusWriter:
     """Recorder subscriber persisting the campaign under
-    ``<root>/<run-id>/``: every event appended to ``events.jsonl`` and
-    the snapshot rewritten to ``status.json`` (atomic rename) at most
-    every ``interval`` seconds — plus a final write on close, so the
+    ``<root>/<run-id>/``: every :func:`~repro.obs.recorder.persisted`
+    event appended to ``events.jsonl`` and, on any event, the snapshot
+    rewritten to ``status.json`` (atomic rename) at most every
+    ``interval`` seconds — plus a final write on close, so the
     directory always ends on the authoritative last state."""
 
     def __init__(
@@ -654,10 +674,11 @@ class LiveStatusWriter:
         return self
 
     def on_event(self, event: dict) -> None:
-        with self._lock:
-            if self._events_sink is not None:
-                self._events_sink.write(json.dumps(event, default=str) + "\n")
-                self._events_sink.flush()
+        if persisted(event["name"]):
+            with self._lock:
+                if self._events_sink is not None:
+                    self._events_sink.write(json.dumps(event, default=str) + "\n")
+                    self._events_sink.flush()
         self.write_status()
 
     def write_status(self, force: bool = False) -> None:

@@ -26,8 +26,10 @@ The recorder is also the campaign's one event stream. Each
 "event", "name", **fields}``, that is written to the trace (when
 tracing) and handed to every subscriber: the live telemetry fold
 (:class:`~repro.obs.live.CampaignSnapshot`), the progress line and the
-status writer (:mod:`repro.obs.live`). ``heartbeat_interval`` tells the
-campaign executors whether, and how often, workers beat.
+status writer (:mod:`repro.obs.live`). Heartbeats are the exception:
+every subscriber gets them, but :func:`persisted` keeps them out of the
+trace and ``events.jsonl``. ``heartbeat_interval`` tells the campaign
+executors whether, and how often, workers beat.
 """
 
 from __future__ import annotations
@@ -42,8 +44,21 @@ from pathlib import Path
 from typing import IO, Callable, Iterator
 
 from .metrics import MetricsRegistry
+from .trace import merge_traces
 
 logger = logging.getLogger("repro.obs")
+
+#: Liveness beats: one per worker (or node) per heartbeat period for
+#: the whole campaign. ``status.json`` keeps each one's newest beat.
+_HEARTBEATS = frozenset({"worker.heartbeat", "node.heartbeat"})
+
+
+def persisted(name: str) -> bool:
+    """Whether event ``name`` is written to the campaign's files (the
+    trace and ``events.jsonl``). Heartbeats are not: the subscribers
+    still fold every beat, but at 48 workers beating each second the
+    files would hold millions of them a day."""
+    return name not in _HEARTBEATS
 
 
 class _NullSpan:
@@ -176,8 +191,9 @@ class Recorder(NullRecorder):
             self._write(event)
 
     def event(self, name: str, **fields) -> None:
-        """A point-in-time event: written to the trace, handed to every
-        subscriber, and logged at DEBUG."""
+        """A point-in-time event: written to the trace when
+        :func:`persisted`, handed to every subscriber, and logged at
+        DEBUG."""
         logger.debug("event %s %s", name, fields)
         if self._sink is None and not self._subscribers:
             return
@@ -186,7 +202,8 @@ class Recorder(NullRecorder):
             # see events in timestamp order.
             event = {"ts": time.time(), "kind": "event", "name": name}
             event.update(fields)
-            self._write(event)
+            if persisted(name):
+                self._write(event)
             for fn in list(self._subscribers):
                 try:
                     fn(event)
@@ -211,6 +228,17 @@ class Recorder(NullRecorder):
         with self._lock:
             if fn in self._subscribers:
                 self._subscribers.remove(fn)
+
+    def merge_trace(self, sources: list[Path]) -> int:
+        """Fold other processes' trace files into this recorder's trace
+        in timestamp order, deleting them; later events append to the
+        merged file. Returns the number of events merged in."""
+        with self._lock:
+            if self._sink is not None:
+                self._sink.close()
+            count = merge_traces(self.trace_path, sources, delete_sources=True)
+            self._sink = open(self.trace_path, "a")
+        return count
 
     # -- metrics passthrough -------------------------------------------
     def inc(self, name: str, value: float = 1.0) -> None:

@@ -150,7 +150,6 @@ def render_stats(
         ("worker.killed", "workers killed (stuck past budget)"),
         ("cell.timeout", "cells timed out"),
         ("cell.error", "cells aborted on exception"),
-        ("runner.witness_timeout", "witness searches timed out"),
         ("campaign.interrupted", "campaign interruptions"),
         ("metrics.corrupt_payload", "corrupt metric payloads dropped"),
         ("journal.malformed_line", "malformed journal lines skipped"),

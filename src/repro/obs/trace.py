@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -70,16 +71,30 @@ def merge_traces(
 ) -> int:
     """Merge worker trace files into ``target``, ordered by timestamp.
 
-    Each source is assumed internally time-ordered (true for files
-    appended by one process), so a k-way heap merge suffices. Returns
-    the number of events merged. Used by
-    :func:`repro.core.runner.verify_partition` to fold per-worker files
-    back into the parent's trace.
+    ``target``'s own lines join the merge, so the result is one
+    timestamp-ordered file. Each input is assumed internally
+    time-ordered (true for files appended by one process), so a k-way
+    heap merge suffices; it is written to a sibling file that then
+    replaces ``target``. Returns the number of events merged in from
+    ``sources``. Used by :func:`repro.core.supervisor.merge_worker_traces`
+    to fold per-worker files back into the parent's trace.
     """
+    target = Path(target)
     sources = [Path(s) for s in sources]
-    streams = [read_trace(s) for s in sources]
+    count = 0
+
+    def counted(stream: Iterator[dict]) -> Iterator[dict]:
+        nonlocal count
+        for event in stream:
+            count += 1
+            yield event
+
+    streams = [read_trace(target)] + [counted(read_trace(s)) for s in sources]
     merged = heapq.merge(*streams, key=lambda e: e.get("ts", 0.0))
-    count = write_events(target, merged)
+    staging = target.with_name(target.name + ".merging")
+    staging.unlink(missing_ok=True)
+    write_events(staging, merged)
+    os.replace(staging, target)
     if delete_sources:
         for source in sources:
             source.unlink(missing_ok=True)

@@ -13,6 +13,7 @@ from repro.core import (
     verify_partition,
 )
 from repro.core import runner as runner_module
+from repro.core import supervisor as supervisor_module
 from repro.core.reach import reach_many
 from repro.intervals import Box
 from repro.obs import CampaignProgress
@@ -156,7 +157,7 @@ class TestExecutorsAgree:
         monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
         lockstep = verify_partition(
             self.factory, self.partition(),
-            RunnerSettings(refinement=policy, batch_cells=True),
+            RunnerSettings(refinement=policy),
             journal=tmp_path / "lockstep.jsonl",
         )
         monkeypatch.undo()
@@ -172,6 +173,18 @@ class TestExecutorsAgree:
         )
         verify_partition(
             self.factory, self.partition(),
+            RunnerSettings(refinement=policy, deadline=3600.0),
+            journal=tmp_path / "deadline.jsonl",
+        )
+        monkeypatch.setattr(supervisor_module, "CHUNK_CELLS", 2)
+        verify_partition(
+            self.factory, self.partition(),
+            RunnerSettings(refinement=policy),
+            journal=tmp_path / "chunked.jsonl",
+        )
+        monkeypatch.undo()
+        verify_partition(
+            self.factory, self.partition(),
             RunnerSettings(refinement=policy, workers=2),
             journal=tmp_path / "pool.jsonl",
         )
@@ -183,7 +196,7 @@ class TestExecutorsAgree:
         )
         journals = {
             name: canonical_journal_bytes(tmp_path / f"{name}.jsonl")
-            for name in ("lockstep", "per-cell", "pool", "distributed")
+            for name in ("lockstep", "per-cell", "deadline", "chunked", "pool", "distributed")
         }
         assert len(load_journal(tmp_path / "lockstep.jsonl")) == 4
         assert len(set(journals.values())) == 1, sorted(journals)

@@ -391,12 +391,14 @@ class TestLockstepPartition:
     ]
 
     @staticmethod
-    def _settings(batch_cells: bool) -> RunnerSettings:
+    def _settings(cell_timeout: float | None) -> RunnerSettings:
+        """Serial settings: one chunk of every cell, or with a cell
+        budget one cell at a time."""
         return RunnerSettings(
             reach=RECORD,
             refinement=RefinementPolicy(dims=(0,), max_depth=1),
             workers=1,
-            batch_cells=batch_cells,
+            cell_timeout=cell_timeout,
         )
 
     @staticmethod
@@ -421,9 +423,9 @@ class TestLockstepPartition:
             return results
 
         monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
-        lockstep = verify_partition(make_system, self.CELLS, self._settings(True))
+        lockstep = verify_partition(make_system, self.CELLS, self._settings(None))
         monkeypatch.undo()
-        per_cell = verify_partition(make_system, self.CELLS, self._settings(False))
+        per_cell = verify_partition(make_system, self.CELLS, self._settings(600.0))
 
         assert [len(w[1]) for w in waves] == [4, 2]  # near-error is bisected
         for system, initial_sets, settings, results in waves:
@@ -433,11 +435,3 @@ class TestLockstepPartition:
             self._tree(c) for c in per_cell.cells
         ]
         assert lockstep.coverage_percent() == per_cell.coverage_percent()
-
-    def test_batch_cells_rejects_budgets_and_workers(self):
-        with pytest.raises(ValueError):
-            RunnerSettings(workers=2, batch_cells=True)
-        with pytest.raises(ValueError):
-            RunnerSettings(cell_timeout=1.0, batch_cells=True)
-        with pytest.raises(ValueError):
-            RunnerSettings(deadline=1.0, batch_cells=True)

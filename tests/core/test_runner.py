@@ -20,6 +20,7 @@ import pytest
 from repro.core import (
     CellResult,
     ReachSettings,
+    canonical_journal_bytes,
     RefinementPolicy,
     RunnerSettings,
     Verdict,
@@ -29,8 +30,8 @@ from repro.core import (
     verify_partition,
 )
 from repro.core import runner as runner_module
+from repro.core import supervisor as supervisor_module
 from repro.core.reach import reach_many
-from repro.core.runner import _search_witness
 from repro.intervals import Box
 from repro.obs import CampaignProgress, Recorder, get_recorder, read_trace, use_recorder
 
@@ -61,9 +62,6 @@ def _verify_cell_oracle(system, box, command, settings, cell_id="cell", depth=0)
         integrations=outcome.integrations,
     )
     rec.inc(f"runner.verdict.{outcome.verdict.value}")
-    if result.verdict is not Verdict.PROVED_SAFE and settings.witness_search:
-        if _search_witness(system, result, settings, depth):
-            return result
     policy = settings.refinement
     if (
         result.verdict is not Verdict.PROVED_SAFE
@@ -142,47 +140,6 @@ class TestVerifyCellOracle:
         result = assert_matches_oracle(_near_error(), MIXED, 1, settings)
         assert [c.proved for c in result.children] == [True, False]
         assert [c.proved for c in result.children[1].children] == [True, False]
-
-    def test_witness_hit_stops_refinement(self):
-        calls = []
-
-        def search(system, box, command):
-            calls.append(float(box.lo[0]))
-            return box.lo.copy() if box.lo[0] >= 2.5 else None
-
-        settings = RunnerSettings(
-            refinement=RefinementPolicy(dims=(0,), max_depth=2), witness_search=search
-        )
-        result = assert_matches_oracle(_near_error(), MIXED, 1, settings)
-        hit = result.children[1]
-        assert hit.tags["witness"] == [2.5] and not hit.children
-        assert "witness" not in result.tags and result.children
-        # Each driver searched the unproved root and its unproved child.
-        assert sorted(calls) == [2.0, 2.0, 2.5, 2.5]
-
-    def test_witness_miss_refines(self):
-        settings = RunnerSettings(
-            refinement=RefinementPolicy(dims=(0,), max_depth=2),
-            witness_search=lambda *_args: None,
-        )
-        result = assert_matches_oracle(_near_error(), MIXED, 1, settings)
-        assert _depth(result) == 2
-        assert not any("witness" in leaf.tags for leaf in result.leaves())
-
-    def test_witness_timeout_refines(self):
-        def stuck_on_root(system, box, command):
-            if box.hi[0] - box.lo[0] > 0.75:
-                time.sleep(5.0)
-            return None
-
-        settings = RunnerSettings(
-            refinement=RefinementPolicy(dims=(0,), max_depth=1),
-            witness_search=stuck_on_root,
-            witness_timeout=0.05,
-        )
-        result = assert_matches_oracle(_near_error(), MIXED, 1, settings)
-        assert result.tags["witness_timeout"] == pytest.approx(0.05)
-        assert len(result.children) == 2
 
     def test_coarse_acas_cells_with_joins(self, tiny_acas):
         from repro.acasxu import initial_cells
@@ -328,9 +285,7 @@ class TestVerifyPartition:
                     log.append(("progress", self.done, event["cell_id"]))
 
         monkeypatch.setattr(runner_module, "reach_many", logging_reach_many)
-        settings = RunnerSettings(
-            refinement=RefinementPolicy(dims=(0,), max_depth=1), batch_cells=True
-        )
+        settings = RunnerSettings(refinement=RefinementPolicy(dims=(0,), max_depth=1))
         report = verify_partition(
             _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, Progress(stream=None)
         )
@@ -359,15 +314,81 @@ class TestVerifyPartition:
                     os.kill(os.getpid(), signal.SIGINT)
 
         monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
-        settings = RunnerSettings(
-            refinement=RefinementPolicy(dims=(0,), max_depth=1), batch_cells=True
-        )
+        settings = RunnerSettings(refinement=RefinementPolicy(dims=(0,), max_depth=1))
         report = verify_partition(
             _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings, Interrupt(stream=None)
         )
         assert [c.cell_id for c in report.cells] == ["cell-0"]
         assert report.settings_summary["interrupted"] == "signal:SIGINT"
         assert waves == [2]
+
+    def test_second_sigint_aborts_at_once(self, monkeypatch):
+        """A second SIGINT does not wait for the wave boundary: it
+        raises ``KeyboardInterrupt`` out of the campaign at once."""
+        waves = []
+
+        def recording_reach_many(system, initial_sets, settings):
+            waves.append(len(initial_sets))
+            return reach_many(system, initial_sets, settings)
+
+        class Interrupt(CampaignProgress):
+            def on_event(self, event):
+                super().on_event(event)
+                if event["name"] == "cell.finished":
+                    os.kill(os.getpid(), signal.SIGINT)
+                    os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
+        settings = RunnerSettings(refinement=RefinementPolicy(dims=(0,), max_depth=1))
+        previous = signal.getsignal(signal.SIGINT)
+        with pytest.raises(KeyboardInterrupt):
+            verify_partition(
+                _near_error, [(Box([2.0], [2.2]), 1), (MIXED, 1)], settings,
+                Interrupt(stream=None),
+            )
+        assert waves == [2]
+        assert signal.getsignal(signal.SIGINT) is previous
+
+    def test_chunks_match_one_call(self, tmp_path, monkeypatch):
+        """Cut into chunks of 2, a 4-cell partition runs one wave list
+        per chunk and gives the same trees, canonical journal and
+        ``cell.finished`` order as one wave-driver call."""
+        factory = lambda: make_system(horizon_steps=3, error_bound=3.0)  # noqa: E731
+        cells = cells_for(grid_partition(Box([1.6], [3.0]), [4]))
+        settings = RunnerSettings(refinement=RefinementPolicy(dims=(0,), max_depth=1))
+        waves = []
+
+        def recording_reach_many(system, initial_sets, reach_settings):
+            waves.append(len(initial_sets))
+            return reach_many(system, initial_sets, reach_settings)
+
+        def run(name):
+            waves.clear()
+            rec = Recorder()
+            order = []
+            rec.subscribe(
+                lambda e: order.append(e["cell_id"]) if e["name"] == "cell.finished" else None
+            )
+            with use_recorder(rec):
+                report = verify_partition(
+                    factory, cells, settings, journal=tmp_path / f"{name}.jsonl"
+                )
+            return report, list(waves), order
+
+        monkeypatch.setattr(runner_module, "reach_many", recording_reach_many)
+        whole, whole_waves, whole_order = run("whole")
+        monkeypatch.setattr(supervisor_module, "CHUNK_CELLS", 2)
+        chunked, chunked_waves, chunked_order = run("chunked")
+
+        # cell-3 is refined: one call runs [4 cells, 2 children]; the
+        # chunks run [cells 0-1] and [cells 2-3, 2 children].
+        assert whole_waves == [4, 2]
+        assert chunked_waves == [2, 2, 2]
+        assert chunked_order == whole_order == ["cell-0", "cell-1", "cell-2", "cell-3"]
+        assert [_fields(c) for c in chunked.cells] == [_fields(c) for c in whole.cells]
+        assert canonical_journal_bytes(tmp_path / "chunked.jsonl") == (
+            canonical_journal_bytes(tmp_path / "whole.jsonl")
+        )
 
     def test_parallel_matches_serial(self):
         system_factory = lambda: make_system()
@@ -405,19 +426,14 @@ class TestSettingsValidation:
     programmatic construction and the CLI (which catches the ValueError
     and maps it to exit 2) must reject the same combinations."""
 
-    def test_batch_cells_rejects_parallel_pool(self):
-        with pytest.raises(ValueError, match="workers == 1"):
-            RunnerSettings(workers=2, batch_cells=True)
+    def test_batch_cells_accepted_with_wallclock_budgets(self):
+        """``batch_cells`` is accepted and ignored: every serial
+        campaign runs chunked lockstep waves, budgets or not."""
+        settings = RunnerSettings(batch_cells=True, cell_timeout=1.0, deadline=60.0)
+        assert settings.cell_timeout == 1.0 and settings.deadline == 60.0
 
-    def test_batch_cells_rejects_wallclock_budgets(self):
-        with pytest.raises(ValueError, match="cell_timeout/deadline"):
-            RunnerSettings(batch_cells=True, cell_timeout=1.0)
-        with pytest.raises(ValueError, match="cell_timeout/deadline"):
-            RunnerSettings(batch_cells=True, deadline=60.0)
-
-    def test_batch_cells_compatible_combo_accepted(self):
-        settings = RunnerSettings(workers=1, batch_cells=True)
-        assert settings.batch_cells
+    def test_batch_cells_accepted_with_parallel_pool(self):
+        assert RunnerSettings(workers=2, batch_cells=True).workers == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -427,7 +443,7 @@ class TestSettingsValidation:
             {"deadline": -5.0},
             {"max_retries": -1},
             {"retry_backoff": -0.1},
-            {"witness_timeout": 0.0},
+            {"deadline": 0.0},
         ],
     )
     def test_budget_fields_validated(self, kwargs):

@@ -1,6 +1,7 @@
 """The supervised pool: budget guards, crash retry/quarantine, worker
 kills, campaign deadlines, and the fault-tolerant serial path."""
 
+import io
 import signal
 import time
 
@@ -8,14 +9,18 @@ import pytest
 
 from repro.core import (
     BudgetExceeded,
+    RefinementPolicy,
     RunnerSettings,
     Verdict,
     budget_guard,
     grid_partition,
+    load_journal,
     run_cell_guarded,
     run_supervised,
     verify_partition,
 )
+from repro.core import runner as runner_module
+from repro.core.reach import reach_many
 from repro.intervals import Box
 from repro.obs import CampaignProgress, Recorder, use_recorder
 from repro.testing import injected_faults
@@ -32,6 +37,40 @@ def four_cells():
     return cells_for(grid_partition(Box([1.6], [2.4]), [4]))
 
 
+def near_error():
+    return make_system(horizon_steps=3, error_bound=3.0)
+
+
+def near_error_cells():
+    """Cells 0-2 are proved in wave 0; cell-3 is refined in wave 1."""
+    return cells_for(grid_partition(Box([1.6], [3.0]), [4]))
+
+
+def slow_waves(monkeypatch, seconds=0.35):
+    """Make every wave of the driver end ``seconds`` late; returns the
+    list the wave sizes are recorded in."""
+    waves = []
+
+    def slow_reach_many(system, initial_sets, reach_settings):
+        waves.append(len(initial_sets))
+        outcomes = reach_many(system, initial_sets, reach_settings)
+        time.sleep(seconds)
+        return outcomes
+
+    monkeypatch.setattr(runner_module, "reach_many", slow_reach_many)
+    return waves
+
+
+def tree(cell):
+    """A result tree without its timings and attempts: cell id, box,
+    verdict, work counters and children."""
+    return (
+        cell.cell_id, cell.box.lo.tolist(), cell.box.hi.tolist(), cell.verdict,
+        cell.steps_completed, cell.joins_performed, cell.integrations,
+        [tree(c) for c in cell.children],
+    )
+
+
 class TestBudgetGuard:
     def test_noop_without_budget(self):
         with budget_guard(None):
@@ -46,17 +85,15 @@ class TestBudgetGuard:
         assert excinfo.value.scope == "cell"
         assert excinfo.value.seconds == pytest.approx(0.05)
 
-    def test_nested_inner_guard_fires_first(self):
-        fired = []
-        with budget_guard(30.0, scope="cell"):
-            try:
-                with budget_guard(0.05, scope="witness"):
-                    time.sleep(5.0)
-            except BudgetExceeded as exc:
-                fired.append(exc.scope)
-            # The outer guard survives the inner one firing.
-            time.sleep(0.05)
-        assert fired == ["witness"]
+    def test_early_alarm_rearms_for_the_rest(self):
+        """A SIGALRM from elsewhere does not cut the block short: the
+        guard re-arms and fires at its own deadline."""
+        started = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            with budget_guard(0.3, scope="cell"):
+                signal.raise_signal(signal.SIGALRM)
+                time.sleep(5.0)
+        assert time.monotonic() - started >= 0.29
 
     def test_restores_previous_handler(self):
         previous = signal.getsignal(signal.SIGALRM)
@@ -111,14 +148,83 @@ class TestSerialFaultTolerance:
         assert counts["timed-out"] == 1
         assert counts["proved"] == 3
 
-    def test_deadline_returns_partial_report(self):
-        settings = RunnerSettings(deadline=0.2)
-        with injected_faults("slow:cell-0:0.3"):
-            # cell-0 runs past the deadline (no cell budget), so cells
-            # 1..3 are never dispatched.
-            report = verify_partition(make_system, four_cells(), settings)
-        assert report.total_cells == 1
+    def test_deadline_returns_partial_report(self, tmp_path, monkeypatch):
+        """The deadline stops the campaign at the wave boundary, as
+        SIGINT does: wave 0 runs past it, so its finished trees are kept
+        and journaled, cell-3's refinement wave never starts, and a
+        resume recomputes only cell-3."""
+        cells = near_error_cells()
+        settings = RunnerSettings(
+            refinement=RefinementPolicy(dims=(0,), max_depth=1), deadline=0.3
+        )
+        waves = slow_waves(monkeypatch)
+        progress = CampaignProgress(stream=io.StringIO(), min_interval=1000.0)
+        journal = tmp_path / "journal.jsonl"
+        report = verify_partition(near_error, cells, settings, progress, journal=journal)
+        monkeypatch.undo()
+
+        assert waves == [4]
         assert report.settings_summary["interrupted"] == "deadline"
+        assert [c.cell_id for c in report.cells] == ["cell-0", "cell-1", "cell-2"]
+        assert all(c.proved for c in report.cells)
+        assert sorted(r.cell_id for r in load_journal(journal).values()) == [
+            "cell-0", "cell-1", "cell-2",
+        ]
+        last = progress.stream.getvalue().splitlines()[-1]
+        assert last.startswith("cells 3/4 (75.0%)")
+
+        whole_settings = RunnerSettings(refinement=settings.refinement)
+        with use_recorder(Recorder()):
+            resumed = verify_partition(near_error, cells, whole_settings, journal=journal)
+        whole = verify_partition(near_error, cells, whole_settings)
+        assert resumed.metrics["counters"]["checkpoint.cells_skipped"] == 3
+        assert resumed.metrics["counters"]["checkpoint.cells_verified"] == 1
+        assert [tree(c) for c in resumed.cells] == [tree(c) for c in whole.cells]
+
+    def test_deadline_stops_a_budgeted_cell_between_its_waves(self, monkeypatch):
+        """With a cell budget the cells run one at a time, and the
+        deadline still stops at the wave boundary: cell-0's refinement
+        wave never starts, so its unfinished tree is dropped and no
+        further cell runs."""
+        cells = near_error_cells()[::-1]  # the refined cell first
+        settings = RunnerSettings(
+            refinement=RefinementPolicy(dims=(0,), max_depth=1),
+            cell_timeout=600.0,
+            deadline=0.3,
+        )
+        waves = slow_waves(monkeypatch)
+        report = verify_partition(near_error, cells, settings)
+        assert waves == [1]
+        assert report.cells == []
+        assert report.settings_summary["interrupted"] == "deadline"
+
+    def test_raising_cell_aborts_alone(self, monkeypatch):
+        """A cell whose reach_many raises takes down its chunk's driver
+        call; the other cells rerun alone, so it ends ABORTED by itself
+        and every tree equals the one-cell-at-a-time run's."""
+        cells = cells_for(grid_partition(Box([1.6], [2.8]), [6]))
+        bad = cells[2][0]
+        waves = []
+
+        def failing_reach_many(system, initial_sets, reach_settings):
+            waves.append(len(initial_sets))
+            if any(state.box == bad for initial in initial_sets for state in initial):
+                raise FloatingPointError("overflow in a flow step")
+            return reach_many(system, initial_sets, reach_settings)
+
+        monkeypatch.setattr(runner_module, "reach_many", failing_reach_many)
+        chunked = verify_partition(make_system, cells)
+        # The chunk's wave 0 raised; then each cell ran alone.
+        assert waves == [6] + [1] * 6
+        alone = verify_partition(make_system, cells, RunnerSettings(cell_timeout=600.0))
+
+        assert [c.cell_id for c in chunked.quarantined_cells()] == ["cell-2"]
+        aborted = chunked.cells[2]
+        assert aborted.verdict is Verdict.ABORTED
+        assert aborted.tags["failure"]["kind"] == "exception"
+        assert "FloatingPointError" in aborted.tags["failure"]["error"]
+        assert [tree(c) for c in chunked.cells] == [tree(c) for c in alone.cells]
+        assert sum(c.proved for c in chunked.cells) == 5
 
     def test_progress_exception_does_not_abort_campaign(self):
         class ExplodingProgress(CampaignProgress):
@@ -133,44 +239,6 @@ class TestSerialFaultTolerance:
         assert rec.dropped_subscribers == 1
         assert report.total_cells == 4
         assert report.coverage_percent() == pytest.approx(100.0)
-
-
-class TestWitnessTimeout:
-    def test_stuck_witness_search_degrades_to_refinement(self):
-        system = make_system(horizon_steps=4, target="none", error_bound=2.5)
-
-        def stuck_search(system, box, command):
-            time.sleep(30.0)
-            return None  # pragma: no cover
-
-        settings = RunnerSettings(
-            witness_search=stuck_search, witness_timeout=0.2
-        )
-        started = time.perf_counter()
-        result = run_cell_guarded(
-            system, Box([2.0], [3.0]), 0, settings, "cell-0"
-        )
-        assert time.perf_counter() - started < 5.0
-        assert not result.proved
-        assert not result.quarantined  # timed-out search != timed-out cell
-        assert result.tags["witness_timeout"] == pytest.approx(0.2)
-
-    def test_witness_timeout_nests_inside_cell_budget(self):
-        system = make_system(horizon_steps=4, target="none", error_bound=2.5)
-
-        def stuck_search(system, box, command):
-            time.sleep(30.0)
-            return None  # pragma: no cover
-
-        settings = RunnerSettings(
-            witness_search=stuck_search, witness_timeout=0.2, cell_timeout=10.0
-        )
-        result = run_cell_guarded(
-            system, Box([2.0], [3.0]), 0, settings, "cell-0"
-        )
-        # The witness guard fired, not the cell guard.
-        assert result.verdict is not Verdict.TIMED_OUT
-        assert "witness_timeout" in result.tags
 
 
 class TestSupervisedPool:

@@ -23,17 +23,18 @@ def cells(n=4):
     ]
 
 
-#: The two serial executors: the guarded per-cell loop and lockstep
-#: waves over the whole partition. Both write the same span names.
-SERIAL = pytest.mark.parametrize("batch_cells", [False, True], ids=["per-cell", "lockstep"])
+#: The serial executor's two shapes: with a cell budget one cell at a
+#: time, else lockstep waves over the whole partition. Both write the
+#: same span names.
+SERIAL = pytest.mark.parametrize("cell_timeout", [600.0, None], ids=["per-cell", "lockstep"])
 
 
 class TestInstrumentedRunner:
     @SERIAL
-    def test_serial_run_collects_phases_and_report_metrics(self, tmp_path, batch_cells):
+    def test_serial_run_collects_phases_and_report_metrics(self, tmp_path, cell_timeout):
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
-        settings = RunnerSettings(batch_cells=batch_cells)
+        settings = RunnerSettings(cell_timeout=cell_timeout)
         with use_recorder(rec):
             report = verify_partition(lambda: make_system(), cells(), settings)
         rec.close()
@@ -65,6 +66,24 @@ class TestInstrumentedRunner:
         assert report.metrics["histograms"]["cell.seconds"]["count"] == 6
         assert report.metrics["counters"]["reach.integrations"] > 0
 
+    def test_pool_trace_merged_in_timestamp_order(self, tmp_path):
+        """The parent's own lines join the merge: the trace never steps
+        back in ``ts``, holds every worker's spans, and the events after
+        the merge land after the merged lines."""
+        trace = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=trace)
+        with use_recorder(rec):
+            verify_partition(lambda: make_system(), cells(4), RunnerSettings(workers=2))
+        rec.close()
+
+        events = list(read_trace(trace))
+        stamps = [e["ts"] for e in events]
+        assert stamps == sorted(stamps)
+        workers = {e["pid"] for e in events if e.get("name") == "worker.start"}
+        assert len(workers) == 2
+        assert len([e for e in events if e.get("name") == "cell"]) == 4
+        assert [e["name"] for e in events[-2:]] == ["trace.merged", "campaign.finished"]
+
     def test_progress_receives_results(self):
         from repro.obs import CampaignProgress
 
@@ -75,12 +94,12 @@ class TestInstrumentedRunner:
         assert verdicts["proved"] + verdicts["unproved"] + verdicts["witnessed"] == 4
 
     @SERIAL
-    def test_refinement_spans_present(self, tmp_path, batch_cells):
+    def test_refinement_spans_present(self, tmp_path, cell_timeout):
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
         settings = RunnerSettings(
             refinement=RefinementPolicy(dims=(0,), max_depth=1),
-            batch_cells=batch_cells,
+            cell_timeout=cell_timeout,
         )
         bad = [(Box([4.0], [4.8]), 0, {})]  # drives toward the error bound
         with use_recorder(rec):

@@ -121,6 +121,32 @@ class TestCampaignSnapshot:
         assert w0.rss_bytes == 4096
         assert snap.workers[1].crashes == 1
 
+    def test_worker_busy_until_its_chunk_is_done(self):
+        """The serial executor dispatches a whole chunk to worker 0: it
+        stays busy, showing its oldest unfinished cell, until the
+        chunk's last tree finishes."""
+        snap = CampaignSnapshot("run-1")
+        self.fold(
+            snap,
+            ("campaign.started", {"total": 3}),
+            *[("cell.dispatched", {"worker": 0, "cell_id": f"cell-{i}", "seq": i})
+              for i in range(3)],
+            ("cell.finished", {"worker": 0, "cell_id": "cell-0", "verdict_class": "proved"}),
+        )
+        w0 = snap.workers[0]
+        assert (w0.state, w0.cell_id, w0.cells_completed) == ("busy", "cell-1", 1)
+        started = w0.cell_started_at
+        self.fold(
+            snap,
+            ("cell.finished", {"worker": 0, "cell_id": "cell-2", "verdict_class": "proved"}),
+        )
+        assert (w0.state, w0.cell_id, w0.cell_started_at) == ("busy", "cell-1", started)
+        self.fold(
+            snap,
+            ("cell.finished", {"worker": 0, "cell_id": "cell-1", "verdict_class": "proved"}),
+        )
+        assert (w0.state, w0.cell_id, w0.cells_completed) == ("idle", None, 3)
+
     def test_finished_event_overwrites_with_authoritative_counts(self):
         snap = CampaignSnapshot("run-1")
         self.fold(
@@ -387,6 +413,18 @@ class TestHeartbeatReporter:
         assert payload["pid"] > 0
         reporter.end_cell()
         assert reporter.payload()["cells_completed"] == 1
+
+    def test_payload_names_oldest_cell_of_a_chunk(self):
+        reporter = HeartbeatReporter(lambda p: None, interval=10.0)
+        for cell_id in ("cell-0", "cell-1", "cell-2"):
+            reporter.begin_cell(cell_id)
+        reporter.end_cell("cell-0")
+        reporter.end_cell("cell-2")
+        payload = reporter.payload()
+        assert payload["cell_id"] == "cell-1" and payload["cells_completed"] == 2
+        reporter.end_cell("cell-1")
+        payload = reporter.payload()
+        assert payload["cell_id"] is None and payload["cell_elapsed"] == 0.0
 
     def test_beats_arrive_and_stop(self):
         beats = []
@@ -658,6 +696,56 @@ class TestLiveTelemetryEndToEnd:
         assert f"worker crashes: {counts['worker.crash']}\n" in out
         assert f"worker respawns: {counts['worker.respawn']}\n" in out
         assert "cell.finished: 4\n" in out
+
+
+class TestHeartbeats:
+    def test_serial_chunk_dispatches_beats_and_stays_busy(self, tmp_path):
+        """The serial executor runs its 4 cells as one chunk on worker
+        0: a dispatch per cell, beats while the chunk runs, and worker 0
+        busy until the chunk's last tree finishes."""
+        live = LiveTelemetry("serial-run", TelemetrySettings(interval=0.05, root=tmp_path))
+        events, states = [], []
+
+        def watch(event):
+            events.append(event)
+            if event["name"] == "cell.finished":
+                states.append(live.snapshot.to_dict()["workers"][0]["state"])
+
+        with injected_faults("slow:cell-0:0.3"):
+            with live:
+                live.recorder.subscribe(watch)  # after the snapshot: sees it folded
+                report = verify_partition(make_system, cells(4), RunnerSettings())
+        assert report.total_cells == 4
+        dispatched = [e for e in events if e["name"] == "cell.dispatched"]
+        assert [(e["worker"], e["cell_id"]) for e in dispatched] == [
+            (0, f"cell-{i}") for i in range(4)
+        ]
+        assert [e for e in events if e["name"] == "worker.heartbeat" and e["worker"] == 0]
+        assert states == ["busy", "busy", "busy", "idle"]
+        final = json.loads(live.status_path.read_text())
+        assert final["workers"][0]["last_heartbeat_at"] is not None
+
+    def test_beats_kept_out_of_trace_and_events_jsonl(self, tmp_path):
+        """Heartbeats reach the snapshot, so status.json has each
+        worker's newest beat, but neither the trace nor events.jsonl
+        holds one."""
+        trace = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=trace, heartbeat_interval=0.05)
+        live = LiveTelemetry(
+            "beats-run", TelemetrySettings(interval=0.05, root=tmp_path), recorder=rec
+        )
+        with injected_faults("slow:cell-0:0.3,slow:cell-1:0.3"):
+            with use_recorder(rec), live:
+                report = verify_partition(make_system, cells(4), RunnerSettings(workers=2))
+        rec.close()
+        assert report.total_cells == 4
+        for path in (trace, live.writer.events_path):
+            names = [e["name"] for e in read_trace(path)]
+            assert "cell.finished" in names
+            assert not [name for name in names if name.endswith(".heartbeat")], path
+        final = json.loads(live.status_path.read_text())
+        assert len(final["workers"]) == 2
+        assert all(w["last_heartbeat_at"] is not None for w in final["workers"])
 
 
 class TestLiveTelemetryRecorder:

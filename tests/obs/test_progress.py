@@ -2,10 +2,20 @@
 fed only by telemetry events."""
 
 import io
+import time
 
 import pytest
 
-from repro.core import CellResult, RunnerSettings, Verdict, grid_partition, verify_partition
+from repro.core import (
+    CellResult,
+    RefinementPolicy,
+    RunnerSettings,
+    Verdict,
+    grid_partition,
+    verify_partition,
+)
+from repro.core import runner as runner_module
+from repro.core.reach import reach_many
 from repro.core.runner import _publish_finished
 from repro.intervals import Box
 from repro.obs import CampaignProgress, Recorder, format_eta, use_recorder
@@ -185,19 +195,30 @@ class TestRendering:
         )
         assert lines(stream)[-1].startswith("cells 2/4 (50.0%)")
 
-    def test_deadline_campaign_ends_on_its_last_cell(self):
-        """Two cells finish before the deadline stops the campaign; the
-        last line says so although the throttle held back the second."""
+    def test_deadline_campaign_ends_on_its_last_cell(self, monkeypatch):
+        """Wave 0 ends past the deadline: its three finished trees are
+        kept and cell-3's refinement wave never starts. The last line
+        counts the three although the throttle held back the others."""
         stream = io.StringIO()
         progress = CampaignProgress(stream=stream, min_interval=1000.0)
-        cells = [(box, 1) for box in grid_partition(Box([1.6], [2.4]), [4])]
-        with injected_faults("slow:cell-1:0.6"):
-            report = verify_partition(
-                make_system, cells, RunnerSettings(deadline=0.5), progress=progress
-            )
+        cells = [(box, 1) for box in grid_partition(Box([1.6], [3.0]), [4])]
+        settings = RunnerSettings(
+            refinement=RefinementPolicy(dims=(0,), max_depth=1), deadline=0.3
+        )
+
+        def slow_reach_many(system, initial_sets, reach_settings):
+            outcomes = reach_many(system, initial_sets, reach_settings)
+            time.sleep(0.35)
+            return outcomes
+
+        monkeypatch.setattr(runner_module, "reach_many", slow_reach_many)
+        report = verify_partition(
+            lambda: make_system(horizon_steps=3, error_bound=3.0), cells, settings,
+            progress=progress,
+        )
         assert report.settings_summary["interrupted"] == "deadline"
-        assert report.total_cells == 2
-        assert lines(stream)[-1].startswith("cells 2/4 (50.0%)")
+        assert [c.cell_id for c in report.cells] == ["cell-0", "cell-1", "cell-2"]
+        assert lines(stream)[-1].startswith("cells 3/4 (75.0%)")
 
     def test_no_eta_once_finished(self):
         progress = feed(quiet(), started(4), *[finished(2.0)] * 4)

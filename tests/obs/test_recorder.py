@@ -139,7 +139,7 @@ class TestEventSubscribers:
     def test_concurrent_emitters_deliver_in_timestamp_order(self, tmp_path, monkeypatch):
         """An emitter parked between its timestamp and its write must
         not let a later-stamped event overtake it (a heartbeat thread and
-        the main thread share one trace and one events.jsonl)."""
+        the main thread share one event stream)."""
         trace = tmp_path / "trace.jsonl"
         rec = Recorder(trace_path=trace)
         seen = []
@@ -214,7 +214,7 @@ class TestEventSubscribers:
 
         def emit(worker):
             for i in range(per_thread):
-                rec.event("worker.heartbeat", worker=worker, seq=i)
+                rec.event("cell.dispatched", worker=worker, seq=i)
                 with rec.span("tick", worker=worker):
                     pass
 
@@ -254,6 +254,36 @@ class TestTraceRoundtripAndMerge:
         events = list(read_trace(trace))
         assert len(events) == 5
         assert [e["i"] for e in events] == list(range(5))
+
+    def test_merge_trace_keeps_appending(self, tmp_path):
+        """A recorder folds worker files into its own trace and goes on
+        writing to the merged file."""
+        parent = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=parent)
+        worker = worker_trace_path(parent, 111)
+        with open(worker, "w") as out:
+            out.write(json.dumps({"ts": time.time(), "kind": "event", "name": "w"}) + "\n")
+        rec.event("before")
+        assert rec.merge_trace([worker]) == 1
+        rec.event("after")
+        rec.close()
+        assert not worker.exists()
+        events = list(read_trace(parent))
+        assert [e["name"] for e in events] == ["w", "before", "after"]
+
+    def test_heartbeats_reach_subscribers_not_the_trace(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        rec = Recorder(trace_path=trace)
+        seen = []
+        rec.subscribe(seen.append)
+        rec.event("worker.heartbeat", worker=0)
+        rec.event("node.heartbeat", node="node-0")
+        rec.event("cell.finished", worker=0)
+        rec.close()
+        assert [e["name"] for e in seen] == [
+            "worker.heartbeat", "node.heartbeat", "cell.finished",
+        ]
+        assert [e["name"] for e in read_trace(trace)] == ["cell.finished"]
 
     def test_parent_merges_worker_files(self, tmp_path):
         parent = tmp_path / "trace.jsonl"

@@ -88,6 +88,16 @@ class TestMergeTraces:
         merge_traces(target, [worker])
         assert [e["name"] for e in read_trace(target)] == ["parent", "w"]
 
+    def test_target_lines_join_the_merge(self, tmp_path):
+        """The parent's own lines are merged too, so the result never
+        steps back in ``ts``; the count is the sources' events."""
+        target = tmp_path / "trace.jsonl"
+        write_jsonl(target, [{"ts": t, "kind": "event", "name": "parent"} for t in (1.0, 3.0)])
+        worker = tmp_path / "w.jsonl"
+        write_jsonl(worker, [{"ts": 2.0, "kind": "event", "name": "w"}])
+        assert merge_traces(target, [worker]) == 1
+        assert [e["ts"] for e in read_trace(target)] == [1.0, 2.0, 3.0]
+
     def test_delete_sources(self, tmp_path):
         worker = tmp_path / "w.jsonl"
         write_jsonl(worker, [{"ts": 1.0, "kind": "event", "name": "w"}])
