@@ -3,8 +3,9 @@
 The lockstep reachability driver spends its time in three kernels:
 the validated flow over a control period (``Plant.flow_batch``, here
 the ACAS Xu analytic flow's ``integrate_batch``), symbolic NN
-propagation (``SymbolicPropagator.output_bounds_batch`` behind
-``Controller.execute_abstract_batch``), and the reach-set join
+propagation (``SymbolicPropagator.output_bounds_batch``, one stacked
+call per wave behind ``Controller.execute_abstract_batch``), and the
+reach-set join
 (``resize`` + ``Box.hull``). Each bench here runs the batched kernel
 and its scalar per-row equivalent over the same inputs, records both
 timings, and asserts bitwise-identical outputs — the contract that
@@ -132,12 +133,31 @@ def test_join_resize(benchmark, tiny_system, states, commands):
     benchmark.extra_info["joins"] = joins
 
 
-def test_controller_execute_batch(benchmark, tiny_system):
-    """End-to-end abstract controller execution over a 24-row wave,
-    including the batched Pre# normalization (hypot + affine)."""
+def _paper_controller():
+    """The 6x50 paper-architecture controller from the committed bank
+    (networks only: propagation needs no tables)."""
+    import os
+    from pathlib import Path
+
+    from repro.acasxu import PAPER_SCENARIO, build_controller
+    from repro.nn.serialize import load_npz
+
+    key = f"{PAPER_SCENARIO.table_config.key()}-{PAPER_SCENARIO.network_config.key()}"
+    bank = Path(os.environ["REPRO_CACHE"]) / key
+    return build_controller([load_npz(bank / f"network_{i}.npz") for i in range(5)])
+
+
+@pytest.mark.parametrize("bank", ["tiny", "paper"])
+def test_controller_execute_batch(benchmark, tiny_system, bank):
+    """End-to-end abstract controller execution over a 24-row wave whose
+    rows select every network, out of network order (network 4 by one
+    row): one batched Pre#, one stacked F# and one batched Post#. The
+    commands equal the per-row ones, and the stacked F# scores equal
+    each row's own network's ``output_bounds`` byte for byte."""
     boxes, _u = _wave_boxes(tiny_system, 24)
-    commands = [i % 3 for i in range(len(boxes))]
-    controller = tiny_system.controller
+    commands = [(3 * i + 1) % 4 for i in range(len(boxes))]
+    commands[7] = 4
+    controller = tiny_system.controller if bank == "tiny" else _paper_controller()
 
     batch_out = benchmark(controller.execute_abstract_batch, boxes, commands)
 
@@ -145,3 +165,14 @@ def test_controller_execute_batch(benchmark, tiny_system):
         controller.execute_abstract(b, c) for b, c in zip(boxes, commands)
     ]
     assert batch_out == scalar_out
+    x_lo, x_hi = controller.pre.abstract_batch(
+        np.stack([b.lo for b in boxes]), np.stack([b.hi for b in boxes])
+    )
+    out_lo, out_hi = controller.propagators[0].output_bounds_batch(
+        x_lo, x_hi, controller.networks, commands
+    )
+    for r, network in enumerate(commands):
+        s_lo, s_hi = controller.propagators[network].output_bounds(Box(x_lo[r], x_hi[r]))
+        assert s_lo.tobytes() == out_lo[r].tobytes()
+        assert s_hi.tobytes() == out_hi[r].tobytes()
+    benchmark.extra_info["bank"] = bank

@@ -28,7 +28,7 @@ from ..intervals import (
     iatan2,
     ihypot,
 )
-from ..intervals.batched import bhypot, bmul, bsub
+from ..intervals.batched import batan2, bhypot, bmul, bneg, bsub
 from ..nn import Network
 from ..verify import SymbolicPropagator
 from .dynamics import PSI, V_INT, V_OWN, X, Y
@@ -107,12 +107,11 @@ class AcasPre:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``Pre#`` over ``(B, 5)`` box-endpoint arrays at once.
 
-        Bitwise identical to :meth:`abstract` row by row: the hypot and
-        normalization stages run on the batched interval kernels (whose
-        elementwise ops replay the scalar sequence exactly), while the
-        atan2 corner evaluations stay on the scalar :func:`iatan2` —
-        ``np.arctan2`` is *not* bitwise identical to ``math.atan2``, so
-        vectorizing it would change last-ulp corner values.
+        Bitwise identical to :meth:`abstract` row by row: every stage
+        runs on the batched interval kernels, whose elementwise ops
+        replay the scalar sequence exactly (:func:`batan2` keeps the
+        atan2 corners on ``math.atan2``, as the scalar :func:`iatan2`
+        does).
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -122,16 +121,7 @@ class AcasPre:
         xlo, xhi = lo[:, X], hi[:, X]
         ylo, yhi = lo[:, Y], hi[:, Y]
         rho_lo, rho_hi = bhypot(xlo, xhi, ylo, yhi)
-        count = lo.shape[0]
-        theta_lo = np.empty(count)
-        theta_hi = np.empty(count)
-        for r in range(count):
-            theta = iatan2(
-                Interval(float(-xhi[r]), float(-xlo[r])),
-                Interval(float(ylo[r]), float(yhi[r])),
-            )
-            theta_lo[r] = theta.lo
-            theta_hi[r] = theta.hi
+        theta_lo, theta_hi = batan2(*bneg(xlo, xhi), ylo, yhi)
         raw_lo = np.stack(
             [rho_lo, theta_lo, lo[:, PSI], lo[:, V_OWN], lo[:, V_INT]], axis=1
         )

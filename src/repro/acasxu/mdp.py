@@ -122,7 +122,9 @@ class AcasTables:
 
     @staticmethod
     def load(path: str | Path, config: TableConfig | None = None) -> "AcasTables":
-        with np.load(path) as data:
+        # The file is opened here, so it is closed even when the
+        # archive does not parse.
+        with open(path, "rb") as handle, np.load(handle) as data:
             return AcasTables(
                 rho_grid=data["rho_grid"],
                 theta_grid=data["theta_grid"],

@@ -307,7 +307,13 @@ def run_node(
                 "%s: granted %s epoch %d (%d cells)",
                 node_id, shard_id, epoch, len(tasks),
             )
-            run_supervised(system_factory, tasks, pool_settings, on_result=on_result)
+            run_supervised(
+                system_factory,
+                tasks,
+                pool_settings,
+                on_result=on_result,
+                indices=[int(cell["index"]) for cell in cells],
+            )
             sender.send(
                 {"type": "shard_done", "node": node_id, "shard": shard_id,
                  "epoch": epoch, "cells": streamed}

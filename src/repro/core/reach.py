@@ -200,41 +200,37 @@ def reach_many(
         if not live:
             break
 
-        # --- join + termination filter, per cell
-        batch_rows = 0
+        # --- joins per cell, then one wave-wide termination filter
         for cell in live:
             tick = time.perf_counter()
-            current = cell.current
-            result = cell.result
-            with rec.span("join", step=j, states=len(current)):
-                joins = resize(current, settings.max_symbolic_states)
-            result.joins_performed += joins
+            with rec.span("join", step=j, states=len(cell.current)):
+                joins = resize(cell.current, settings.max_symbolic_states)
+            cell.result.joins_performed += joins
             if joins:
                 rec.inc("reach.joins", joins)
-            # E and T may be command-dependent (subsets of R^l x U,
-            # Section 4.1): resolve them against each state's concrete
-            # command (exact, since symbolic states carry commands).
-            with rec.span("terminate", step=j):
-                active = [
-                    s
-                    for s in current
-                    if not resolve_for_command(target, s.command).contains_box(s.box)
-                ]
+            cell.elapsed += time.perf_counter() - tick
+        tick = time.perf_counter()
+        with rec.span("terminate", step=j):
+            inside = iter(_inside_target(target, [s for c in live for s in c.current]))
+        share = (time.perf_counter() - tick) / len(live)
+        for cell in live:
+            cell.elapsed += share
+            active = [s for s in cell.current if not next(inside)]
             if not active:
-                result.has_terminated = True
-                result.termination_step = j
+                cell.result.has_terminated = True
+                cell.result.termination_step = j
                 cell.finished = True
             else:
                 cell.active = active
-                cell.row_start = batch_rows
-                batch_rows += len(active)
-            cell.elapsed += time.perf_counter() - tick
         live = [c for c in live if not c.finished]
         if not live:
             continue
 
         # --- one batched integrator call over the whole wave
-        all_states = [s for cell in live for s in cell.active]
+        all_states: list[SymbolicState] = []
+        for cell in live:
+            cell.row_start = len(all_states)
+            all_states.extend(cell.active)
         boxes = BoxBatch.from_boxes([s.box for s in all_states])
         u_rows = np.stack([system.commands.value(s.command) for s in all_states])
         tick = time.perf_counter()
@@ -272,7 +268,10 @@ def reach_many(
                             Box(range_lo[k], range_hi[k])
                         )
 
-        # --- per-cell unsafe bookkeeping, state by state in set order
+        # --- per-cell unsafe bookkeeping, state by state in set order;
+        # a row the scan cleared at every substep needs no substep loop
+        # unless its tube is recorded
+        cleared = disjoint_all.all(axis=0).tolist()
         survivor_states: list[SymbolicState] = []
         survivor_rows: list[int] = []
         for cell in live:
@@ -283,39 +282,41 @@ def reach_many(
             for offset, state in enumerate(cell.active):
                 row = cell.row_start + offset
                 result.integrations += substep_count
-                rec.inc("reach.integrations", substep_count)
-                for k in range(substep_count):
-                    if settings.record_sets:
-                        result.tube.append(
-                            TubeSegment(
-                                float(pipes.t_starts[k]),
-                                float(pipes.t_ends[k]),
-                                Box(pipes.range_lo[k, row], pipes.range_hi[k, row]),
-                                state.command,
+                if settings.record_sets or not cleared[row]:
+                    for k in range(substep_count):
+                        if settings.record_sets:
+                            result.tube.append(
+                                TubeSegment(
+                                    float(pipes.t_starts[k]),
+                                    float(pipes.t_ends[k]),
+                                    Box(pipes.range_lo[k, row], pipes.range_hi[k, row]),
+                                    state.command,
+                                )
                             )
-                        )
-                    if not disjoint_all[k, row]:
-                        cell.unsafe_found = True
-                        rec.event(
-                            "reach.unsafe",
-                            step=j,
-                            t=float(pipes.t_starts[k]),
-                            command=state.command,
-                        )
-                        if result.unsafe_time is None:
-                            result.unsafe_time = float(pipes.t_starts[k])
-                            result.unsafe_command = state.command
-                        if settings.early_exit_on_unsafe:
-                            result.verdict = Verdict.POSSIBLY_UNSAFE
-                            result.steps_completed = j
-                            cell.finished = True
-                            exited = True
-                            break
-                if exited:
-                    break
+                        if not disjoint_all[k, row]:
+                            cell.unsafe_found = True
+                            rec.event(
+                                "reach.unsafe",
+                                step=j,
+                                t=float(pipes.t_starts[k]),
+                                command=state.command,
+                            )
+                            if result.unsafe_time is None:
+                                result.unsafe_time = float(pipes.t_starts[k])
+                                result.unsafe_command = state.command
+                            if settings.early_exit_on_unsafe:
+                                result.verdict = Verdict.POSSIBLY_UNSAFE
+                                result.steps_completed = j
+                                cell.finished = True
+                                exited = True
+                                break
+                    if exited:
+                        break
                 survivor_states.append(state)
                 survivor_rows.append(row)
                 cell.survivors += 1
+            # sound: ok [S001] an integer work counter, not a bound
+            rec.inc("reach.integrations", substep_count * (cell.survivors + exited))
             # On early exit the cell keeps its survivor rows: Algorithm 3
             # evaluates the controller for every state processed before
             # the unsafe one (and only then returns), so those rows stay
@@ -349,8 +350,22 @@ def reach_many(
                     controller_elapsed * cell.survivors / len(survivor_states)
                 )
 
-        # --- per-cell successor assembly and termination check
+        # --- per-cell successor assembly, then one wave-wide
+        # termination check of the fresh states (Algorithm 3 line 23)
+        end_lo = pipes.end_lo[-1, survivor_rows]
+        end_hi = pipes.end_hi[-1, survivor_rows]
+        kept: list[int] = []
         cursor = 0
+        for cell in wave:
+            if not cell.finished:
+                kept.extend(range(cursor, cursor + cell.survivors))
+            cursor += cell.survivors
+        # The end boxes that become states, checked once for the wave
+        # the way Box.__init__ checks one box.
+        if not np.all(end_lo[kept] <= end_hi[kept]):
+            raise ValueError("a flow end box has a NaN or lo > hi endpoint")
+        cursor = 0
+        assembled: list[_LiveCell] = []
         for cell in wave:
             tick = time.perf_counter()
             result = cell.result
@@ -363,27 +378,32 @@ def reach_many(
                 continue
             next_set = SymbolicSet()
             for _ in range(cell.survivors):
-                row = survivor_rows[cursor]
-                next_commands = command_lists[cursor]
+                end_box = Box._trusted(end_lo[cursor].copy(), end_hi[cursor].copy())
+                for command in command_lists[cursor]:
+                    next_set.add(SymbolicState(end_box, command))
                 cursor += 1
                 result.controller_evaluations += 1
-                end_box = pipes.end_box(row)
-                for command in next_commands:
-                    next_set.add(SymbolicState(end_box, command))
             cell.current = next_set
             result.steps_completed = j + 1
             rec.inc("reach.steps")
             if settings.record_sets:
                 result.step_sets.append(next_set.copy())
-            # Algorithm 3 line 23: all fresh states inside T => terminated.
-            if all(
-                resolve_for_command(target, s.command).contains_box(s.box)
-                for s in next_set
-            ):
-                result.has_terminated = True
-                result.termination_step = j + 1
-                cell.finished = True
+            assembled.append(cell)
             cell.elapsed += time.perf_counter() - tick
+        if assembled:
+            tick = time.perf_counter()
+            inside = iter(
+                _inside_target(target, [s for c in assembled for s in c.current])
+            )
+            share = (time.perf_counter() - tick) / len(assembled)
+            for cell in assembled:
+                cell.elapsed += share
+                # Algorithm 3 line 23: all fresh states inside T => terminated.
+                flags = [next(inside) for _ in cell.current]
+                if all(flags):
+                    cell.result.has_terminated = True
+                    cell.result.termination_step = j + 1
+                    cell.finished = True
 
     wall = time.perf_counter() - started
     for cell in cells:
@@ -396,6 +416,40 @@ def reach_many(
             result.verdict = Verdict.SAFE_WITHIN_HORIZON
         result.elapsed_seconds = wall if len(cells) == 1 else cell.elapsed
     return [cell.result for cell in cells]
+
+
+#: Below this many states of one resolved target, T is tested one
+#: ``contains_box`` at a time (~7 us each); from it on, one
+#: ``contains_box_batch`` call (~60 us whatever its size) is cheaper.
+#: Measured on a 2-vCPU VM.
+_BATCHED_TARGET_ROWS = 8
+
+
+def _inside_target(target: object, states: list[SymbolicState]) -> list[bool]:
+    """Whether each state lies inside ``target`` resolved for its
+    command (E and T may be command-dependent, Section 4.1): one query
+    per distinct resolved set, a single one for a command-independent
+    set."""
+    if getattr(target, "for_command", None) is None:
+        return _contained(target, states)
+    inside: dict[int, bool] = {}
+    for command in dict.fromkeys(s.command for s in states):
+        rows = [r for r, s in enumerate(states) if s.command == command]
+        spec = resolve_for_command(target, command)
+        inside.update(zip(rows, _contained(spec, [states[r] for r in rows])))
+    return [inside[r] for r in range(len(states))]
+
+
+def _contained(spec: object, states: list[SymbolicState]) -> list[bool]:
+    """``spec.contains_box`` of every state's box: one
+    ``contains_box_batch`` call from ``_BATCHED_TARGET_ROWS`` states on
+    when the set has it, else state by state (the same answers)."""
+    batched = getattr(spec, "contains_box_batch", None)
+    if batched is not None and len(states) >= _BATCHED_TARGET_ROWS:
+        return batched(
+            np.stack([s.box.lo for s in states]), np.stack([s.box.hi for s in states])
+        ).tolist()
+    return [spec.contains_box(s.box) for s in states]
 
 
 def reach_from_box(

@@ -374,7 +374,11 @@ def verify_partition(
             if handle is not None:
                 writer = _JournalWriter(handle, fsync)
             outcome = executor(
-                system_factory, [tasks[i] for i in remaining], settings, on_result=on_result
+                system_factory,
+                [tasks[i] for i in remaining],
+                settings,
+                on_result=on_result,
+                indices=remaining,
             )
 
         report = _campaign_report(results, settings, outcome.interrupted, run_started)

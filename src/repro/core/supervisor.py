@@ -521,6 +521,7 @@ def run_supervised(
     tasks: Sequence[Task],
     settings,
     on_result: Callable[[int, CellResult, int | None], None] | None = None,
+    indices: Sequence[int] | None = None,
 ) -> SupervisorOutcome:
     """Run ``tasks`` over a supervised pool of ``settings.workers``
     fork processes.
@@ -530,7 +531,10 @@ def run_supervised(
     finishes — the campaign driver's journal and events hang off it.
     ``worker`` is the id of the worker that produced the result, or
     None for a crash or kill quarantine. Worker trace files are
-    merged into the parent trace before returning.
+    merged into the parent trace before returning. ``indices`` are
+    the tasks' top-level cell indices in their campaign, the ``seq``
+    of their ``cell.dispatched`` and ``cell.retried`` events, so it
+    matches the cell's ``cell.finished`` (default: task positions).
 
     Raises ``RuntimeError`` if a worker's ``system_factory()`` call
     fails: that is a configuration error, not a transient fault.
@@ -540,6 +544,7 @@ def run_supervised(
     total = len(tasks)
     if total == 0:
         return outcome
+    indices = list(indices) if indices is not None else list(range(total))
 
     parent_trace = str(rec.trace_path) if getattr(rec, "trace_path", None) else None
     ctx = multiprocessing.get_context("fork")
@@ -627,7 +632,7 @@ def run_supervised(
             rec.event(
                 "cell.retried",
                 cell_id=cell_id,
-                seq=seq,
+                seq=indices[seq],
                 attempt=attempts[seq],
                 delay=delay,
             )
@@ -731,7 +736,7 @@ def run_supervised(
                         "cell.dispatched",
                         worker=worker.id,
                         cell_id=cell_id,
-                        seq=seq,
+                        seq=indices[seq],
                         attempt=attempts.get(seq, 0),
                     )
 
@@ -835,11 +840,13 @@ def run_serial(
     tasks: Sequence[Task],
     settings,
     on_result: Callable[[int, CellResult, int | None], None] | None = None,
+    indices: Sequence[int] | None = None,
 ) -> SupervisorOutcome:
     """Run ``tasks`` in this process, with :func:`run_supervised`'s
     contract: ``system_factory`` is called once (and only if there is a
     task), ``on_result(task_index, result, 0)`` is called in completion
-    order, and ``interrupted`` names why a partial run stopped.
+    order, ``indices`` are the events' ``seq``, and ``interrupted``
+    names why a partial run stopped.
 
     The tasks run in chunks of at most :data:`CHUNK_CELLS` top-level
     cells, one cell when ``settings.cell_timeout`` is set (a per-cell
@@ -856,6 +863,7 @@ def run_serial(
     outcome = SupervisorOutcome()
     if not tasks:
         return outcome
+    indices = list(indices) if indices is not None else list(range(len(tasks)))
     system = system_factory()
     rec.event("worker.ready", worker=0, pid=os.getpid())
     deadline_at = time.monotonic() + settings.deadline if settings.deadline else None
@@ -890,7 +898,9 @@ def run_serial(
             seqs = range(first, min(first + size, len(tasks)))
             for seq in seqs:
                 cell_id = tasks[seq][0]
-                rec.event("cell.dispatched", worker=0, cell_id=cell_id, seq=seq, attempt=0)
+                rec.event(
+                    "cell.dispatched", worker=0, cell_id=cell_id, seq=indices[seq], attempt=0
+                )
                 if reporter is not None:
                     reporter.begin_cell(cell_id)
             _run_guarded(

@@ -22,7 +22,13 @@ import numpy as np
 from ..intervals import Box, BoxBatch
 from ..nn import Network
 from ..sets import SetSpec
-from ..verify import SymbolicPropagator, possible_argmin
+from ..verify import (
+    SymbolicPropagator,
+    possible_argmax,
+    possible_argmax_batch,
+    possible_argmin,
+    possible_argmin_batch,
+)
 
 
 class CommandSet:
@@ -104,6 +110,11 @@ class IdentityPre:
     def abstract(self, box: Box) -> Box:
         return box
 
+    def abstract_batch(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return lo, hi
+
 
 class FunctionPre:
     """Pre-processing from an explicit concrete/abstract function pair."""
@@ -137,6 +148,10 @@ class ArgminPost:
     def abstract(self, score_box: Box) -> list[int]:
         return possible_argmin(score_box)
 
+    def abstract_batch(self, lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+        """:meth:`abstract` of every row of ``(B, P)`` score bounds."""
+        return possible_argmin_batch(lo, hi)
+
 
 class ArgmaxPost:
     """Dual of :class:`ArgminPost` for max-score conventions."""
@@ -145,9 +160,11 @@ class ArgmaxPost:
         return int(np.argmax(scores))
 
     def abstract(self, score_box: Box) -> list[int]:
-        from ..verify import possible_argmax
-
         return possible_argmax(score_box)
+
+    def abstract_batch(self, lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+        """:meth:`abstract` of every row of ``(B, P)`` score bounds."""
+        return possible_argmax_batch(lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -205,39 +222,68 @@ class Controller:
     def execute_abstract_batch(
         self, boxes: Sequence[Box], previous_commands: Sequence[int]
     ) -> list[list[int]]:
-        """Batched :meth:`execute_abstract` over many (box, command)
-        pairs: one symbolic propagation per selected network covers all
-        rows routed to it, and ``Pre#`` is batched too when the
-        pre-processor offers ``abstract_batch`` (``Post#`` stays per-row
-        — it is cheap and branch-heavy). Row ``i`` of the result is
-        identical to ``execute_abstract(boxes[i], previous_commands[i])``
-        — the batched propagator is bitwise-exact per row."""
-        out: list[list[int] | None] = [None] * len(boxes)
-        by_network: dict[int, list[int]] = {}
-        for i, previous in enumerate(previous_commands):
-            index = self.selector(previous)
-            by_network.setdefault(index, []).append(i)
-        for index, rows in by_network.items():
-            propagator = self.propagators[index]
+        """Batched :meth:`execute_abstract`: one pass over the whole wave.
+
+        ``Pre#`` runs once over every row (the pre-processor's
+        ``abstract_batch``, else row by row). ``F#`` is one stacked
+        ``output_bounds_batch`` call whatever network each row selects
+        when the propagators stack (one layer architecture, ReluVal:
+        ``SymbolicPropagator.can_stack``); other propagators run once
+        per selected network over its rows. ``Post#`` is one array
+        comparison when the post-processor offers ``abstract_batch``.
+        Row ``i`` of the result is identical to
+        ``execute_abstract(boxes[i], previous_commands[i])``: every stage
+        is bitwise exact per row."""
+        if not boxes:
+            return []
+        lo = np.stack([b.lo for b in boxes])
+        hi = np.stack([b.hi for b in boxes])
+        pre_batch = getattr(self.pre, "abstract_batch", None)
+        if pre_batch is not None:
+            x_lo, x_hi = pre_batch(lo, hi)
+        else:
+            x_boxes = [self.pre.abstract(b) for b in boxes]
+            x_lo = np.stack([b.lo for b in x_boxes])
+            x_hi = np.stack([b.hi for b in x_boxes])
+        select = np.array([self.selector(c) for c in previous_commands], dtype=int)
+        leader = self.propagators[0]
+        can_stack = getattr(leader, "can_stack", None)
+        if can_stack is not None and can_stack(self.propagators):
+            y_lo, y_hi = leader.output_bounds_batch(x_lo, x_hi, self.networks, select)
+        else:
+            y_lo, y_hi = self._scores_per_network(x_lo, x_hi, select)
+        post_batch = getattr(self.post, "abstract_batch", None)
+        if post_batch is not None:
+            return post_batch(y_lo, y_hi)
+        return [self.post.abstract(Box(l, h)) for l, h in zip(y_lo, y_hi)]
+
+    def _scores_per_network(
+        self, x_lo: np.ndarray, x_hi: np.ndarray, select: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``F#`` for propagators that do not stack: one call per
+        selected network over its rows (``output_bounds_batch`` when the
+        propagator has one, else row by row), put back in row order."""
+        groups = [np.flatnonzero(select == index) for index in np.unique(select)]
+        scores = []
+        for rows in groups:
+            propagator = self.propagators[select[rows[0]]]
             batched = getattr(propagator, "output_bounds_batch", None)
-            pre_batch = getattr(self.pre, "abstract_batch", None)
-            if batched is not None and len(rows) > 1:
-                if pre_batch is not None:
-                    lo, hi = pre_batch(
-                        np.stack([boxes[i].lo for i in rows]),
-                        np.stack([boxes[i].hi for i in rows]),
-                    )
-                else:
-                    x_boxes = [self.pre.abstract(boxes[i]) for i in rows]
-                    lo = np.stack([b.lo for b in x_boxes])
-                    hi = np.stack([b.hi for b in x_boxes])
-                out_lo, out_hi = batched(lo, hi)
-                y_boxes = [Box(out_lo[r], out_hi[r]) for r in range(len(rows))]
+            if batched is not None:
+                group_scores = batched(x_lo[rows], x_hi[rows])
             else:
-                y_boxes = [propagator(self.pre.abstract(boxes[i])) for i in rows]
-            for i, y_box in zip(rows, y_boxes):
-                out[i] = self.post.abstract(y_box)
-        return out  # type: ignore[return-value]
+                y_boxes = [propagator(Box(x_lo[r], x_hi[r])) for r in rows]
+                group_scores = (
+                    np.stack([b.lo for b in y_boxes]),
+                    np.stack([b.hi for b in y_boxes]),
+                )
+            # sound: ok [S008] finished score bounds kept for reordering,
+            # no arithmetic on them
+            scores.append(group_scores)
+        unsorted = np.argsort(np.concatenate(groups))
+        return (
+            np.concatenate([s[0] for s in scores])[unsorted],
+            np.concatenate([s[1] for s in scores])[unsorted],
+        )
 
     def abstract_scores(self, box: Box, previous_command: int) -> Box:
         """The intermediate ``[y_j]`` score box (diagnostics/tests)."""

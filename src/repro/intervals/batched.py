@@ -35,7 +35,7 @@ import numpy as np
 
 from .box import Box
 from .interval import Interval
-from .rounding import LIBM_ULPS, array_down, array_up
+from .rounding import LIBM_ULPS, array_down, array_up, lib_down, lib_up
 
 __all__ = [
     "BoxBatch",
@@ -45,6 +45,7 @@ __all__ = [
     "bdiv",
     "bhull",
     "bintersect",
+    "batan2",
     "bcos",
     "bhypot",
     "bsincos",
@@ -265,6 +266,38 @@ def bhypot(
     sylo, syhi = bpow(ylo, yhi, 2)
     slo, shi = badd(sxlo, sxhi, sylo, syhi)
     return bsqrt(slo, shi, clamp_tolerance=math.inf)
+
+
+#: The full circle the scalar ``iatan2`` returns on the branch cut.
+_CUT_LO = lib_down(-math.pi)
+_CUT_HI = lib_up(math.pi)
+
+
+def batan2(
+    ylo: np.ndarray,
+    yhi: np.ndarray,
+    xlo: np.ndarray,
+    xhi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched two-argument arctangent (= ``functions.iatan2``) of
+    1-D endpoint arrays.
+
+    The branch-cut test, the corner min/max and the ``LIBM_ULPS``
+    inflation are vectorized, but the four corner values stay on
+    ``math.atan2``: ``np.arctan2`` can differ from it in the last ulp,
+    and the scalar function is the reference. (The min/max may pick
+    ``-0.0`` where the scalar picks ``0.0``; the outward nudges map both
+    to the same float.)"""
+    touches_cut = (xlo <= 0.0) & (ylo <= 0.0) & (0.0 <= yhi)
+    ys = (ylo.tolist(), yhi.tolist())
+    xs = (xlo.tolist(), xhi.tolist())
+    # The corner values are widened by LIBM_ULPS via _lib_down/_lib_up
+    # below, covering libm's rounding error.
+    corners = np.array([list(map(math.atan2, y, x)) for y in ys for x in xs])
+    return (
+        np.where(touches_cut, _CUT_LO, _lib_down(np.min(corners, axis=0))),
+        np.where(touches_cut, _CUT_HI, _lib_up(np.max(corners, axis=0))),
+    )
 
 
 #: Candidate extremum offsets ``k, k + 1, k + 2`` of the phase test.

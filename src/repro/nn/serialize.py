@@ -24,8 +24,9 @@ def save_npz(network: Network, path: str | Path) -> None:
 
 
 def load_npz(path: str | Path) -> Network:
-    """Load a network saved by :func:`save_npz`."""
-    with np.load(path) as data:
+    """Load a network saved by :func:`save_npz`. The file is opened
+    here, so it is closed even when the archive does not parse."""
+    with open(path, "rb") as handle, np.load(handle) as data:
         num_layers = int(data["num_layers"])
         weights = [data[f"w{i}"] for i in range(num_layers)]
         biases = [data[f"b{i}"] for i in range(num_layers)]

@@ -2,7 +2,13 @@
 interval and symbolic bound propagation, argmin abstraction, and
 property verification with input-splitting refinement."""
 
-from .argselect import certain_argmin, possible_argmax, possible_argmin
+from .argselect import (
+    certain_argmin,
+    possible_argmax,
+    possible_argmax_batch,
+    possible_argmin,
+    possible_argmin_batch,
+)
 from .complete import ExactRangeResult, exact_output_range, tightness_gap
 from .bisect import (
     BisectionSettings,
@@ -43,7 +49,9 @@ __all__ = [
     "output_lower_bound",
     "output_upper_bound",
     "possible_argmax",
+    "possible_argmax_batch",
     "possible_argmin",
+    "possible_argmin_batch",
     "tightness_gap",
     "verify_property",
 ]

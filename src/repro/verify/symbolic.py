@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -84,6 +85,33 @@ class LinearBounds:
         zeros = np.zeros((batch, n))
         return LinearBounds(eye, zeros.copy(), eye.copy(), zeros.copy(), zeros.copy())
 
+    def rows(self, rows: slice) -> "LinearBounds":
+        """The forms of a slice of a stack's rows (views, no copies)."""
+        return LinearBounds(
+            self.lo_coeffs[rows],
+            self.lo_const[rows],
+            self.up_coeffs[rows],
+            self.up_const[rows],
+            self.slack[rows],
+        )
+
+    def set_rows(self, rows: slice, part: "LinearBounds") -> None:
+        """Copy ``part`` into a slice of this stack's rows."""
+        for name in ("lo_coeffs", "lo_const", "up_coeffs", "up_const", "slack"):
+            getattr(self, name)[rows] = getattr(part, name)
+
+    @staticmethod
+    def empty(batch: int, k: int, n: int) -> "LinearBounds":
+        """Uninitialized forms of ``k`` neurons over ``n`` inputs for a
+        stack of ``batch`` boxes."""
+        return LinearBounds(
+            np.empty((batch, k, n)),
+            np.empty((batch, k)),
+            np.empty((batch, k, n)),
+            np.empty((batch, k)),
+            np.empty((batch, k)),
+        )
+
     def concretize(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sound concrete bounds of the forms over the box ``[lo, hi]``."""
         out_lo, out_hi, _ = self._concretize(lo, hi, up_form_lower=False)
@@ -94,19 +122,24 @@ class LinearBounds:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """:meth:`concretize`, plus (if ``up_form_lower``) the sound lower
         bound of the *upper* form that ReluVal's ReLU rule tests, sharing
-        the sign splits and the rounding majorizer of the upper form."""
-        lo_pos = np.maximum(self.lo_coeffs, 0.0)
-        lo_neg = np.minimum(self.lo_coeffs, 0.0)
-        up_pos = np.maximum(self.up_coeffs, 0.0)
-        up_neg = np.minimum(self.up_coeffs, 0.0)
+        the sign splits and the rounding majorizer of the upper form.
+
+        The lower form's sign splits are dropped before the upper form's
+        are built, so a stacked call holds two coefficient-sized
+        temporaries here, not four."""
         xmag = np.maximum(np.abs(lo), np.abs(hi))
         err_lo = dot_error_bound(np.abs(self.lo_coeffs), xmag) + np.abs(self.lo_const) * _EPS
-        err_up = dot_error_bound(np.abs(self.up_coeffs), xmag) + np.abs(self.up_const) * _EPS
+        lo_pos = np.maximum(self.lo_coeffs, 0.0)
+        lo_neg = np.minimum(self.lo_coeffs, 0.0)
         # sound: ok [S001] nearest-mode affine evaluation; the err_lo /
         # err_up rounding majorizers and the gamma_n slack subtracted /
         # added here dominate the accumulated float error, and the
         # outward nextafter below absorbs the final rounding
         out_lo = _matvec(lo_pos, lo) + _matvec(lo_neg, hi) + self.lo_const - err_lo - self.slack
+        del lo_pos, lo_neg
+        err_up = dot_error_bound(np.abs(self.up_coeffs), xmag) + np.abs(self.up_const) * _EPS
+        up_pos = np.maximum(self.up_coeffs, 0.0)
+        up_neg = np.minimum(self.up_coeffs, 0.0)
         # sound: ok [S001] same majorizer argument as out_lo above
         out_hi = _matvec(up_pos, hi) + _matvec(up_neg, lo) + self.up_const + err_up + self.slack
         up_lo = None
@@ -130,6 +163,27 @@ def _affine_transform(
     bounds: LinearBounds, w: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> LinearBounds:
     """Push linear bounds through an affine layer ``W x + b``."""
+    return _affine_rows(bounds, w, b, bounds.value_magnitude(lo, hi), _slack_gamma(w))
+
+
+def _slack_gamma(w: np.ndarray) -> float:
+    """The gamma_n relative error bound (slack factor 2) of a layer's
+    products: each pre-activation sums its fan-in plus two more terms."""
+    n_terms = w.shape[1] + 2
+    nu = n_terms * _EPS
+    return 2.0 * nu / (1.0 - nu)
+
+
+def _affine_rows(
+    bounds: LinearBounds,
+    w: np.ndarray,
+    b: np.ndarray,
+    vals_mag: np.ndarray,
+    gamma: float,
+) -> LinearBounds:
+    """:func:`_affine_transform` given the two inputs that every network
+    of a stack shares: the forms' ``value_magnitude`` and the layer's
+    ``gamma``."""
     w_pos = np.maximum(w, 0.0)
     w_neg = np.minimum(w, 0.0)
     new_lo_coeffs = w_pos @ bounds.lo_coeffs + w_neg @ bounds.up_coeffs
@@ -143,12 +197,35 @@ def _affine_transform(
     # |W| @ mag(old forms) + |b|; the matrix products incur a gamma_n
     # relative error on that magnitude.
     abs_w = np.abs(w)
-    vals_mag = bounds.value_magnitude(lo, hi)
-    n_terms = w.shape[1] + 2
-    nu = n_terms * _EPS
-    gamma = 2.0 * nu / (1.0 - nu)
     new_slack = _matvec(abs_w, bounds.slack) + gamma * (_matvec(abs_w, vals_mag) + np.abs(b)) + _TINY
     return LinearBounds(new_lo_coeffs, new_lo_const, new_up_coeffs, new_up_const, new_slack)
+
+
+def _affine_stacked(
+    bounds: LinearBounds,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    runs: list[slice],
+    gamma: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> LinearBounds:
+    """:func:`_affine_transform` over a stack whose rows select different
+    networks of one architecture: ``layers[g]`` is the ``(w, b)`` of the
+    network that the contiguous rows ``runs[g]`` select. The forms'
+    magnitude is taken once over the whole stack; only the weight
+    products are split by network, and each network's new forms are
+    copied into their rows as soon as they are built."""
+    vals_mag = bounds.value_magnitude(lo, hi)
+    # sound: ok [S003] a count of networks, not a bound
+    if len(layers) == 1:
+        w, b = layers[0]
+        return _affine_rows(bounds, w, b, vals_mag, gamma)
+    out = LinearBounds.empty(
+        bounds.slack.shape[0], layers[0][0].shape[0], bounds.lo_coeffs.shape[-1]
+    )
+    for (w, b), rows in zip(layers, runs):
+        out.set_rows(rows, _affine_rows(bounds.rows(rows), w, b, vals_mag[rows], gamma))
+    return out
 
 
 def _relu_reluval(
@@ -226,6 +303,17 @@ def _relu_deeppoly(
     return new
 
 
+#: Rows per pass of :meth:`SymbolicPropagator.output_bounds_batch`. A
+#: pass holds a few (rows x width x inputs) coefficient arrays at once;
+#: 256 rows keep a pass within what one network's rows of a lockstep
+#: wave took when each network had its own call.
+STACK_ROWS = 256
+
+
+def _layer_shapes(network: Network) -> list[tuple[int, ...]]:
+    return [w.shape for w in network.weights]
+
+
 class SymbolicPropagator:
     """Callable ``F#``: symbolic interval propagation over an input box."""
 
@@ -240,19 +328,43 @@ class SymbolicPropagator:
         lo_out, hi_out = self.output_bounds(input_box)
         return Box(lo_out, hi_out)
 
+    def can_stack(self, others: Sequence[object]) -> bool:
+        """Whether one :meth:`output_bounds_batch` call of this propagator
+        can carry the rows of every propagator in ``others``: all must be
+        ReluVal symbolic propagators over networks of this network's
+        layer shapes. DeepPoly has no stacked form (its slack update
+        indexes per-box magnitudes under a flattened unstable mask)."""
+        shapes = _layer_shapes(self.network)
+        return all(
+            isinstance(p, SymbolicPropagator)
+            and p.relaxation == "reluval"
+            and _layer_shapes(p.network) == shapes
+            for p in [self, *others]
+        )
+
     def _propagate(
-        self, bounds: LinearBounds, lo: np.ndarray, hi: np.ndarray
+        self,
+        bounds: LinearBounds,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        networks: list[Network] | None = None,
+        runs: list[slice] | None = None,
     ) -> LinearBounds:
         """Push ``bounds`` through every layer (ReLU after all but the
         last), timing each layer into ``verify.layer_seconds`` when the
-        recorder is on."""
-        network = self.network
+        recorder is on. A stack whose rows select different networks
+        passes them as ``networks[g]`` for the contiguous rows
+        ``runs[g]`` (default: every row through this network)."""
+        networks = networks or [self.network]
+        runs = runs or [slice(None)]
         relu_rule = _relu_reluval if self.relaxation == "reluval" else _relu_deeppoly
         rec = get_recorder()
-        last = len(network.weights) - 1
-        for i, (w, b) in enumerate(zip(network.weights, network.biases)):
+        last = len(self.network.weights) - 1
+        for i in range(last + 1):
             tick = time.perf_counter() if rec.enabled else 0.0
-            bounds = _affine_transform(bounds, w, b, lo, hi)
+            layers = [(net.weights[i], net.biases[i]) for net in networks]
+            gamma = _slack_gamma(self.network.weights[i])
+            bounds = _affine_stacked(bounds, layers, runs, gamma, lo, hi)
             if i < last:
                 bounds = relu_rule(bounds, lo, hi)
             if rec.enabled:
@@ -277,16 +389,25 @@ class SymbolicPropagator:
         return out_lo, out_hi
 
     def output_bounds_batch(
-        self, lo: np.ndarray, hi: np.ndarray
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        networks: Sequence[Network] | None = None,
+        select: Sequence[int] | np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`output_bounds` over ``(B, n)`` box endpoints.
 
-        Every layer transformer is shape-polymorphic over a leading
-        batch axis and numpy evaluates the stacked matrix products
-        slice by slice, so row ``b`` of the result is bitwise identical
-        to ``output_bounds(Box(lo[b], hi[b]))``. One batched sweep
-        amortizes the per-layer numpy dispatch over the whole stack —
-        this is the controller-propagation kernel of the lockstep
+        Row ``b`` goes through ``networks[select[b]]`` (by default every
+        row goes through this propagator's network); the networks must
+        have this network's layer shapes (:meth:`can_stack`). The rows
+        are sorted by network once, then every layer runs once over the
+        whole stack: the concretizations, the ReLU rule and the rounding
+        slack are shape-polymorphic over the leading batch axis, and
+        only the weight products are split, one per network over its
+        contiguous rows. numpy evaluates stacked matrix products slice
+        by slice, so row ``b`` of the result is bitwise identical to
+        ``output_bounds(Box(lo[b], hi[b]))`` through its network. This
+        is the controller-propagation kernel of the lockstep
         reachability driver.
         """
         lo = np.asarray(lo, dtype=float)
@@ -298,20 +419,52 @@ class SymbolicPropagator:
                 f"expected (B, {network.input_size}) endpoint arrays, "
                 f"got {lo.shape}"
             )
+        if networks is None:
+            networks = [network]
+            select = np.zeros(lo.shape[0], dtype=int)
+        select = np.asarray(select, dtype=int)
+        if select.shape != (lo.shape[0],):
+            raise ValueError("select needs one network index per row")
+        if lo.shape[0] == 0:
+            return np.empty((0, network.output_size)), np.empty((0, network.output_size))
+        if select.min() < 0 or select.max() >= len(networks):
+            raise ValueError(f"select indices must lie in [0, {len(networks)})")
         if self.relaxation != "reluval":
-            # The DeepPoly slack update indexes per-box magnitudes under
-            # a flattened unstable mask; not batch-ready. Fall back.
+            if any(n is not network for n in networks):
+                raise ValueError("DeepPoly has no stacked form over several networks")
             outs = [
                 self.output_bounds(Box(lo[b], hi[b])) for b in range(lo.shape[0])
             ]
             return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs])
+        if any(_layer_shapes(n) != _layer_shapes(network) for n in networks):
+            raise ValueError("stacked networks must share this network's layer shapes")
         get_recorder().inc("verify.propagations", lo.shape[0])
-        bounds = self._propagate(
-            LinearBounds.identity_batch(network.input_size, lo.shape[0]), lo, hi
-        )
-        out_lo, out_hi = bounds.concretize(lo, hi)
-        out_hi = np.maximum(out_hi, out_lo)
-        return out_lo, out_hi
+        order = np.argsort(select, kind="stable")
+        select, lo, hi = select[order], lo[order], hi[order]
+        passes = []
+        for first in range(0, lo.shape[0], STACK_ROWS):
+            # sound: ok [S001] row-index arithmetic, not a bound
+            rows = slice(first, first + STACK_ROWS)
+            # Network g's rows of the sorted pass are edges[g]:edges[g + 1].
+            edges = np.searchsorted(select[rows], range(len(networks) + 1)).tolist()
+            spans = [
+                (net, slice(start, stop))
+                for net, start, stop in zip(networks, edges, edges[1:])
+                if start < stop
+            ]
+            bounds = self._propagate(
+                LinearBounds.identity_batch(network.input_size, len(select[rows])),
+                lo[rows],
+                hi[rows],
+                [net for net, _run in spans],
+                [run for _net, run in spans],
+            )
+            passes.append(bounds.concretize(lo[rows], hi[rows]))
+            del bounds
+        out_lo = np.concatenate([p[0] for p in passes])
+        out_hi = np.maximum(np.concatenate([p[1] for p in passes]), out_lo)
+        unsorted = np.argsort(order)
+        return out_lo[unsorted], out_hi[unsorted]
 
     def input_gradient_mask(self, input_box: Box) -> np.ndarray:
         """Per-input influence scores (|coeff| magnitudes of the output

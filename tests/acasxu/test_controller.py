@@ -1,6 +1,8 @@
 """Tests for the neural ACAS Xu controller: Pre/Pre#, networks, Post#."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +285,173 @@ class TestBuildController:
         )
         reachable = controller.execute_abstract(box, 0)
         assert len(reachable) <= 3
+
+
+def _paper_networks() -> list[Network]:
+    """The committed 6x50 paper bank (networks only: its tables are not
+    needed to propagate)."""
+    from repro.acasxu import PAPER_SCENARIO
+    from repro.nn.serialize import load_npz
+
+    key = f"{PAPER_SCENARIO.table_config.key()}-{PAPER_SCENARIO.network_config.key()}"
+    bank = Path(os.environ["REPRO_CACHE"]) / key
+    return [load_npz(bank / f"network_{i}.npz") for i in range(len(ADVISORIES))]
+
+
+#: Previous advisories of a mixed wave, out of network order: every
+#: network is selected, networks 1 and 4 by one row each.
+MIXED_COMMANDS = [3, 0, 2, 4, 0, 3, 2, 0, 1, 2, 3, 0]
+
+
+def _mixed_wave(rows: int = len(MIXED_COMMANDS)) -> tuple[list[Box], list[int]]:
+    """Wide coarse-grid cells (many unstable neurons) with distinct
+    shifts, paired with MIXED_COMMANDS (repeated past its length)."""
+    cells = initial_cells(8, 3)
+    boxes = []
+    for r in range(rows):
+        box, _command, _tags = cells[(5 * r) % len(cells)]
+        shift = 7.0 * r
+        boxes.append(Box(box.lo + shift, box.hi + shift))
+    return boxes, [MIXED_COMMANDS[r % len(MIXED_COMMANDS)] for r in range(rows)]
+
+
+def _stacked_inputs(controller, boxes):
+    lo = np.stack([b.lo for b in boxes])
+    hi = np.stack([b.hi for b in boxes])
+    return controller.pre.abstract_batch(lo, hi)
+
+
+class TestOnePassWave:
+    """``execute_abstract_batch`` runs Pre#, one stacked F# and Post# once
+    over a wave whatever network each row selects; every row equals its
+    per-row reference."""
+
+    @pytest.fixture(params=["tiny", "paper"])
+    def controller(self, request, tiny_system):
+        if request.param == "tiny":
+            return tiny_system.controller
+        return build_controller(_paper_networks())
+
+    def test_rows_equal_execute_abstract(self, controller):
+        boxes, commands = _mixed_wave()
+        assert controller.execute_abstract_batch(boxes, commands) == [
+            controller.execute_abstract(b, c) for b, c in zip(boxes, commands)
+        ]
+
+    def test_stacked_scores_bitwise(self, controller):
+        boxes, commands = _mixed_wave()
+        x_lo, x_hi = _stacked_inputs(controller, boxes)
+        leader = controller.propagators[0]
+        assert leader.can_stack(controller.propagators)
+        out_lo, out_hi = leader.output_bounds_batch(
+            x_lo, x_hi, controller.networks, commands
+        )
+        for r, network in enumerate(commands):
+            want_lo, want_hi = controller.propagators[network].output_bounds(
+                Box(x_lo[r], x_hi[r])
+            )
+            assert out_lo[r].tobytes() == want_lo.tobytes()
+            assert out_hi[r].tobytes() == want_hi.tobytes()
+
+    def test_waves_longer_than_one_pass(self, tiny_system):
+        from repro.verify.symbolic import STACK_ROWS
+
+        controller = tiny_system.controller
+        boxes, commands = _mixed_wave(STACK_ROWS + 9)
+        x_lo, x_hi = _stacked_inputs(controller, boxes)
+        out_lo, out_hi = controller.propagators[0].output_bounds_batch(
+            x_lo, x_hi, controller.networks, commands
+        )
+        for r in (0, STACK_ROWS - 1, STACK_ROWS, STACK_ROWS + 8):
+            want_lo, want_hi = controller.propagators[commands[r]].output_bounds(
+                Box(x_lo[r], x_hi[r])
+            )
+            assert out_lo[r].tobytes() == want_lo.tobytes()
+            assert out_hi[r].tobytes() == want_hi.tobytes()
+
+    @pytest.mark.parametrize("select", [[0, 1, 5], [-1, 0]], ids=["past-end", "negative"])
+    def test_select_out_of_range_rejected(self, tiny_system, select):
+        controller = tiny_system.controller
+        assert len(controller.networks) == 5
+        x_lo, x_hi = _stacked_inputs(controller, _mixed_wave(len(select))[0])
+        with pytest.raises(ValueError, match="select indices"):
+            controller.propagators[0].output_bounds_batch(
+                x_lo, x_hi, controller.networks, select
+            )
+
+    def test_empty_wave(self, tiny_system):
+        controller = tiny_system.controller
+        assert controller.execute_abstract_batch([], []) == []
+        empty = np.empty((0, controller.networks[0].input_size))
+        out_lo, out_hi = controller.propagators[0].output_bounds_batch(
+            empty, empty, controller.networks, []
+        )
+        assert out_lo.shape == out_hi.shape == (0, controller.networks[0].output_size)
+
+    def test_one_call_per_stage(self, tiny_system, monkeypatch):
+        """Pre#, F# and Post# each run once for the whole wave."""
+        controller = tiny_system.controller
+        calls = []
+        for owner, name in (
+            (type(controller.pre), "abstract_batch"),
+            (type(controller.propagators[0]), "output_bounds_batch"),
+            (type(controller.post), "abstract_batch"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        boxes, commands = _mixed_wave()
+        controller.execute_abstract_batch(boxes, commands)
+        assert sorted(calls) == ["abstract_batch", "abstract_batch", "output_bounds_batch"]
+
+
+class TestPerNetworkFallback:
+    """Propagators without a stacked form keep one call per selected
+    network, with the same rows as the per-row reference."""
+
+    @staticmethod
+    def _assert_rows_equal(controller):
+        boxes, commands = _mixed_wave()
+        assert controller.execute_abstract_batch(boxes, commands) == [
+            controller.execute_abstract(b, c) for b, c in zip(boxes, commands)
+        ]
+
+    def test_non_symbolic_propagator(self, tiny_system):
+        from repro.core import ArgminPost, Controller
+        from repro.verify import IntervalPropagator
+
+        controller = Controller(
+            networks=tiny_system.controller.networks,
+            commands=command_set(),
+            pre=AcasPre(),
+            post=ArgminPost(),
+            selector=lambda previous: previous,
+            propagator_factory=IntervalPropagator,
+        )
+        self._assert_rows_equal(controller)
+
+    def test_networks_of_unequal_architecture(self, tiny_system):
+        networks = list(tiny_system.controller.networks)
+        networks[2] = _paper_networks()[2]
+        controller = build_controller(networks)
+        assert not controller.propagators[0].can_stack(controller.propagators)
+        self._assert_rows_equal(controller)
+        x_lo, x_hi = _stacked_inputs(controller, _mixed_wave()[0])
+        with pytest.raises(ValueError, match="layer shapes"):
+            controller.propagators[0].output_bounds_batch(
+                x_lo, x_hi, networks, MIXED_COMMANDS
+            )
+
+    def test_deeppoly(self, tiny_system):
+        controller = build_controller(tiny_system.controller.networks, relaxation="deeppoly")
+        assert not controller.propagators[0].can_stack(controller.propagators)
+        self._assert_rows_equal(controller)
+        x_lo, x_hi = _stacked_inputs(controller, _mixed_wave()[0])
+        with pytest.raises(ValueError, match="DeepPoly"):
+            controller.propagators[0].output_bounds_batch(
+                x_lo, x_hi, controller.networks, MIXED_COMMANDS
+            )

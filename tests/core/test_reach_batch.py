@@ -11,6 +11,7 @@ only ``elapsed_seconds`` is left out.
 """
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -435,3 +436,65 @@ class TestLockstepPartition:
             self._tree(c) for c in per_cell.cells
         ]
         assert lockstep.coverage_percent() == per_cell.coverage_percent()
+
+
+#: The module (``repro.core.reach`` the attribute is the function).
+REACH_MODULE = importlib.import_module("repro.core.reach")
+
+
+class ScalarOnlySet:
+    """A set with the scalar box queries only (no ``*_batch`` forms)."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def contains_box(self, box: Box) -> bool:
+        return self.spec.contains_box(box)
+
+    def disjoint_box(self, box: Box) -> bool:
+        return self.spec.disjoint_box(box)
+
+    def contains_point(self, point) -> bool:
+        return self.spec.contains_point(point)
+
+
+def wide_wave() -> list[SymbolicSet]:
+    """Twelve initial sets, a few of them two-state, plus one inside
+    command 0's E and one inside command 1's E only: waves of 8 and
+    more states, so a command-dependent T sees 8 or more states per
+    command, next to runs that go unsafe."""
+    initials = []
+    for i in range(12):
+        lo = -2.4 + 0.4 * i
+        command = i % 2
+        states = [SymbolicState(Box([lo], [lo + 0.2]), command)]
+        if i % 3 == 0:
+            states.append(SymbolicState(Box([lo + 0.1], [lo + 0.3]), 1 - command))
+        initials.append(SymbolicSet(states))
+    return initials + [initial_set(4.2, 4.3, command=0), initial_set(-4.3, -4.2, command=0)]
+
+
+class TestWaveWideTarget:
+    """T is tested once for the whole wave (``contains_box_batch`` from
+    ``_BATCHED_TARGET_ROWS`` states on, ``contains_box`` below it or when
+    the set has no batched form); both give the oracle's results."""
+
+    @pytest.mark.parametrize("threshold", [1, 10**9], ids=["batched", "scalar"])
+    @pytest.mark.parametrize("settings", [RECORD, DIAGNOSE], ids=["early-exit", "diagnose"])
+    def test_command_dependent_target(self, monkeypatch, threshold, settings):
+        monkeypatch.setattr(REACH_MODULE, "_BATCHED_TARGET_ROWS", threshold)
+        system = per_command_system()
+        initials = wide_wave()
+        for initial, result in zip(initials, reach_many(system, initials, settings)):
+            assert_matches_oracle(system, initial, settings, result)
+
+    def test_target_without_batched_form(self, monkeypatch):
+        monkeypatch.setattr(REACH_MODULE, "_BATCHED_TARGET_ROWS", 1)
+        base = make_system()
+        system = dataclasses.replace(base, target=ScalarOnlySet(base.target))
+        assert not hasattr(system.target, "contains_box_batch")
+        initials = wide_wave()
+        results = reach_many(system, initials, RECORD)
+        assert any(r.has_terminated for r in results)
+        for initial, result in zip(initials, results):
+            assert_matches_oracle(system, initial, RECORD, result)

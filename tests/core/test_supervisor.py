@@ -1,6 +1,7 @@
 """The supervised pool: budget guards, crash retry/quarantine, worker
 kills, campaign deadlines, and the fault-tolerant serial path."""
 
+import contextlib
 import io
 import signal
 import time
@@ -375,3 +376,36 @@ class TestPoolTelemetry:
         tasks = [("cell-0", Box([2.0], [2.2]), 1, {})]
         outcome = run_supervised(make_system, tasks, RunnerSettings(workers=2))
         assert outcome.results[0].proved
+
+
+class TestEventSeq:
+    """A cell's ``seq`` is its campaign index in every event, also when a
+    resumed campaign hands the executor only the cells left to run."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_resumed_campaign_has_one_seq_per_cell(self, tmp_path, workers):
+        journal = tmp_path / "journal.jsonl"
+        cells = four_cells()
+        verify_partition(make_system, cells[:2], RunnerSettings(), journal=journal)
+
+        rec = Recorder()
+        events = []
+        rec.subscribe(events.append)
+        settings = RunnerSettings(workers=workers, max_retries=1, retry_backoff=0.01)
+        # The pool crashes cell-3 once, so it is dispatched twice and
+        # retried in between.
+        faults = injected_faults("crash:cell-3") if workers > 1 else contextlib.nullcontext()
+        with use_recorder(rec), faults:
+            report = verify_partition(make_system, cells, settings, journal=journal)
+
+        assert report.total_cells == 4
+        names = ("cell.dispatched", "cell.retried", "cell.finished")
+        seqs: dict[str, set] = {}
+        for event in events:
+            if event["name"] in names:
+                seqs.setdefault(event["cell_id"], set()).add(event["seq"])
+        assert seqs == {f"cell-{i}": {i} for i in range(4)}
+        kinds = [(e["name"], e["cell_id"]) for e in events if e["name"] in names]
+        assert ("cell.dispatched", "cell-2") in kinds
+        assert ("cell.dispatched", "cell-0") not in kinds
+        assert (("cell.retried", "cell-3") in kinds) == (workers > 1)

@@ -19,12 +19,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.intervals import Box, Interval, icos, ihypot, isin, isqrt
+from repro.intervals import Box, Interval, iatan2, icos, ihypot, isin, isqrt
 from repro.intervals.batched import (
     BoxBatch,
     IntervalBatch,
     babs,
     badd,
+    batan2,
     bcos,
     bdiv,
     bhull,
@@ -288,6 +289,28 @@ class TestUnaryKernels:
         ylo, yhi = batch_of(ys)
         lo, hi = bhypot(xlo, xhi, ylo, yhi)
         assert_bitwise(lo, hi, [ihypot(x, y) for x, y in zip(xs, ys)])
+
+    def test_atan2_bitwise(self) -> None:
+        """Random rectangles, plus ones on and next to the branch cut
+        (the non-positive x-axis), signed-zero and infinite corners."""
+        inf = math.inf
+        edges = [
+            (Interval(-1.0, 1.0), Interval(-2.0, -1.0)),
+            (Interval(0.0, 1.0), Interval(-2.0, 0.0)),
+            (Interval(-0.0, 0.0), Interval(1.0, 2.0)),
+            (Interval(-0.0, -0.0), Interval(-2.0, -1.0)),
+            (Interval(0.0, 0.0), Interval(-2.0, -1.0)),
+            (Interval(1e-300, 1.0), Interval(-2.0, -1.0)),
+            (Interval(-1.0, -1e-300), Interval(-inf, -1.0)),
+            (Interval(2.0, inf), Interval(-inf, inf)),
+            (Interval(-3.0, -2.0), Interval(0.0, 0.0)),
+        ]
+        ys = [y for y, _x in edges] + self.inputs()
+        xs = [x for _y, x in edges] + list(reversed(self.inputs()))
+        ylo, yhi = batch_of(ys)
+        xlo, xhi = batch_of(xs)
+        lo, hi = batan2(ylo, yhi, xlo, xhi)
+        assert_bitwise(lo, hi, [iatan2(y, x) for y, x in zip(ys, xs)])
 
 
 class TestEnclosureContract:
