@@ -51,10 +51,12 @@ def _has_subnormal(values: np.ndarray) -> np.ndarray:
     return ((magnitude > 0.0) & (magnitude < np.finfo(float).tiny)).any(axis=1)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 4, 16, 64])
+@pytest.mark.parametrize("rows", [1, 2, 4, 16, 64, 734])
 def test_flow_batch(benchmark, tiny_system, rows):
     """One control period of validated integration over a whole wave
-    (1-2 rows is the per-cell path's shape, 16-64 lockstep's)."""
+    (1-2 rows is the per-cell path's shape, 16-64 lockstep's, 734 the
+    widest `tiny-smoke` wave, whose heading half runs one substep per
+    block)."""
     settings = ReachSettings(substeps=10, max_symbolic_states=5)
     boxes, u_rows = _wave_boxes(tiny_system, rows)
     batch = BoxBatch(

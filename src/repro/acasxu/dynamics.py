@@ -36,13 +36,26 @@ from typing import NamedTuple
 import numpy as np
 
 from ..intervals import Box, BoxBatch, Interval, IntervalBatch, icos, isin
-from ..intervals.batched import badd, bdiv, bmul, bneg, bsincos, bsub
+from ..intervals.batched import (
+    badd_bare,
+    bdiv,
+    bmul,
+    bmul_bare,
+    bsincos,
+    bsub,
+    bsub_bare,
+)
 from ..obs import get_recorder
 from ..ode import AnalyticFlow, FlowPipeBatch, ODESystem
 from ..ode.ops import gcos, gsin
 
 STATE_DIM = 5
 X, Y, PSI, V_OWN, V_INT = range(STATE_DIM)
+
+#: Bound on substeps x 2 x rows in one heading block of
+#: :meth:`AcasXuAnalyticFlow.integrate_batch` (at least one substep per
+#: block): only one block's sin/cos temporaries are alive at a time.
+HEADING_BLOCK = 1024
 
 
 def acasxu_rhs(t, s, u):
@@ -78,11 +91,14 @@ class AcasXuAnalyticFlow(AnalyticFlow):
     — including an interval ``t`` — gives a sound enclosure over a time
     range in one shot.
 
-    The batched forms split the expression in two. The *turn terms*
+    The batched forms split the expression in three. The *turn terms*
     (``u t``, its sine and cosine, ``v_int t`` and the ownship term)
-    depend only on the command, ``t`` and the speeds; the *state map*
-    applies the rest to ``(x0, y0, psi0)``. :meth:`integrate_batch`
-    evaluates the turn terms once per control period.
+    depend only on the command, ``t`` and the speeds. The *heading
+    half* (``psi_t``, its sine and cosine and the intruder displacement)
+    reads ``psi0`` but never ``(x0, y0)``. The *position half* applies
+    the rotation to ``(x0, y0)`` and adds both displacements.
+    :meth:`integrate_batch` evaluates the turn terms once per control
+    period and the heading half once per block of substeps.
     """
 
     dim = STATE_DIM
@@ -130,16 +146,17 @@ class AcasXuAnalyticFlow(AnalyticFlow):
 
         Row ``i`` flows under turn rate ``u_rows[i, 0]`` for time ``tau``
         (shared) or ``tau[i]`` (an :class:`IntervalBatch`, one time per
-        row): the state map applied to the turn terms of those times.
+        row): the heading half, then the position half, of those times.
         The kernels in :mod:`repro.intervals.batched` replicate the
         scalar op sequence exactly, so every row is bitwise identical
         to the scalar path.
         """
         tb = IntervalBatch.coerce(tau, (s0.count,))
         terms = _turn_terms(s0, u_rows, tb.lo[None], tb.hi[None])
-        xy_lo, xy_hi, psi_lo, psi_hi = _state_map(
-            terms, s0.lo[:, X:PSI].T, s0.hi[:, X:PSI].T, s0.lo[:, PSI], s0.hi[:, PSI]
-        )
+        psi_lo, psi_hi = bsub(s0.lo[:, PSI], s0.hi[:, PSI], *terms.ut)
+        with np.errstate(over="ignore", invalid="ignore"):
+            disp = _displacement(terms, psi_lo, psi_hi)
+            xy_lo, xy_hi = _position(terms, s0.lo[:, X:PSI].T, s0.hi[:, X:PSI].T, *disp)
         return BoxBatch(
             np.concatenate([xy_lo[:, 0].T, psi_lo.T, s0.lo[:, V_OWN:]], axis=1),
             np.concatenate([xy_hi[:, 0].T, psi_hi.T, s0.hi[:, V_OWN:]], axis=1),
@@ -158,9 +175,14 @@ class AcasXuAnalyticFlow(AnalyticFlow):
         The speeds pass through every substep unchanged, so the turn
         terms are loop-invariant: they are evaluated once, for the range
         (``tau = [0, h]``) and the end (``tau = [h, h]``) on a leading
-        axis of length 2. Each substep then applies only the state map,
-        and its end row seeds the next substep. Every row is bitwise
-        identical to :meth:`integrate` on that row alone.
+        axis of length 2. ``psi`` does not depend on ``(x, y)``, so the
+        psi chain of all substeps runs first (one ``bsub`` each, written
+        into the tube). Then, block by block of substeps (at most
+        ``HEADING_BLOCK`` substeps x 2 x rows), the heading half runs
+        once for the block and the position half once per substep, its
+        end row seeding the next substep, under one ``np.errstate``.
+        Every row is bitwise identical to :meth:`integrate` on that row
+        alone.
         """
         u_rows = np.asarray(u_rows, dtype=float)
         if t1 <= t0:
@@ -181,27 +203,35 @@ class AcasXuAnalyticFlow(AnalyticFlow):
         tube_lo[..., V_OWN:] = s0.lo[:, V_OWN:]
         # sound: ok [S004] result-buffer assembly, see above
         tube_hi[..., V_OWN:] = s0.hi[:, V_OWN:]
-        z_lo, z_hi = s0.lo[:, X:PSI].T, s0.hi[:, X:PSI].T
-        psi_lo, psi_hi = s0.lo[:, PSI], s0.hi[:, PSI]
-        for i in range(substeps):
-            tick = time.perf_counter()
-            xy_lo, xy_hi, psi_t_lo, psi_t_hi = _state_map(
-                terms, z_lo, z_hi, psi_lo, psi_hi
-            )
-            if rec.enabled:
-                rec.observe("ode.substep_seconds", time.perf_counter() - tick)
-                rec.inc("ode.substeps", s0.count)
-            # sound: ok [S004] result-buffer assembly: the validated
-            # endpoints of the state map are copied in unchanged
-            tube_lo[i, :, :, X:PSI] = xy_lo.transpose(1, 2, 0)
-            # sound: ok [S004] result-buffer assembly, see above
-            tube_hi[i, :, :, X:PSI] = xy_hi.transpose(1, 2, 0)
-            # sound: ok [S004] result-buffer assembly, see above
-            tube_lo[i, :, :, PSI] = psi_t_lo
-            # sound: ok [S004] result-buffer assembly, see above
-            tube_hi[i, :, :, PSI] = psi_t_hi
-            z_lo, z_hi = xy_lo[:, 1], xy_hi[:, 1]
-            psi_lo, psi_hi = psi_t_lo[1], psi_t_hi[1]
+        psi_lo, psi_hi = tube_lo[..., PSI], tube_hi[..., PSI]
+        block = max(1, HEADING_BLOCK // (2 * s0.count))
+        with np.errstate(over="ignore", invalid="ignore"):
+            start_lo, start_hi = s0.lo[:, PSI], s0.hi[:, PSI]
+            for i in range(substeps):
+                # sound: ok [S004] result-buffer assembly: the validated
+                # psi_t endpoints are copied in unchanged
+                psi_lo[i], psi_hi[i] = bsub_bare(start_lo, start_hi, *terms.ut)
+                start_lo, start_hi = psi_lo[i, 1], psi_hi[i, 1]
+            z_lo, z_hi = s0.lo[:, X:PSI].T, s0.hi[:, X:PSI].T
+            for first in range(0, substeps, block):
+                last = min(first + block, substeps)
+                disp_lo, disp_hi = _displacement(
+                    terms, psi_lo[first:last], psi_hi[first:last]
+                )
+                for i in range(first, last):
+                    tick = time.perf_counter()
+                    xy_lo, xy_hi = _position(
+                        terms, z_lo, z_hi, disp_lo[:, i - first], disp_hi[:, i - first]
+                    )
+                    if rec.enabled:
+                        rec.observe("ode.substep_seconds", time.perf_counter() - tick)
+                        rec.inc("ode.substeps", s0.count)
+                    # sound: ok [S004] result-buffer assembly: the validated
+                    # endpoints of the position half are copied in unchanged
+                    tube_lo[i, :, :, X:PSI] = xy_lo.transpose(1, 2, 0)
+                    # sound: ok [S004] result-buffer assembly, see above
+                    tube_hi[i, :, :, X:PSI] = xy_hi.transpose(1, 2, 0)
+                    z_lo, z_hi = xy_lo[:, 1], xy_hi[:, 1]
         t_starts = t0 + np.arange(substeps) * h
         return FlowPipeBatch(
             t_starts=t_starts,
@@ -213,21 +243,29 @@ class AcasXuAnalyticFlow(AnalyticFlow):
         )
 
     def flow_point(self, state: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-        """Exact concrete flow (float evaluation of the closed form)."""
+        """Exact concrete flow (float evaluation of the closed form).
+
+        A concrete path (simulation, falsification sampling): it never
+        feeds a verified bound, so its raw float arithmetic is outside
+        the rounding discipline (rule 6 of ``docs/SOUNDNESS.md``).
+        """
         x0, y0, psi0, v_own, v_int = (float(v) for v in state)
         turn = float(u[0])
+        # sound: ok [S001] concrete path, see the docstring
         ut = turn * t
-        cos_ut, sin_ut = math.cos(ut), math.sin(ut)
-        psi_t = psi0 - ut
-        x_rot = cos_ut * x0 + sin_ut * y0
-        y_rot = -sin_ut * x0 + cos_ut * y0
-        x_int = -v_int * t * math.sin(psi_t)
-        y_int = v_int * t * math.cos(psi_t)
+        # sound: ok [S001,S002] concrete path, see the docstring
+        cos_ut, sin_ut, psi_t = math.cos(ut), math.sin(ut), psi0 - ut
+        # sound: ok [S001] concrete path, see the docstring
+        x_rot, y_rot = cos_ut * x0 + sin_ut * y0, -sin_ut * x0 + cos_ut * y0
+        # sound: ok [S001,S002] concrete path, see the docstring
+        x_int, y_int = -v_int * t * math.sin(psi_t), v_int * t * math.cos(psi_t)
         if turn == 0.0:
+            # sound: ok [S001] concrete path, see the docstring
             x_own, y_own = 0.0, v_own * t
         else:
-            x_own = v_own * (1.0 - cos_ut) / turn
-            y_own = v_own * sin_ut / turn
+            # sound: ok [S001] concrete path, see the docstring
+            x_own, y_own = v_own * (1.0 - cos_ut) / turn, v_own * sin_ut / turn
+        # sound: ok [S001] concrete path, see the docstring
         return np.array(
             [x_rot + x_int - x_own, y_rot + y_int - y_own, psi_t, v_own, v_int]
         )
@@ -238,9 +276,15 @@ class _TurnTerms(NamedTuple):
 
     Every field is an ``(lo, hi)`` pair whose last two axes are time
     (length ``K``) and row: ``ut = u*tau``; ``rot`` holds
-    ``((cos, sin), (sin, cos))(u*tau)``, the rotation ``R(-u*tau)``
+    ``((cos, sin), (-sin, cos))(u*tau)``, the rotation ``R(-u*tau)``
     paired with ``(x0, y0)``; ``vt = v_int*tau``; ``own`` stacks the
     ownship displacement ``(x_own, y_own)``.
+
+    The rotation and the intruder term take the negated sine as a
+    factor rather than negating a product: negation is exact and
+    outward rounding is symmetric (``down(-a) == -up(a)``), so
+    ``(-s)*x`` has the endpoints of ``-(s*x)`` bit for bit, which is
+    what the scalar :meth:`AcasXuAnalyticFlow.flow_box` computes.
     """
 
     ut: tuple[np.ndarray, np.ndarray]
@@ -278,8 +322,8 @@ def _turn_terms(
     return _TurnTerms(
         ut=ut,
         rot=(
-            np.array(((cos_lo, sin_lo), (sin_lo, cos_lo))),
-            np.array(((cos_hi, sin_hi), (sin_hi, cos_hi))),
+            np.array(((cos_lo, sin_lo), (-sin_hi, cos_lo))),
+            np.array(((cos_hi, sin_hi), (-sin_lo, cos_hi))),
         ),
         vt=vt,
         own=(
@@ -289,41 +333,38 @@ def _turn_terms(
     )
 
 
-def _state_map(
+def _displacement(
+    terms: _TurnTerms, psi_lo: np.ndarray, psi_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The heading half: the intruder's straight-line displacement
+    ``v_int*t * (-sin(psi_t), cos(psi_t))`` from the ``psi_t`` endpoints
+    (shape ``(..., K, B)``). Returns its endpoints with ``(x, y)`` on a
+    new leading axis. Call it inside ``np.errstate(over="ignore",
+    invalid="ignore")``."""
+    sin_lo, sin_hi, cos_lo, cos_hi = bsincos(psi_lo, psi_hi)
+    return bmul_bare(*terms.vt, np.array((-sin_hi, cos_lo)), np.array((-sin_lo, cos_hi)))
+
+
+def _position(
     terms: _TurnTerms,
     z_lo: np.ndarray,
     z_hi: np.ndarray,
-    psi_lo: np.ndarray,
-    psi_hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The state-dependent half of the closed form.
+    disp_lo: np.ndarray,
+    disp_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The position half: ``R(-u t) z0`` plus the intruder displacement
+    ``disp`` minus the ownship term.
 
-    ``z`` stacks ``(x0, y0)`` on a leading axis; ``z`` and ``psi0`` hold
-    one entry per row. Returns the endpoints of ``(x, y)`` at the turn
-    terms' times, shape ``(2, K, B)``, then those of ``psi_t``, shape
-    ``(K, B)``.
+    ``z`` stacks ``(x0, y0)`` on a leading axis, one entry per row;
+    ``disp`` is shaped like the result. Returns the endpoints of
+    ``(x, y)`` at the turn terms' times, shape ``(2, K, B)``. Call it
+    inside ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    psi_t = bsub(psi_lo, psi_hi, *terms.ut)
-
-    # R(-u t) z0: (cos*x0, sin*y0) and (sin*x0, cos*y0) in one product.
-    prod_lo, prod_hi = bmul(*terms.rot, z_lo[:, None], z_hi[:, None])
-    neg_lo, neg_hi = bneg(prod_lo[1, 0], prod_hi[1, 0])
-    rot = badd(
-        np.array((prod_lo[0, 0], neg_lo)),
-        np.array((prod_hi[0, 0], neg_hi)),
-        prod_lo[:, 1],
-        prod_hi[:, 1],
-    )
-
-    # Intruder straight-line displacement, expressed at time t:
-    # v_int*t * (-sin(psi_t), cos(psi_t)).
-    sin_lo, sin_hi, cos_lo, cos_hi = bsincos(*psi_t)
-    int_lo, int_hi = bmul(
-        *terms.vt, np.array((sin_lo, cos_lo)), np.array((sin_hi, cos_hi))
-    )
-    neg_lo, neg_hi = bneg(int_lo[0], int_hi[0])
-    xy = badd(*rot, np.array((neg_lo, int_lo[1])), np.array((neg_hi, int_hi[1])))
-    return (*bsub(*xy, *terms.own), *psi_t)
+    # R(-u t) z0: (cos*x0, sin*y0) and (-sin*x0, cos*y0) in one product.
+    prod_lo, prod_hi = bmul_bare(*terms.rot, z_lo[:, None], z_hi[:, None])
+    rot = badd_bare(prod_lo[:, 0], prod_hi[:, 0], prod_lo[:, 1], prod_hi[:, 1])
+    xy = badd_bare(*rot, disp_lo, disp_hi)
+    return bsub_bare(*xy, *terms.own)
 
 
 def polar_from_cartesian(state: np.ndarray) -> tuple[float, float]:
@@ -334,9 +375,14 @@ def polar_from_cartesian(state: np.ndarray) -> tuple[float, float]:
     ``(x, y) = rho * (-sin(theta), cos(theta))``.
     """
     x, y = float(state[X]), float(state[Y])
+    # sound: ok [S002] concrete helper (table lookups, MDP training
+    # points) that feeds no verified bound; the abstract Pre# bounds
+    # range and bearing with the interval kernels
     return math.hypot(x, y), math.atan2(-x, y)
 
 
 def cartesian_from_polar(rho: float, theta: float) -> tuple[float, float]:
     """Inverse of :func:`polar_from_cartesian`."""
+    # sound: ok [S002] concrete helper (MDP training points), like
+    # polar_from_cartesian
     return -rho * math.sin(theta), rho * math.cos(theta)

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 #: Bump when the extraction format changes; invalidates cached facts.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 SEED = "seed"
 
@@ -331,8 +331,28 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
-        self._record_assign([node.target], node.iter)
+        self._record_loop_target(node.target, node.iter)
         self.generic_visit(node)
+
+    def _record_loop_target(self, target: ast.expr, iterable: ast.expr) -> None:
+        """Bind a loop target to what it iterates over. A tuple target
+        over ``zip(a, b, ...)`` with as many positional, non-starred
+        arguments pairs element i with argument i, and over
+        ``enumerate(x)`` gives the index no atoms; any other target takes
+        the atoms of the whole iterable."""
+        if isinstance(target, (ast.Tuple, ast.List)) and isinstance(iterable, ast.Call):
+            func = iterable.func
+            name = func.id if isinstance(func, ast.Name) else None
+            args = iterable.args
+            plain = not any(isinstance(a, ast.Starred) for a in args)
+            if name == "zip" and plain and len(args) == len(target.elts):
+                for element, arg in zip(target.elts, args):
+                    self._record_loop_target(element, arg)
+                return
+            if name == "enumerate" and plain and len(args) == 1 and len(target.elts) == 2:
+                self._record_loop_target(target.elts[1], args[0])
+                return
+        self._record_assign([target], iterable)
 
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is not None:

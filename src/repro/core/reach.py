@@ -26,6 +26,7 @@ import numpy as np
 
 from ..intervals import Box, BoxBatch
 from ..obs import get_recorder
+from ..ode import FlowPipeBatch
 from ..sets import resolve_for_command
 from .symbolic import SymbolicSet, SymbolicState, resize
 from .system import ClosedLoopSystem
@@ -242,31 +243,9 @@ def reach_many(
         for cell in live:
             cell.elapsed += integrate_elapsed * len(cell.active) / len(all_states)
 
-        # --- batched unsafe scan: one disjoint query per distinct command
+        # --- batched unsafe scan: one disjoint query per distinct E
         substep_count = pipes.substep_count
-        disjoint_all = np.empty((substep_count, len(all_states)), dtype=bool)
-        rows_by_command: dict[int, list[int]] = {}
-        for r, s in enumerate(all_states):
-            rows_by_command.setdefault(s.command, []).append(r)
-        for command, rows in rows_by_command.items():
-            erroneous_now = resolve_for_command(erroneous, command)
-            checker = getattr(erroneous_now, "disjoint_box_batch", None)
-            if checker is not None:
-                # sound: ok [S004] disjoint_all is a boolean disjointness
-                # scratch table, not interval endpoint storage; the taint
-                # arrives transitively through substep metadata.
-                disjoint_all[:, rows] = checker(
-                    pipes.range_lo[:, rows, :], pipes.range_hi[:, rows, :]
-                )
-            else:
-                for r in rows:
-                    range_lo, range_hi = pipes.range_arrays(r)
-                    for k in range(substep_count):
-                        # sound: ok [S004] same boolean scratch table as the
-                        # batched branch above.
-                        disjoint_all[k, r] = erroneous_now.disjoint_box(
-                            Box(range_lo[k], range_hi[k])
-                        )
+        disjoint_all = _disjoint_from(erroneous, all_states, pipes)
 
         # --- per-cell unsafe bookkeeping, state by state in set order;
         # a row the scan cleared at every substep needs no substep loop
@@ -433,11 +412,19 @@ def _inside_target(target: object, states: list[SymbolicState]) -> list[bool]:
     if getattr(target, "for_command", None) is None:
         return _contained(target, states)
     inside: dict[int, bool] = {}
-    for command in dict.fromkeys(s.command for s in states):
-        rows = [r for r, s in enumerate(states) if s.command == command]
+    for command, rows in _rows_by_command(states).items():
         spec = resolve_for_command(target, command)
         inside.update(zip(rows, _contained(spec, [states[r] for r in rows])))
     return [inside[r] for r in range(len(states))]
+
+
+def _rows_by_command(states: list[SymbolicState]) -> dict[int, list[int]]:
+    """The row indices of ``states`` by command, commands in order of
+    first appearance."""
+    rows: dict[int, list[int]] = {}
+    for r, s in enumerate(states):
+        rows.setdefault(s.command, []).append(r)
+    return rows
 
 
 def _contained(spec: object, states: list[SymbolicState]) -> list[bool]:
@@ -450,6 +437,43 @@ def _contained(spec: object, states: list[SymbolicState]) -> list[bool]:
             np.stack([s.box.lo for s in states]), np.stack([s.box.hi for s in states])
         ).tolist()
     return [spec.contains_box(s.box) for s in states]
+
+
+def _disjoint_from(
+    erroneous: object, states: list[SymbolicState], pipes: FlowPipeBatch
+) -> np.ndarray:
+    """Whether each range box of ``pipes`` (substep by row) misses
+    ``erroneous`` resolved for its row's command: one query per distinct
+    resolved set, a single one over the whole wave for a
+    command-independent set."""
+    if getattr(erroneous, "for_command", None) is None:
+        return _disjoint(erroneous, pipes.range_lo, pipes.range_hi)
+    disjoint = np.empty((pipes.substep_count, len(states)), dtype=bool)
+    for command, rows in _rows_by_command(states).items():
+        # sound: ok [S004] a boolean disjointness table, not interval
+        # endpoint storage; the taint arrives through the substep arrays
+        disjoint[:, rows] = _disjoint(
+            resolve_for_command(erroneous, command),
+            pipes.range_lo[:, rows],
+            pipes.range_hi[:, rows],
+        )
+    return disjoint
+
+
+def _disjoint(spec: object, range_lo: np.ndarray, range_hi: np.ndarray) -> np.ndarray:
+    """``spec.disjoint_box`` of every ``(substep, row)`` range box: one
+    ``disjoint_box_batch`` call when the set has it, else box by box
+    (the same answers)."""
+    batched = getattr(spec, "disjoint_box_batch", None)
+    if batched is not None:
+        return batched(range_lo, range_hi)
+    return np.array(
+        [
+            [spec.disjoint_box(Box(lo, hi)) for lo, hi in zip(los, his)]
+            for los, his in zip(range_lo, range_hi)
+        ],
+        dtype=bool,
+    )
 
 
 def reach_from_box(

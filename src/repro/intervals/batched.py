@@ -11,6 +11,12 @@ element, so a batched computation is not merely an enclosure of the
 scalar one: it is the same computation, amortizing Python/numpy
 dispatch over many intervals at once.
 
+``badd``, ``bsub`` and ``bmul`` silence overflow and invalid-value
+warnings (``1e308 + 1e308``, ``0 * inf``) with their own
+``np.errstate``; their ``*_bare`` forms leave that to the caller, so a
+loop over many kernel calls enters ``np.errstate(over="ignore",
+invalid="ignore")`` once. The warning state never changes a result.
+
 Raw ufunc arithmetic on ``lo``/``hi`` arrays anywhere else in the sound
 path is a soundness-lint violation (rule S006): vectorized bound math
 must go through these kernels (or the scalar ``Interval`` ops), exactly
@@ -42,6 +48,7 @@ __all__ = [
     "IntervalBatch",
     "babs",
     "badd",
+    "badd_bare",
     "bdiv",
     "bhull",
     "bintersect",
@@ -50,11 +57,13 @@ __all__ = [
     "bhypot",
     "bsincos",
     "bmul",
+    "bmul_bare",
     "bneg",
     "bpow",
     "bsin",
     "bsqrt",
     "bsub",
+    "bsub_bare",
     "hull_reduce",
 ]
 
@@ -85,23 +94,38 @@ def _lib_up(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Raw kernels: (lo, hi) arrays in, (lo, hi) arrays out
 # ----------------------------------------------------------------------
+def badd_bare(
+    alo: np.ndarray, ahi: np.ndarray, blo: ArrayLike, bhi: ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`badd` without its ``np.errstate``: call it inside
+    ``np.errstate(over="ignore", invalid="ignore")``."""
+    # Nearest-mode sums wrapped in the one-ulp outward nudge below,
+    # exactly like the scalar __add__.
+    return array_down(alo + blo), array_up(ahi + bhi)
+
+
 def badd(
     alo: np.ndarray, ahi: np.ndarray, blo: ArrayLike, bhi: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``a + b`` with outward rounding (= ``Interval.__add__``)."""
-    # Nearest-mode sums wrapped in the one-ulp outward nudge below,
-    # exactly like the scalar __add__.
     with np.errstate(over="ignore", invalid="ignore"):
-        return array_down(alo + blo), array_up(ahi + bhi)
+        return badd_bare(alo, ahi, blo, bhi)
+
+
+def bsub_bare(
+    alo: np.ndarray, ahi: np.ndarray, blo: ArrayLike, bhi: ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bsub` without its ``np.errstate`` (see :func:`badd_bare`)."""
+    # Nearest-mode differences wrapped in the outward nudge below.
+    return array_down(alo - bhi), array_up(ahi - blo)
 
 
 def bsub(
     alo: np.ndarray, ahi: np.ndarray, blo: ArrayLike, bhi: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``a - b`` with outward rounding (= ``Interval.__sub__``)."""
-    # Nearest-mode differences wrapped in the outward nudge below.
     with np.errstate(over="ignore", invalid="ignore"):
-        return array_down(alo - bhi), array_up(ahi - blo)
+        return bsub_bare(alo, ahi, blo, bhi)
 
 
 def bneg(alo: np.ndarray, ahi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +138,36 @@ def _clean(p: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(p), 0.0, p)
 
 
+def _outward_min_max(
+    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The min and max of four endpoint results, nudged one ulp out, a
+    NaN (``0 * inf``, ``inf / inf``) counting as 0 like the scalar ops.
+
+    ``np.minimum``/``np.maximum`` propagate NaN, so an element has a NaN
+    result exactly when its min shows one: the results are cleaned and
+    reduced again only then, and the outcome is bitwise the
+    always-cleaned reduction."""
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    if np.isnan(lo).any():
+        p1, p2, p3, p4 = _clean(p1), _clean(p2), _clean(p3), _clean(p4)
+        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return array_down(lo), array_up(hi)
+
+
+def bmul_bare(
+    alo: np.ndarray, ahi: np.ndarray, blo: ArrayLike, bhi: ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bmul` without its ``np.errstate`` (see :func:`badd_bare`)."""
+    # sound: ok [S001] four nearest-mode endpoint products, each within
+    # half an ulp; the one-ulp outward nudge of their min/max in
+    # _outward_min_max covers them, as in the scalar __mul__
+    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    return _outward_min_max(p1, p2, p3, p4)
+
+
 def bmul(
     alo: np.ndarray, ahi: np.ndarray, blo: ArrayLike, bhi: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,16 +176,8 @@ def bmul(
     Evaluates the four endpoint products exactly like the scalar path,
     maps ``0 * inf`` NaNs to zero, and nudges the min/max one ulp out.
     """
-    # The four nearest-mode endpoint products; the one-ulp outward
-    # nudge below covers them, mirroring the scalar __mul__.
     with np.errstate(over="ignore", invalid="ignore"):
-        p1 = _clean(alo * blo)
-        p2 = _clean(alo * bhi)
-        p3 = _clean(ahi * blo)
-        p4 = _clean(ahi * bhi)
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return array_down(lo), array_up(hi)
+        return bmul_bare(alo, ahi, blo, bhi)
 
 
 def bdiv(
@@ -146,16 +192,12 @@ def bdiv(
     bhi_arr = np.asarray(bhi, dtype=float)
     if np.any((blo_arr <= 0.0) & (0.0 <= bhi_arr)):
         raise ZeroDivisionError("division by an interval batch containing zero")
-    # Four nearest-mode quotients (zero divisors excluded above)
-    # wrapped in the outward nudge, like the scalar path.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q1 = _clean(alo / blo_arr)
-        q2 = _clean(alo / bhi_arr)
-        q3 = _clean(ahi / blo_arr)
-        q4 = _clean(ahi / bhi_arr)
-        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-        return array_down(lo), array_up(hi)
+        # sound: ok [S001] four nearest-mode quotients (zero divisors
+        # excluded above); the one-ulp outward nudge of their min/max in
+        # _outward_min_max covers them, as in the scalar __truediv__
+        q1, q2, q3, q4 = alo / blo_arr, alo / bhi_arr, ahi / blo_arr, ahi / bhi_arr
+        return _outward_min_max(q1, q2, q3, q4)
 
 
 def _bmig(alo: np.ndarray, ahi: np.ndarray) -> np.ndarray:

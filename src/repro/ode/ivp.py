@@ -171,10 +171,6 @@ class FlowPipeBatch:
         """Endpoint enclosure of ``row`` at the final time."""
         return Box(self.end_lo[-1, row], self.end_hi[-1, row])
 
-    def range_arrays(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-substep tube endpoints of ``row`` as ``(M, n)`` arrays."""
-        return self.range_lo[:, row, :], self.range_hi[:, row, :]
-
     def pipe(self, row: int) -> FlowPipe:
         """Materialize ``row`` as a plain :class:`FlowPipe`."""
         steps = [

@@ -1,6 +1,7 @@
 """Tests for the ACAS Xu dynamics and its analytic validated flow."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.acasxu import (
     initial_cell,
     polar_from_cartesian,
 )
+from repro.acasxu.dynamics import HEADING_BLOCK
 from repro.intervals import Box, BoxBatch, Interval, IntervalBatch
 from repro.obs import Recorder, use_recorder
 from repro.ode import IntegratorSettings, TaylorIntegrator
@@ -147,6 +149,18 @@ def _cells(kind: str) -> list[Box]:
             Box([0.0, 0.0, math.pi, 700.0, 600.0], [0.0, 0.0, math.pi, 700.0, 600.0]),
             Box([-0.0, 5e-324, -math.pi / 2.0, 600.0, 500.0], [5e-324, 1.0, 0.0, 800.0, 700.0]),
         ]
+    if kind == "huge":
+        # Endpoints near the float limit and infinite ones: the position
+        # sums overflow to +inf (the first row under every turn, the
+        # second under a 3 deg/s one), and 0 * inf products appear.
+        return [
+            Box([1.0, 1.79e308, 0.0, 700.0, 600.0], [2.0, 1.797e308, 0.1, 700.0, 1.7e308]),
+            Box([1.79e308, 1.79e308, 0.0, 700.0, 600.0], [1.797e308, 1.797e308, 1.0, 700.0, 600.0]),
+            Box([0.0, 8000.0, 0.5, 700.0, 600.0], [1.0, 8001.0, 0.6, 1e308, 1.7e308]),
+            Box([-1.0, 1.0, -0.5, 700.0, 600.0], [1.0, 2.0, 0.5, 700.0, math.inf]),
+            Box([-math.inf, 0.0, 0.0, 700.0, 600.0], [0.0, 0.0, 0.0, 700.0, 600.0]),
+            Box([100.0, 200.0, 1e308, 700.0, 600.0], [200.0, 300.0, 1.7e308, 700.0, 600.0]),
+        ]
     raise ValueError(kind)
 
 
@@ -172,10 +186,26 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_equals_scalar(flow, pipe, boxes, u_rows, t0, substeps):
+    """Every row and substep of ``pipe`` byte-equal to the scalar
+    ``integrate`` of that row alone (computed once per distinct row)."""
+    scalar = {}
+    for r, box in enumerate(boxes):
+        key = (box.lo.tobytes(), box.hi.tobytes(), float(u_rows[r, 0]))
+        if key not in scalar:
+            scalar[key] = flow.integrate(t0, t0 + 1.0, box, u_rows[r], substeps=substeps)
+        for k, step in enumerate(scalar[key].steps):
+            assert _same_bits(pipe.range_lo[k, r], step.range_box.lo), (r, k)
+            assert _same_bits(pipe.range_hi[k, r], step.range_box.hi), (r, k)
+            assert _same_bits(pipe.end_lo[k, r], step.end_box.lo), (r, k)
+            assert _same_bits(pipe.end_hi[k, r], step.end_box.hi), (r, k)
+
+
 class TestAnalyticIntegrateBatch:
-    """``integrate_batch`` evaluates the turn terms once per call and
-    only the state map per substep; every output bit must equal the
-    scalar ``integrate`` run on each row alone."""
+    """``integrate_batch`` evaluates the turn terms once per call, the
+    heading half once per block of substeps and the position half once
+    per substep; every output bit must equal the scalar ``integrate``
+    run on each row alone."""
 
     @pytest.mark.parametrize("mode", ["mixed", "all-zero", "no-zero"])
     @pytest.mark.parametrize(
@@ -238,6 +268,35 @@ class TestAnalyticIntegrateBatch:
         with pytest.raises(ValueError, match="command row"):
             flow.integrate_batch(0.0, 1.0, batch, u_rows[:-1], substeps=10)
 
+    @pytest.mark.parametrize("rows", [100, 300, 734])
+    @pytest.mark.parametrize("substeps", [7, 10])
+    def test_waves_of_several_heading_blocks(self, rows, substeps):
+        """Waves whose heading half runs in several blocks of substeps
+        (with a shorter last block where the bound leaves one) equal the
+        scalar ``integrate`` of each row, byte for byte."""
+        block = max(1, HEADING_BLOCK // (2 * rows))
+        assert block < substeps
+        flow = AcasXuAnalyticFlow()
+        tiles = [box for kind in KINDS for box in _cells(kind)]
+        boxes = (tiles * (rows // len(tiles) + 1))[:rows]
+        u_rows = _turn_rows(rows, "mixed")
+        pipe = flow.integrate_batch(7.0, 8.0, BoxBatch.from_boxes(boxes), u_rows, substeps)
+        _assert_equals_scalar(flow, pipe, boxes, u_rows, 7.0, substeps)
+
+    @pytest.mark.parametrize("mode", ["mixed", "all-zero", "no-zero"])
+    def test_overflow_raises_no_warning(self, mode):
+        """Boxes whose sums and products overflow to +-inf (and make
+        0 * inf products) flow without a RuntimeWarning reaching the
+        caller, and still equal the scalar ``integrate``."""
+        flow = AcasXuAnalyticFlow()
+        batch, u_rows = _batch("huge", mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pipe = flow.integrate_batch(0.0, 1.0, batch, u_rows, substeps=10)
+            flow.flow_box_batch(batch, u_rows, Interval(0.0, 0.1))
+        assert np.isinf(pipe.end_hi).any()
+        _assert_equals_scalar(flow, pipe, _cells("huge"), u_rows, 0.0, 10)
+
     def test_substep_counters(self):
         """One ``ode.substeps`` increment of B and one timing sample per
         substep, like the per-row ``integrate``."""
@@ -247,6 +306,21 @@ class TestAnalyticIntegrateBatch:
         with use_recorder(rec):
             flow.integrate_batch(0.0, 1.0, batch, u_rows, substeps=10)
         assert rec.metrics.counters["ode.substeps"] == 10 * batch.count
+        assert rec.metrics.histograms["ode.substep_seconds"].count == 10
+
+    def test_substep_counters_over_several_blocks(self):
+        """The same counts on a wave whose heading half runs in two
+        blocks of five substeps."""
+        rows = 100
+        assert max(1, HEADING_BLOCK // (2 * rows)) == 5
+        flow = AcasXuAnalyticFlow()
+        boxes = (_cells("tiny") * 13)[:rows]
+        rec = Recorder()
+        with use_recorder(rec):
+            flow.integrate_batch(
+                0.0, 1.0, BoxBatch.from_boxes(boxes), _turn_rows(rows, "mixed"), substeps=10
+            )
+        assert rec.metrics.counters["ode.substeps"] == 10 * rows
         assert rec.metrics.histograms["ode.substep_seconds"].count == 10
 
 

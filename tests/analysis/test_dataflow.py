@@ -225,3 +225,72 @@ class TestRulesSeeTheDataflow:
             """
         )
         assert "S008" not in {f.rule for f in findings}
+
+
+def _s001_lines(findings):
+    return sorted(f.line for f in findings if f.rule == "S001")
+
+
+class TestLoopTargets:
+    """A tuple loop target over ``zip``/``enumerate`` is bound element
+    by element: a flag list derived from a bound taints only the name
+    that iterates it."""
+
+    def test_zip_taints_only_its_own_element(self):
+        # reach_many's shape: `done` comes from a bound test, `cells` not.
+        source = """
+            def flags(box):
+                return box.lo
+
+            def use(cells, box):
+                done = flags(box)
+                for cell, finished in zip(cells, done):
+                    row = cell.start + 1.0
+                    late = finished + 1.0
+                return row, late
+            """
+        taint, facts = solve((PATH, source))
+        tainted = taint.tainted_locals(facts[PATH], "use")
+        assert "finished" in tainted and "cell" not in tainted
+        # Line 8 is `row = cell.start + 1.0`, line 9 `late = finished + 1.0`.
+        assert _s001_lines(lint(source)) == [9]
+
+    def test_enumerate_index_carries_nothing(self):
+        source = """
+            def flags(box):
+                return box.lo
+
+            def use(box):
+                bounds = flags(box)
+                for i, x in enumerate(bounds):
+                    shifted = i + 1.0
+                    scaled = x * 2.0
+                return shifted, scaled
+            """
+        taint, facts = solve((PATH, source))
+        tainted = taint.tainted_locals(facts[PATH], "use")
+        assert "x" in tainted and "i" not in tainted
+        assert _s001_lines(lint(source)) == [9]
+
+    def test_bound_caught_through_the_element_it_rides_in(self):
+        source = """
+            def flags(box):
+                return box.lo
+
+            def use(cells, names, box):
+                done = flags(box)
+                for cell, (name, edge) in zip(cells, zip(names, done)):
+                    a = cell.start + 1.0
+                    b = edge + 1.0
+                for pair in zip(cells, done):
+                    c = pair[1] + 1.0
+                for item, finished in zip(*[cells, done]):
+                    d = item.start + 1.0
+                return a, b, c, d
+            """
+        taint, facts = solve((PATH, source))
+        tainted = taint.tainted_locals(facts[PATH], "use")
+        assert "edge" in tainted and "name" not in tainted
+        # A non-tuple target and a starred zip keep the whole-iterable rule.
+        assert "pair" in tainted and "item" in tainted
+        assert _s001_lines(lint(source)) == [9, 11, 13]

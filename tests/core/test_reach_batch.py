@@ -498,3 +498,72 @@ class TestWaveWideTarget:
         assert any(r.has_terminated for r in results)
         for initial, result in zip(initials, results):
             assert_matches_oracle(system, initial, RECORD, result)
+
+
+class CountingSet:
+    """A set that counts its batched disjointness queries."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.queries = 0
+
+    def contains_box(self, box: Box) -> bool:
+        return self.spec.contains_box(box)
+
+    def disjoint_box(self, box: Box) -> bool:
+        return self.spec.disjoint_box(box)
+
+    def disjoint_box_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        self.queries += 1
+        return self.spec.disjoint_box_batch(lo, hi)
+
+    def contains_point(self, point) -> bool:
+        return self.spec.contains_point(point)
+
+
+def count_waves(monkeypatch, system) -> list[int]:
+    """Record the number of distinct commands of every wave the plant
+    flows."""
+    commands_per_wave: list[int] = []
+    flow_batch = system.plant.flow_batch
+
+    def counting_flow_batch(t0, t1, boxes, u_rows, substeps):
+        commands_per_wave.append(len(np.unique(u_rows, axis=0)))
+        return flow_batch(t0, t1, boxes, u_rows, substeps)
+
+    monkeypatch.setattr(system.plant, "flow_batch", counting_flow_batch)
+    return commands_per_wave
+
+
+class TestWaveWideUnsafeScan:
+    """E is queried once per wave when it does not depend on the
+    command, and once per command present in the wave when it does;
+    both give the oracle's results."""
+
+    @pytest.mark.parametrize("settings", [RECORD, DIAGNOSE], ids=["early-exit", "diagnose"])
+    def test_command_independent_erroneous(self, monkeypatch, settings):
+        upper = CountingSet(BoxSet(Box([4.0], [np.inf])))
+        system = dataclasses.replace(make_system(), erroneous=upper)
+        waves = count_waves(monkeypatch, system)
+        initials = wide_wave()
+        results = reach_many(system, initials, settings)
+        assert len(waves) > 1 and upper.queries == len(waves)
+        assert any(r.verdict is Verdict.POSSIBLY_UNSAFE for r in results)
+        for initial, result in zip(initials, results):
+            assert_matches_oracle(system, initial, settings, result)
+
+    @pytest.mark.parametrize("settings", [RECORD, DIAGNOSE], ids=["early-exit", "diagnose"])
+    def test_per_command_erroneous(self, monkeypatch, settings):
+        upper = CountingSet(BoxSet(Box([4.0], [np.inf])))
+        lower = CountingSet(BoxSet(Box([-np.inf], [-4.0])))
+        system = dataclasses.replace(
+            make_system(), erroneous=PerCommandSet({0: upper, 1: lower})
+        )
+        waves = count_waves(monkeypatch, system)
+        initials = wide_wave()
+        results = reach_many(system, initials, settings)
+        assert max(waves) == 2
+        assert upper.queries + lower.queries == sum(waves)
+        assert any(r.verdict is Verdict.POSSIBLY_UNSAFE for r in results)
+        for initial, result in zip(initials, results):
+            assert_matches_oracle(system, initial, settings, result)

@@ -32,6 +32,7 @@ from repro.intervals.batched import (
     bhypot,
     bintersect,
     bmul,
+    bmul_bare,
     bneg,
     bpow,
     bsin,
@@ -148,6 +149,25 @@ class TestBinaryKernels:
         blo, bhi = batch_of(b)
         lo, hi = bmul(alo, ahi, blo, bhi)
         assert_bitwise(lo, hi, [x * y for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("row", [0, 57, 199])
+    def test_mul_one_nan_row_in_a_finite_batch(self, row: int) -> None:
+        """One ``0 * inf`` row among finite ones takes the NaN-cleaning
+        path for the whole batch; every row still equals the scalar
+        product byte for byte, and the bare kernel under the caller's
+        ``np.errstate`` gives the same bytes."""
+        a, b = random_intervals(200), random_intervals(200)
+        a[row], b[row] = Interval(0.0, 0.0), Interval(-math.inf, 1.0)
+        alo, ahi = batch_of(a)
+        blo, bhi = batch_of(b)
+        lo, hi = bmul(alo, ahi, blo, bhi)
+        want = [x * y for x, y in zip(a, b)]
+        assert want[row] == Interval(-5e-324, 5e-324)
+        assert lo.tobytes() == np.array([w.lo for w in want]).tobytes()
+        assert hi.tobytes() == np.array([w.hi for w in want]).tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            bare = bmul_bare(*(a.reshape(-1, 8) for a in (alo, ahi, blo, bhi)))
+        assert bare[0].tobytes() == lo.tobytes() and bare[1].tobytes() == hi.tobytes()
 
     def test_div_bitwise(self) -> None:
         a, b = self.pairs()
