@@ -19,7 +19,6 @@ See ``docs/SOUNDNESS.md`` for the discipline and the rule catalogue.
 """
 
 from .baseline import load_baseline, partition, write_baseline
-from .cache import AnalysisCache
 from .concurrency import CONCURRENCY_RULES
 from .model import CheckError, Finding, Pragma, fingerprint, parse_pragma
 from .policy import Policy, load_policy
@@ -29,7 +28,6 @@ from .visitor import check_paths, check_source
 
 __all__ = [
     "ALL_CODES",
-    "AnalysisCache",
     "CONCURRENCY_RULES",
     "CheckError",
     "FORMATS",

@@ -1,9 +1,9 @@
 """Per-module fact extraction and the package-wide call graph.
 
-The interprocedural pass (see :mod:`repro.analysis.dataflow`) does not
-keep every AST in memory. Instead each module is distilled once into a
-:class:`ModuleFacts` record — its import map, its module-level names,
-and one :class:`FunctionFacts` per function/method:
+The interprocedural pass (see :mod:`repro.analysis.dataflow`) works on
+a distilled record of each module, not on its AST: each module is
+reduced once into a :class:`ModuleFacts` record — its import map, its
+module-level names, and one :class:`FunctionFacts` per function/method:
 
 * the parameter list (with bound-ish annotations noted),
 * every assignment, as ``targets <- atoms`` where an *atom* is either
@@ -12,12 +12,18 @@ and one :class:`FunctionFacts` per function/method:
 * every ``return`` expression, as an atom set,
 * every call site, as an unresolved descriptor plus per-argument atoms.
 
-Facts are plain JSON-serializable data, so the content-hash cache can
-persist them and a warm ``repro check`` run skips re-parsing unchanged
-files entirely. Call descriptors stay *unresolved* in the facts; the
-:class:`ProgramIndex` resolves them against the whole universe of
-modules (imports, same-module functions, unique method names) when the
-fixpoint runs — resolution depends on other files, extraction does not.
+Atoms are collected by :func:`~repro.analysis.rules.taint_walk`, the
+walker every taint query shares: it does not descend into array
+metadata (``x.shape``, ``.ndim``, ``.size``, ``.dtype``,
+``.itemsize``, ``len(x)``), so a count derived from a bound array is
+not a bound.
+
+Every ``repro check`` run extracts the facts afresh from the source it
+is given; they are never stored. Call descriptors stay *unresolved* in
+the facts; the :class:`ProgramIndex` resolves them against the whole
+universe of modules (imports, same-module functions, unique method
+names) when the fixpoint runs — resolution depends on other files,
+extraction does not.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
-from .rules import BOUND_NAME_RE, is_bound_tainted
+from .rules import BOUND_NAME_RE, is_bound_tainted, taint_walk
 
 __all__ = [
     "CallSite",
@@ -37,9 +43,6 @@ __all__ = [
     "extract_module_facts",
     "module_name_for_path",
 ]
-
-#: Bump when the extraction format changes; invalidates cached facts.
-FACTS_VERSION = 2
 
 SEED = "seed"
 
@@ -67,25 +70,6 @@ class CallSite:
     #: Name of the enclosing class, for resolving ``self.m`` calls.
     enclosing_class: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "parts": list(self.parts),
-            "args": [list(a) for a in self.args],
-            "kwargs": [[k, list(a)] for k, a in self.kwargs],
-            "cls": self.enclosing_class,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CallSite":
-        return cls(
-            kind=data["kind"],
-            parts=tuple(data["parts"]),
-            args=tuple(tuple(a) for a in data["args"]),
-            kwargs=tuple((k, tuple(a)) for k, a in data["kwargs"]),
-            enclosing_class=data.get("cls"),
-        )
-
 
 @dataclass
 class FunctionFacts:
@@ -105,33 +89,6 @@ class FunctionFacts:
     returns: tuple[tuple[str, ...], ...]
     calls: tuple[CallSite, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "params": list(self.params),
-            "seeded_params": list(self.seeded_params),
-            "ret_ann_bound": self.returns_annotation_bound,
-            "ret_syntactic": self.syntactic_return_bound,
-            "assigns": [[list(t), list(a)] for t, a in self.assigns],
-            "returns": [list(r) for r in self.returns],
-            "calls": [c.to_dict() for c in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionFacts":
-        return cls(
-            qualname=data["qualname"],
-            params=tuple(data["params"]),
-            seeded_params=tuple(data["seeded_params"]),
-            returns_annotation_bound=data["ret_ann_bound"],
-            syntactic_return_bound=data["ret_syntactic"],
-            assigns=tuple(
-                (tuple(t), tuple(a)) for t, a in data["assigns"]
-            ),
-            returns=tuple(tuple(r) for r in data["returns"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -146,31 +103,6 @@ class ModuleFacts:
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     #: class name -> tuple of method names.
     classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": FACTS_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "imports": dict(self.imports),
-            "module_names": list(self.module_names),
-            "functions": {q: f.to_dict() for q, f in self.functions.items()},
-            "classes": {c: list(m) for c, m in self.classes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleFacts":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            imports=dict(data["imports"]),
-            module_names=tuple(data["module_names"]),
-            functions={
-                q: FunctionFacts.from_dict(f)
-                for q, f in data["functions"].items()
-            },
-            classes={c: tuple(m) for c, m in data["classes"].items()},
-        )
 
 
 def module_name_for_path(path: str | Path) -> str:
@@ -204,7 +136,7 @@ def _expr_atoms(node: ast.expr, call_index: dict[int, int]) -> tuple[str, ...]:
     atoms: set[str] = set()
     if is_bound_tainted(node):
         atoms.add(SEED)
-    for sub in ast.walk(node):
+    for sub in taint_walk(node):
         if isinstance(sub, ast.Name):
             atoms.add(_atom_name(sub.id))
         elif isinstance(sub, ast.Call):
@@ -367,7 +299,7 @@ def _param_names(args: ast.arguments) -> tuple[ast.arg, ...]:
 
 
 def extract_module_facts(tree: ast.Module, path: str) -> ModuleFacts:
-    """One pass over a parsed module -> serializable facts."""
+    """One pass over a parsed module -> its facts."""
     facts = ModuleFacts(path=path, module=module_name_for_path(path))
     module_names: list[str] = []
 

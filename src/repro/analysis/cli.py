@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .baseline import load_baseline, partition, write_baseline
-from .cache import DEFAULT_CACHE_PATH, AnalysisCache
 from .model import CheckError
 from .policy import load_policy
 from .report import FORMATS, render
@@ -51,8 +50,6 @@ def run_check(
     update_baseline: bool = False,
     select: list[str] | None = None,
     changed_only: bool = False,
-    no_cache: bool = False,
-    cache_path: str | None = None,
     out=None,
 ) -> int:
     """Run the soundness pass; returns the process exit code."""
@@ -62,6 +59,11 @@ def run_check(
             raise CheckError(
                 f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})"
             )
+        if update_baseline and (select or changed_only):
+            # The baseline is the whole tree's findings: a filtered run
+            # would drop every entry its filter hid.
+            flag = "--select" if select else "--changed-only"
+            raise CheckError(f"--update-baseline needs a full run; drop {flag}")
         policy = load_policy()
         if select:
             codes = tuple(
@@ -73,11 +75,10 @@ def run_check(
             from dataclasses import replace
 
             policy = replace(policy, select=codes)
-        cache = None if no_cache else AnalysisCache(cache_path or DEFAULT_CACHE_PATH)
         # The whole universe is always analysed — the interprocedural
         # fixpoint needs every module's facts — but --changed-only
         # restricts *reporting* to files in the working-tree diff.
-        findings = check_paths(list(paths), policy, cache=cache)
+        findings = check_paths(list(paths), policy)
         if changed_only:
             changed = _changed_files()
             findings = [f for f in findings if f.path in changed]
@@ -101,11 +102,13 @@ def run_check(
                 baseline = load_baseline(resolved_baseline)
 
         new, known, stale = partition(findings, baseline)
+        # Staleness is judged only where the run could have matched the
+        # entry: findings outside the diff were filtered above, and an
+        # entry of a rule that did not run matches nothing.
         if changed_only:
-            # Findings outside the diff were filtered above, so their
-            # baseline entries would all look stale; staleness is only
-            # meaningful on a full run.
             stale = []
+        elif policy.select is not None:
+            stale = [e for e in stale if e.get("rule") in policy.select]
 
         print(render(fmt, new, known, stale), file=out)
         return 1 if new else 0

@@ -22,8 +22,6 @@ neutrally-named helper (``def scale(v): return v.hi * f`` called as
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 from .callgraph import SEED, CallSite, FunctionFacts, ModuleFacts, ProgramIndex
@@ -170,18 +168,3 @@ class ProgramTaint:
         return frozenset(
             name for name in explicit if not BOUND_NAME_RE.search(name)
         )
-
-    def digest(self) -> str:
-        """Stable hash of the solved state; part of the cache key, so a
-        taint change anywhere re-lints every file that could see it."""
-        payload = {
-            "returns_bound": sorted(self.returns_bound),
-            "tainted_params": {
-                key: sorted(params)
-                for key, params in sorted(self.tainted_params.items())
-                if params
-            },
-        }
-        return hashlib.sha1(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()[:16]

@@ -12,7 +12,10 @@ common machinery:
   interprocedural dataflow in :mod:`repro.analysis.dataflow` — a bound
   returned from a neutrally-named helper is tainted too. Rules query
   taint through :meth:`Context.tainted`, never the name convention
-  directly.
+  directly. Every taint query walks the expression with
+  :func:`taint_walk`, which skips array metadata (``lo.shape``,
+  ``len(lo)`` ...): a count or a dtype read from a bound array carries
+  no bound.
 * **Rounding wrappers** — arithmetic enclosed (within one expression) in
   a call to a directed-rounding helper (``rounding.down``/``up``/...,
   ``math.nextafter``, ``np.nextafter``) is exempt: the wrapper is what
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .visitor import Context
@@ -45,6 +48,7 @@ __all__ = [
     "is_bound_tainted",
     "is_rounding_call",
     "rule_by_code",
+    "taint_walk",
 ]
 
 #: Directed-rounding wrappers: arithmetic inside a call to one of these
@@ -157,9 +161,34 @@ def is_rounding_call(node: ast.Call) -> bool:
     return name is not None and name in ROUNDING_WRAPPERS
 
 
+#: Array metadata attributes: a shape, rank, element count, dtype or
+#: element width read from a bound array is not itself a bound.
+METADATA_ATTRS = frozenset({"shape", "ndim", "size", "dtype", "itemsize"})
+
+
+def taint_walk(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` for taint queries: every node of the subtree except
+    array metadata (``x.shape``, ``.ndim``, ``.size``, ``.dtype``,
+    ``.itemsize``, ``len(x)``) and everything under it."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Attribute):
+            if sub.attr in METADATA_ATTRS:
+                continue
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id == "len"
+        ):
+            continue
+        yield sub
+        todo.extend(ast.iter_child_nodes(sub))
+
+
 def is_bound_tainted(node: ast.AST) -> bool:
     """True if the subtree reads an interval endpoint (by convention)."""
-    for sub in ast.walk(node):
+    for sub in taint_walk(node):
         if isinstance(sub, ast.Attribute) and BOUND_NAME_RE.search(sub.attr):
             return True
         if isinstance(sub, ast.Name) and BOUND_NAME_RE.search(sub.id):
@@ -283,10 +312,6 @@ class ExactBoundComparison(Rule):
         "compare with an ordering or document the exact-value intent"
     )
 
-    #: Array-structure attributes: comparing these is integer metadata
-    #: comparison, not float-bound comparison.
-    STRUCTURAL = frozenset({"shape", "ndim", "dtype", "size", "itemsize"})
-
     def visit(self, node: ast.AST, ctx: "Context") -> None:
         if not isinstance(node, ast.Compare):
             return
@@ -299,18 +324,12 @@ class ExactBoundComparison(Rule):
                 continue
             if _is_exact_constant(left) or _is_exact_constant(right):
                 continue  # comparisons against exact 0 / inf are exact
-            if self._structural(left) or self._structural(right):
-                continue  # shape/ndim/dtype metadata, not bounds
             ctx.report(
                 self,
                 node,
                 "float `==`/`!=` on a bound-carrying value",
             )
             return
-
-    @classmethod
-    def _structural(cls, node: ast.expr) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr in cls.STRUCTURAL
 
 
 class EndpointMutation(Rule):

@@ -34,20 +34,17 @@ reported (S000) so the suppression inventory cannot silently rot.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import tokenize
 from pathlib import Path
 from typing import Sequence
 
-from .cache import AnalysisCache, content_digest
 from .callgraph import ModuleFacts, ProgramIndex, extract_module_facts
 from .concurrency import CONCURRENCY_RULES, collect_concurrency_facts
 from .dataflow import ProgramTaint
 from .model import CheckError, Finding, Pragma, parse_pragma
 from .policy import Policy
-from .rules import ALL_CODES, RULES, Rule, is_bound_tainted, is_rounding_call
+from .rules import ALL_CODES, RULES, Rule, is_bound_tainted, is_rounding_call, taint_walk
 
 __all__ = ["ALL_CODES", "Context", "check_paths", "check_source"]
 
@@ -130,7 +127,7 @@ class Context:
             if qualname is not None
             else frozenset()
         )
-        for sub in ast.walk(node):
+        for sub in taint_walk(node):
             if isinstance(sub, ast.Name) and sub.id in local_taint:
                 return True
             if isinstance(sub, ast.Call):
@@ -374,27 +371,9 @@ def _iter_files(paths: Sequence[str | Path]) -> list[tuple[Path, bool]]:
     return out
 
 
-def _policy_digest(policy: Policy) -> str:
-    payload = {
-        "include": list(policy.include),
-        "exclude": list(policy.exclude),
-        "package_disable": {
-            k: list(v) for k, v in sorted(policy.package_disable.items())
-        },
-        "concurrency_include": list(policy.concurrency_include),
-        "sanctioned_writers": list(policy.sanctioned_writers),
-        "select": list(policy.select) if policy.select is not None else None,
-        "codes": list(ALL_CODES),
-    }
-    return hashlib.sha1(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
 def check_paths(
     paths: Sequence[str | Path],
     policy: Policy | None = None,
-    cache: AnalysisCache | None = None,
 ) -> list[Finding]:
     """Whole-program check over files and directories.
 
@@ -402,13 +381,12 @@ def check_paths(
     always checked (excludes still apply). Every file contributes facts
     to the interprocedural fixpoint even when out of scope for both
     rule passes — out-of-scope modules are exactly what S007 needs
-    summaries for. With a :class:`~repro.analysis.cache.AnalysisCache`,
-    unchanged files skip parsing (facts are cached) and unchanged
-    worlds skip the rule pass entirely (findings are cached).
+    summaries for. Every call parses and solves the files it is given;
+    nothing is read from or written to disk besides those files.
     """
     policy = policy or Policy()
     seen: set[Path] = set()
-    universe: list[tuple[str, str, bool]] = []  # (path, source, explicit)
+    universe: list[tuple[str, str, bool, ast.Module]] = []
     for file, explicit in _iter_files(paths):
         resolved = file.resolve()
         if resolved in seen:
@@ -418,49 +396,17 @@ def check_paths(
             source = file.read_text()
         except (OSError, UnicodeDecodeError) as error:
             raise CheckError(f"could not read {file}: {error}") from error
-        universe.append((file.as_posix(), source, explicit))
+        path = file.as_posix()
+        universe.append((path, source, explicit, _parse(source, path)))
 
-    trees: dict[str, ast.Module] = {}
-    facts: dict[str, ModuleFacts] = {}
-    digests: dict[str, str] = {}
-    for path, source, _ in universe:
-        digest = content_digest(source)
-        digests[path] = digest
-        cached = cache.facts_for(path, digest) if cache is not None else None
-        if cached is not None:
-            facts[path] = cached
-            continue
-        tree = _parse(source, path)
-        trees[path] = tree
-        facts[path] = extract_module_facts(tree, path)
-        if cache is not None:
-            cache.store_facts(path, digest, facts[path])
-
+    facts = {
+        path: extract_module_facts(tree, path)
+        for path, _, _, tree in universe
+    }
     program = ProgramTaint(ProgramIndex(facts))
-    world = hashlib.sha1(
-        f"{program.digest()}::{_policy_digest(policy)}".encode()
-    ).hexdigest()[:16]
-
     findings: list[Finding] = []
-    for path, source, explicit in universe:
-        # Explicitly named files have a wider scope, so their cached
-        # findings must not be reused for a directory-filtered run.
-        file_world = f"{world}:x" if explicit else world
-        if cache is not None:
-            cached_findings = cache.findings_for(path, digests[path], file_world)
-            if cached_findings is not None:
-                findings.extend(cached_findings)
-                continue
-        tree = trees.get(path)
-        if tree is None:
-            tree = _parse(source, path)
-        module_findings = _check_module(
+    for path, source, explicit, tree in universe:
+        findings.extend(_check_module(
             source, tree, path, policy, explicit, program, facts[path]
-        )
-        findings.extend(module_findings)
-        if cache is not None:
-            cache.store_findings(path, digests[path], file_world, module_findings)
-    if cache is not None:
-        cache.prune(set(digests))
-        cache.save()
+        ))
     return findings

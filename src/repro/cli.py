@@ -1111,7 +1111,8 @@ def _check_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        help="rewrite the baseline from the current findings and exit 0 "
+        "(full runs only: refused with --select or --changed-only)",
     )
     parser.add_argument(
         "--select", action="append",
@@ -1122,14 +1123,6 @@ def _check_arguments(parser: argparse.ArgumentParser) -> None:
         "--changed-only", action="store_true",
         help="report findings only in files changed vs HEAD "
         "(git diff --name-only; the whole-program analysis still runs)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash analysis cache",
-    )
-    parser.add_argument(
-        "--cache",
-        help="analysis cache path (default: .repro/check-cache.json)",
     )
 
 
@@ -1144,8 +1137,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         update_baseline=args.update_baseline,
         select=args.select,
         changed_only=args.changed_only,
-        no_cache=args.no_cache,
-        cache_path=args.cache,
     )
 
 

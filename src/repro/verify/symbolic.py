@@ -216,7 +216,6 @@ def _affine_stacked(
     products are split by network, and each network's new forms are
     copied into their rows as soon as they are built."""
     vals_mag = bounds.value_magnitude(lo, hi)
-    # sound: ok [S003] a count of networks, not a bound
     if len(layers) == 1:
         w, b = layers[0]
         return _affine_rows(bounds, w, b, vals_mag, gamma)
@@ -413,7 +412,6 @@ class SymbolicPropagator:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         network = self.network
-        # sound: ok [S003] shape metadata comparison, not bound values
         if lo.ndim != 2 or lo.shape[1] != network.input_size:
             raise ValueError(
                 f"expected (B, {network.input_size}) endpoint arrays, "
@@ -443,7 +441,6 @@ class SymbolicPropagator:
         select, lo, hi = select[order], lo[order], hi[order]
         passes = []
         for first in range(0, lo.shape[0], STACK_ROWS):
-            # sound: ok [S001] row-index arithmetic, not a bound
             rows = slice(first, first + STACK_ROWS)
             # Network g's rows of the sorted pass are edges[g]:edges[g + 1].
             edges = np.searchsorted(select[rows], range(len(networks) + 1)).tolist()

@@ -5,7 +5,6 @@ import textwrap
 
 from repro.analysis.callgraph import (
     COMMON_METHODS,
-    ModuleFacts,
     ProgramIndex,
     extract_module_facts,
     module_name_for_path,
@@ -86,19 +85,6 @@ class TestExtraction:
         assert "LIMIT" in facts.module_names
         assert facts.classes["Seg"] == ("width", "span")
         assert "Seg.width" in facts.functions
-
-    def test_roundtrip_through_dict(self):
-        facts = facts_of(
-            """
-            from .other import helper
-
-            def f(iv):
-                parts = helper(iv.lo)
-                return parts
-            """
-        )
-        clone = ModuleFacts.from_dict(facts.to_dict())
-        assert clone == facts
 
 
 class TestResolution:

@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import run_check
 from repro.analysis.model import CheckError
 from repro.cli import main
@@ -90,6 +92,44 @@ class TestBaselineFlow:
         code, output = run([clean], baseline_path=str(baseline))
         assert code == 0
         assert "stale" in output
+
+    @pytest.mark.parametrize(
+        "flag, filtered",
+        [("--select", {"select": ["S001"]}),
+         ("--changed-only", {"changed_only": True})],
+        ids=["select", "changed-only"],
+    )
+    def test_update_baseline_needs_a_full_run(self, flag, filtered, tmp_path,
+                                              capsys, monkeypatch):
+        monkeypatch.setattr(
+            "repro.analysis.cli._changed_files", lambda: {FIXTURE.as_posix()}
+        )
+        baseline = tmp_path / "baseline.json"
+        run([FIXTURE], update_baseline=True, baseline_path=str(baseline))
+        before = baseline.read_bytes()
+        code, _ = run([FIXTURE], update_baseline=True,
+                      baseline_path=str(baseline), **filtered)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and len(err.strip().splitlines()) == 1
+        assert baseline.read_bytes() == before
+
+    def test_unselected_rules_are_never_stale(self, tmp_path):
+        # An entry whose rule did not run cannot be judged; an entry
+        # whose rule ran and whose code is gone is stale.
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({
+            "version": 1,
+            "findings": [{"fingerprint": "feedfacefeedface", "rule": "S001",
+                          "path": "gone.py"}],
+        }))
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        _, output = run([clean], fmt="json", baseline_path=str(baseline),
+                        select=["C001,C002,C003,C004,C005"])
+        assert json.loads(output)["summary"]["stale"] == 0
+        _, output = run([clean], fmt="json", baseline_path=str(baseline))
+        assert json.loads(output)["summary"]["stale"] == 1
 
 
 class TestSelect:
@@ -183,25 +223,21 @@ class TestChangedOnly:
         assert "git checkout" in capsys.readouterr().err
 
 
-class TestCacheFlags:
-    def test_cache_path_flag_creates_cache(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        run([FIXTURE], no_baseline=True, cache_path=str(cache))
-        assert cache.exists()
-
-    def test_no_cache_skips_the_file(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        run(
-            [FIXTURE], no_baseline=True, no_cache=True,
-            cache_path=str(cache),
+class TestEveryRunReadsTheSource:
+    def test_rule_edit_changes_the_next_answer(self, tmp_path, monkeypatch):
+        # Nothing but the source decides the answer: a stricter S003
+        # shows on the very next run, and no run leaves a file behind.
+        monkeypatch.chdir(tmp_path)
+        source = tmp_path / "exact.py"
+        source.write_text("def f(iv):\n    return iv.lo == 0.0\n")
+        code, output = run([source], no_baseline=True)
+        assert code == 0 and "S003" not in output
+        monkeypatch.setattr(
+            "repro.analysis.rules._is_exact_constant", lambda node: False
         )
-        assert not cache.exists()
-
-    def test_warm_run_matches_cold(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cold = run([FIXTURE], no_baseline=True, cache_path=str(cache))
-        warm = run([FIXTURE], no_baseline=True, cache_path=str(cache))
-        assert warm == cold
+        code, output = run([source], no_baseline=True)
+        assert code == 1 and "S003" in output
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["exact.py"]
 
 
 class TestMainIntegration:
@@ -210,8 +246,12 @@ class TestMainIntegration:
         assert code == 1
         assert "S001" in capsys.readouterr().out
 
-    def test_repo_tree_is_clean(self):
+    def test_repo_tree_is_clean(self, capsys):
         # The acceptance criterion: the shipped tree passes its own check
-        # against the committed baseline.
-        code = main(["check"])
+        # against the committed baseline, and the baseline holds no
+        # stale entry (one would silently baseline any later finding
+        # with the same text in that file).
+        code = main(["check", "--format", "json"])
+        summary = json.loads(capsys.readouterr().out)["summary"]
         assert code == 0
+        assert summary["new"] == 0 and summary["stale"] == 0

@@ -146,11 +146,6 @@ class TestTaintedLocals:
         # answer only adds what the convention misses.
         assert "lo" not in taint.tainted_locals(facts[PATH], "f")
 
-    def test_digest_tracks_solved_state(self):
-        taint_a, _ = solve((PATH, "def f(box):\n    return box.lo\n"))
-        taint_b, _ = solve((PATH, "def f(box):\n    return 1.0\n"))
-        assert taint_a.digest() != taint_b.digest()
-
 
 class TestRulesSeeTheDataflow:
     def test_s001_on_laundered_local(self):
@@ -294,3 +289,54 @@ class TestLoopTargets:
         # A non-tuple target and a starred zip keep the whole-iterable rule.
         assert "pair" in tainted and "item" in tainted
         assert _s001_lines(lint(source)) == [9, 11, 13]
+
+
+class TestArrayMetadata:
+    """A shape, rank, size, dtype or length read from a bound array is a
+    count, not a bound: the shared taint walker does not descend into
+    it, in the rules, the extracted facts and the rule pass alike."""
+
+    def test_shape_derived_index_carries_nothing(self):
+        source = """
+            def pick(lo, networks):
+                g = lo.shape[0] - 1
+                w = networks[g]
+                return w * 2.0
+            """
+        taint, facts = solve((PATH, source))
+        tainted = taint.tainted_locals(facts[PATH], "pick")
+        assert "g" not in tainted and "w" not in tainted
+        assert lint(source) == []
+
+    def test_length_comparison_is_not_s003(self):
+        source = """
+            def single(lo):
+                return len(lo) == 1
+            """
+        assert lint(source) == []
+
+    def test_every_metadata_form_is_skipped(self):
+        source = """
+            def meta(lo):
+                a = lo.ndim + 1
+                b = lo.size * 2
+                c = lo.dtype.itemsize * 8
+                d = lo.itemsize + 0
+                return a, b, c, d
+            """
+        assert lint(source) == []
+
+    def test_the_bound_itself_still_flagged(self):
+        source = """
+            def scale(lo):
+                a = lo * 2.0
+                b = lo.T * 2.0
+                return a, b
+            """
+        assert _s001_lines(lint(source)) == [3, 4]
+        taint, facts = solve((PATH, """
+            def scale(box):
+                t = box.lo.T
+                return t
+            """))
+        assert "repro.intervals.snippet.scale" in taint.returns_bound
