@@ -12,8 +12,11 @@ findings.
 
 Entry points: ``repro check`` on the command line, or::
 
-    from repro.analysis import check_paths, load_policy
-    findings = check_paths(["src/repro"], load_policy())
+    from repro.analysis import Policy, check_paths
+    findings = check_paths(["src/repro"], Policy())
+
+The policy (which files each pass checks, with which rules) is
+:mod:`repro.analysis.policy`; nothing else configures it.
 
 See ``docs/SOUNDNESS.md`` for the discipline and the rule catalogue.
 """
@@ -21,7 +24,7 @@ See ``docs/SOUNDNESS.md`` for the discipline and the rule catalogue.
 from .baseline import load_baseline, partition, write_baseline
 from .concurrency import CONCURRENCY_RULES
 from .model import CheckError, Finding, Pragma, fingerprint, parse_pragma
-from .policy import Policy, load_policy
+from .policy import Policy
 from .report import FORMATS, render
 from .rules import ALL_CODES, RULES
 from .visitor import check_paths, check_source
@@ -39,7 +42,6 @@ __all__ = [
     "check_source",
     "fingerprint",
     "load_baseline",
-    "load_policy",
     "parse_pragma",
     "partition",
     "render",

@@ -29,11 +29,12 @@ extraction does not.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .rules import BOUND_NAME_RE, is_bound_tainted, taint_walk
+from .rules import BOUND_NAME_RE, taint_walk
 
 __all__ = [
     "CallSite",
@@ -132,13 +133,17 @@ def _annotation_is_bound(annotation: ast.expr | None) -> bool:
 
 
 def _expr_atoms(node: ast.expr, call_index: dict[int, int]) -> tuple[str, ...]:
-    """Distill an expression into atoms (seed / names / call refs)."""
+    """Distill an expression into atoms (seed / names / call refs), in
+    one walk."""
     atoms: set[str] = set()
-    if is_bound_tainted(node):
-        atoms.add(SEED)
     for sub in taint_walk(node):
         if isinstance(sub, ast.Name):
             atoms.add(_atom_name(sub.id))
+            if BOUND_NAME_RE.search(sub.id):
+                atoms.add(SEED)
+        elif isinstance(sub, ast.Attribute):
+            if BOUND_NAME_RE.search(sub.attr):
+                atoms.add(SEED)
         elif isinstance(sub, ast.Call):
             idx = call_index.get(id(sub))
             if idx is not None:
@@ -196,29 +201,31 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.syntactic_return_bound = False
         self._call_index: dict[int, int] = {}
         # Pre-pass: number every call site so atoms can reference them.
-        for stmt in func.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if isinstance(sub, ast.Call):
-                    desc = _call_descriptor(sub, enclosing_class)
-                    if desc is None:
-                        continue
-                    self._call_index[id(sub)] = len(self.calls)
-                    kind, parts = desc
-                    self.calls.append(CallSite(
-                        kind=kind,
-                        parts=parts,
-                        args=tuple(
-                            _expr_atoms(a, {}) for a in sub.args
-                        ),
-                        kwargs=tuple(
-                            (kw.arg, _expr_atoms(kw.value, {}))
-                            for kw in sub.keywords
-                            if kw.arg is not None
-                        ),
-                        enclosing_class=enclosing_class,
-                    ))
+        # Nested functions are not entered: they get their own facts.
+        todo: deque[ast.AST] = deque(func.body)
+        while todo:
+            sub = todo.popleft()
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            todo.extend(ast.iter_child_nodes(sub))
+            if not isinstance(sub, ast.Call):
+                continue
+            desc = _call_descriptor(sub, enclosing_class)
+            if desc is None:
+                continue
+            self._call_index[id(sub)] = len(self.calls)
+            kind, parts = desc
+            self.calls.append(CallSite(
+                kind=kind,
+                parts=parts,
+                args=tuple(_expr_atoms(a, {}) for a in sub.args),
+                kwargs=tuple(
+                    (kw.arg, _expr_atoms(kw.value, {}))
+                    for kw in sub.keywords
+                    if kw.arg is not None
+                ),
+                enclosing_class=enclosing_class,
+            ))
         for stmt in func.body:
             self.visit(stmt)
 
@@ -288,8 +295,9 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is not None:
-            self.returns.append(_expr_atoms(node.value, self._call_index))
-            if is_bound_tainted(node.value):
+            atoms = _expr_atoms(node.value, self._call_index)
+            self.returns.append(atoms)
+            if SEED in atoms:
                 self.syntactic_return_bound = True
         self.generic_visit(node)
 

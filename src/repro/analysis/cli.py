@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .baseline import load_baseline, partition, write_baseline
 from .model import CheckError
-from .policy import load_policy
+from .policy import Policy
 from .report import FORMATS, render
 from .visitor import check_paths
 
@@ -64,17 +64,13 @@ def run_check(
             # would drop every entry its filter hid.
             flag = "--select" if select else "--changed-only"
             raise CheckError(f"--update-baseline needs a full run; drop {flag}")
-        policy = load_policy()
-        if select:
-            codes = tuple(
-                part.strip().upper()
-                for code in select
-                for part in code.split(",")
-                if part.strip()
-            )
-            from dataclasses import replace
-
-            policy = replace(policy, select=codes)
+        codes = tuple(
+            part.strip().upper()
+            for code in select or ()
+            for part in code.split(",")
+            if part.strip()
+        )
+        policy = Policy(select=codes if select else None)
         # The whole universe is always analysed — the interprocedural
         # fixpoint needs every module's facts — but --changed-only
         # restricts *reporting* to files in the working-tree diff.

@@ -37,6 +37,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .policy import DEFAULT_SANCTIONED_WRITERS
+from .rules import _call_name, _root_name
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .visitor import Context
 
@@ -71,22 +74,6 @@ PREFORK_HANDLES = frozenset(
         "TemporaryFile", "NamedTemporaryFile", "socket",
     }
 )
-
-
-def _final_name(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _root_id(node: ast.expr) -> str | None:
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
-        node = node.func if isinstance(node, ast.Call) else node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 @dataclass
@@ -149,21 +136,21 @@ def collect_concurrency_facts(tree: ast.Module) -> ConcurrencyFacts:
                     facts.module_names.add(target.id)
                     if (
                         isinstance(value, ast.Call)
-                        and _final_name(value.func) in PREFORK_HANDLES
+                        and _call_name(value.func) in PREFORK_HANDLES
                     ):
                         facts.prefork_handles.add(target.id)
 
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _final_name(node.func)
+        name = _call_name(node.func)
         if name == "Process":
             facts.forks = True
             for kw in node.keywords:
                 if kw.arg == "target" and isinstance(kw.value, ast.Name):
                     facts.worker_entries.add(kw.value.id)
         elif name == "signal" and isinstance(node.func, ast.Attribute):
-            if _root_id(node.func) == "signal" and len(node.args) >= 2:
+            if _root_name(node.func) == "signal" and len(node.args) >= 2:
                 handler = node.args[1]
                 if isinstance(handler, ast.Name):
                     facts.handlers.add(handler.id)
@@ -190,11 +177,11 @@ def _collect_class(node: ast.ClassDef) -> _ClassFacts:
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
                     and isinstance(sub.value, ast.Call)
-                    and _final_name(sub.value.func) in ("Lock", "RLock")
+                    and _call_name(sub.value.func) in ("Lock", "RLock")
                 ):
                     cls.lock_attrs.add(target.attr)
         elif isinstance(sub, ast.Call):
-            if _final_name(sub.func) == "Thread":
+            if _call_name(sub.func) == "Thread":
                 cls.creates_thread = True
     if cls.lock_attrs:
         for sub in ast.walk(node):
@@ -313,10 +300,10 @@ class UnsafeSignalHandlerCall(ConcurrencyRule):
             for sub in ast.walk(func):
                 if not isinstance(sub, ast.Call):
                     continue
-                call_name = _final_name(sub.func)
+                call_name = _call_name(sub.func)
                 if call_name not in UNSAFE_IN_HANDLER:
                     continue
-                if _root_id(sub.func) == "os":
+                if _root_name(sub.func) == "os":
                     continue  # os.write/os.kill are async-signal-safe
                 ctx.report(
                     self, sub,
@@ -452,20 +439,13 @@ class NonAtomicStatusWrite(ConcurrencyRule):
 
     def check_module(self, tree: ast.Module, facts: ConcurrencyFacts,
                      ctx: "Context") -> None:
-        policy = ctx.policy
-        sanctioned = set(policy.sanctioned_writers) if policy else set()
+        self._walk(tree, False, ctx)
 
-        def in_sanctioned(stack: tuple[str, ...]) -> bool:
-            return any(name in sanctioned for name in stack)
-
-        self._walk(tree, (), in_sanctioned, ctx)
-
-    def _walk(self, node: ast.AST, stack: tuple[str, ...],
-              in_sanctioned, ctx: "Context") -> None:
+    def _walk(self, node: ast.AST, sanctioned: bool, ctx: "Context") -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack = stack + (node.name,)
-        if isinstance(node, ast.Call) and not in_sanctioned(stack):
-            name = _final_name(node.func)
+            sanctioned = sanctioned or node.name in DEFAULT_SANCTIONED_WRITERS
+        if isinstance(node, ast.Call) and not sanctioned:
+            name = _call_name(node.func)
             if name == "open" and len(node.args) >= 2:
                 mode = node.args[1]
                 if (
@@ -485,7 +465,7 @@ class NonAtomicStatusWrite(ConcurrencyRule):
                     "atomic writer",
                 )
         for child in ast.iter_child_nodes(node):
-            self._walk(child, stack, in_sanctioned, ctx)
+            self._walk(child, sanctioned, ctx)
 
 
 CONCURRENCY_RULES: tuple[ConcurrencyRule, ...] = (

@@ -1,24 +1,8 @@
-"""Per-package policy: which files the soundness pass checks, with
-which rules.
+"""Which files ``repro check`` checks, with which rules.
 
-The defaults encode the repository's sound-path discipline: every bound
-computed in ``repro.intervals``, ``repro.ode``, ``repro.sets`` and
-``repro.verify`` must go through the directed-rounding helpers, so those
-packages are checked with the full rule set; the rest of the tree
-(training code, CLI, observability, experiments) is skipped.
-``repro/intervals/rounding.py`` is excluded — it *implements* the
-wrappers, so raw ``math.nextafter`` is its business — and so is
-``repro/acasxu/mdp.py``, whose value iteration and table interpolation
-make training targets, not bounds.
-
-Projects override the defaults from ``pyproject.toml``::
-
-    [tool.repro.soundness]
-    include = ["repro/intervals", "repro/ode"]
-    exclude = ["repro/intervals/rounding.py"]
-
-    [tool.repro.soundness.package-rules]
-    "repro/verify" = { disable = ["S005"] }
+This module is the whole policy: ``repro check`` builds ``Policy()``
+and reads no configuration file, so each constant below carries the
+reason it is what it is.
 
 Path patterns are segment sequences matched anywhere in the file path,
 so ``repro/intervals`` matches both ``src/repro/intervals/box.py`` and
@@ -27,11 +11,8 @@ an installed ``repro/intervals/box.py``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from .model import CheckError
 
 __all__ = [
     "DEFAULT_INCLUDE",
@@ -39,10 +20,14 @@ __all__ = [
     "DEFAULT_PACKAGE_DISABLE",
     "DEFAULT_CONCURRENCY_INCLUDE",
     "DEFAULT_SANCTIONED_WRITERS",
+    "SANCTIONED",
     "Policy",
-    "load_policy",
 ]
 
+#: Where the soundness pass (S001-S008) runs: every bound computed in
+#: these packages and the two reachability drivers must go through the
+#: directed-rounding helpers. The rest of the tree (training code, CLI,
+#: observability, experiments) is skipped.
 DEFAULT_INCLUDE = (
     "repro/intervals",
     "repro/ode",
@@ -53,14 +38,29 @@ DEFAULT_INCLUDE = (
     "repro/acasxu",
 )
 
+#: Files under the include set that the S-rules skip. ``rounding.py``
+#: implements the wrappers; raw ``nextafter`` is its business.
+#: ``acasxu/mdp.py`` is value iteration and table interpolation: it
+#: makes the networks' training targets, not bounds. An excluded file
+#: still feeds the dataflow, so an in-scope caller's arithmetic on a
+#: bound it returned is S001 at the use site, and the call is S007
+#: unless the module is also :data:`SANCTIONED`.
 DEFAULT_EXCLUDE = ("repro/intervals/rounding.py", "repro/acasxu/mdp.py")
 
-#: ``repro/intervals/batched.py`` is the sanctioned wrapper module for
-#: batched endpoint arithmetic — S006 exists to funnel raw ufunc math
-#: *into* it, so the rule is off there by default (mirroring how
-#: ``rounding.py`` is excluded outright). The same goes for S008: the
-#: structure-of-arrays layout *is* raw (lo, hi) arrays by design.
-DEFAULT_PACKAGE_DISABLE = {"repro/intervals/batched.py": ("S006", "S008")}
+#: Modules that implement the directed-rounding discipline, so a bound
+#: one of them returns is not an S007 escape. Only the module of the
+#: wrappers is; leaving a module out of scope does not sanction it.
+SANCTIONED = ("repro/intervals/rounding.py",)
+
+#: ``repro/intervals/batched.py`` is the wrapper module for batched
+#: endpoint arithmetic: S006 exists to funnel raw ufunc calls on
+#: (lo, hi) arrays *into* it, and each nearest-mode step there is
+#: paired with an outward nudge and documented in place. Its
+#: structure-of-arrays layout is raw (lo, hi) arrays by design, so the
+#: container-laundering rule S008 is off there too.
+DEFAULT_PACKAGE_DISABLE: dict[str, tuple[str, ...]] = {
+    "repro/intervals/batched.py": ("S006", "S008"),
+}
 
 #: Where the concurrency pass (C001-C005) runs: the fork pool, the
 #: campaign drivers, the live-telemetry layer and the distributed
@@ -95,6 +95,11 @@ def _matches(path_parts: tuple[str, ...], pattern: str) -> bool:
     )
 
 
+def _matches_any(path: str | Path, patterns: tuple[str, ...]) -> bool:
+    parts = tuple(Path(path).as_posix().split("/"))
+    return any(_matches(parts, pattern) for pattern in patterns)
+
+
 @dataclass(frozen=True)
 class Policy:
     """Which files are in scope, and which rules run per package."""
@@ -102,13 +107,9 @@ class Policy:
     include: tuple[str, ...] = DEFAULT_INCLUDE
     exclude: tuple[str, ...] = DEFAULT_EXCLUDE
     #: pattern -> rule codes disabled under that pattern.
-    package_disable: dict = field(
+    package_disable: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_PACKAGE_DISABLE)
     )
-    #: Where the concurrency pass (C001-C005) runs.
-    concurrency_include: tuple[str, ...] = DEFAULT_CONCURRENCY_INCLUDE
-    #: Function names allowed to overwrite status files (C005).
-    sanctioned_writers: tuple[str, ...] = DEFAULT_SANCTIONED_WRITERS
     #: Explicit rule selection (e.g. from ``--select``); None = all.
     select: tuple[str, ...] | None = None
 
@@ -119,31 +120,22 @@ class Policy:
         (so fixtures and one-off files can be linted without editing the
         policy); excludes still apply to both.
         """
-        parts = tuple(Path(path).as_posix().split("/"))
-        if any(_matches(parts, pattern) for pattern in self.exclude):
+        if _matches_any(path, self.exclude):
             return False
-        if explicit:
-            return True
-        return any(_matches(parts, pattern) for pattern in self.include)
+        return explicit or _matches_any(path, self.include)
 
     def in_concurrency_scope(self, path: str | Path,
                              explicit: bool = False) -> bool:
         """Whether ``path`` gets the concurrency (C-rule) pass."""
-        parts = tuple(Path(path).as_posix().split("/"))
-        if any(_matches(parts, pattern) for pattern in self.exclude):
+        if _matches_any(path, self.exclude):
             return False
-        if explicit:
-            return True
-        return any(
-            _matches(parts, pattern) for pattern in self.concurrency_include
-        )
+        return explicit or _matches_any(path, DEFAULT_CONCURRENCY_INCLUDE)
 
     def is_sanctioned(self, path: str | Path) -> bool:
-        """Excluded modules are *sanctioned*: they implement the
-        discipline (``rounding.py``), so a bound returned from one is
-        not an S007 escape."""
-        parts = tuple(Path(path).as_posix().split("/"))
-        return any(_matches(parts, pattern) for pattern in self.exclude)
+        """Whether ``path`` implements the discipline
+        (:data:`SANCTIONED`), so a bound returned from it is not an
+        S007 escape."""
+        return _matches_any(path, SANCTIONED)
 
     def rules_for(self, path: str | Path, all_codes: tuple[str, ...]) -> tuple[str, ...]:
         """The rule codes active for one in-scope file."""
@@ -155,56 +147,3 @@ class Policy:
         if self.select is not None:
             active = [code for code in active if code in self.select]
         return tuple(active)
-
-
-def load_policy(pyproject: str | Path | None = None) -> Policy:
-    """Build the policy, merging ``[tool.repro.soundness]`` over defaults.
-
-    ``pyproject`` defaults to ``pyproject.toml`` in the current
-    directory; a missing file (or missing table) just yields the
-    defaults, a malformed file raises :class:`CheckError`.
-    """
-    path = Path(pyproject) if pyproject is not None else Path("pyproject.toml")
-    if not path.exists():
-        return Policy()
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:  # pragma: no cover - py3.10 fallback
-        try:
-            import tomli as tomllib  # type: ignore[no-redef]
-        except ImportError:
-            return Policy()
-    try:
-        config = tomllib.loads(path.read_text())
-    except (OSError, tomllib.TOMLDecodeError) as error:
-        raise CheckError(f"could not read {path}: {error}") from error
-    table = config.get("tool", {}).get("repro", {}).get("soundness", {})
-    if not isinstance(table, dict):
-        raise CheckError(f"[tool.repro.soundness] in {path} must be a table")
-    include = tuple(table.get("include", DEFAULT_INCLUDE))
-    exclude = tuple(table.get("exclude", DEFAULT_EXCLUDE))
-    concurrency_include = tuple(
-        table.get("concurrency-include", DEFAULT_CONCURRENCY_INCLUDE)
-    )
-    sanctioned_writers = tuple(
-        table.get("sanctioned-writers", DEFAULT_SANCTIONED_WRITERS)
-    )
-    rules_table = table.get("package-rules")
-    if rules_table is None:
-        # No table at all: keep the built-in wrapper exemption. An
-        # explicit (even empty) table replaces it, like include/exclude.
-        package_disable = dict(DEFAULT_PACKAGE_DISABLE)
-    else:
-        package_disable = {}
-        for pattern, entry in rules_table.items():
-            disabled = entry.get("disable", []) if isinstance(entry, dict) else []
-            package_disable[pattern] = tuple(
-                str(code).upper() for code in disabled
-            )
-    return Policy(
-        include=include,
-        exclude=exclude,
-        package_disable=package_disable,
-        concurrency_include=concurrency_include,
-        sanctioned_writers=sanctioned_writers,
-    )

@@ -482,15 +482,16 @@ class UnsanctionedBoundReturn(Rule):
     """S007: a bound-carrying value returned through an unsanctioned
     module — the interprocedural summary says the callee returns a raw
     endpoint, but the callee's module is neither in the soundness scope
-    (so S001-S006 never audit it) nor a sanctioned wrapper module (the
-    policy excludes)."""
+    (so S001-S006 never audit it) nor a module that implements the
+    discipline (``policy.SANCTIONED``). Excluding a module from the
+    scope does not sanction it."""
 
     code = "S007"
     name = "unsanctioned-bound-return"
     summary = (
         "call returns a bound computed in a module outside the "
         "soundness scope; move the helper into a checked package or "
-        "exclude its module as a sanctioned wrapper"
+        "give the call a pragma saying why the bound is sound"
     )
 
     def visit(self, node: ast.AST, ctx: "Context") -> None:
@@ -511,7 +512,7 @@ class UnsanctionedBoundReturn(Rule):
         if policy.in_scope(summary.path):
             return  # callee is itself under the S-rules
         if policy.is_sanctioned(summary.path):
-            return  # excluded == sanctioned wrapper (rounding.py style)
+            return  # the callee implements the wrappers (rounding.py)
         ctx.report(
             self,
             node,

@@ -44,7 +44,7 @@ from .concurrency import CONCURRENCY_RULES, collect_concurrency_facts
 from .dataflow import ProgramTaint
 from .model import CheckError, Finding, Pragma, parse_pragma
 from .policy import Policy
-from .rules import ALL_CODES, RULES, Rule, is_bound_tainted, is_rounding_call, taint_walk
+from .rules import ALL_CODES, BOUND_NAME_RE, RULES, Rule, is_rounding_call, taint_walk
 
 __all__ = ["ALL_CODES", "Context", "check_paths", "check_source"]
 
@@ -116,23 +116,23 @@ class Context:
     # -- taint --------------------------------------------------------------
 
     def tainted(self, node: ast.AST) -> bool:
-        """Name-convention taint ORed with the interprocedural result."""
-        if is_bound_tainted(node):
-            return True
-        if self.program is None or self.module_facts is None:
-            return False
+        """Name-convention taint ORed with the interprocedural result,
+        in one walk of ``node``."""
+        program, facts = self.program, self.module_facts
         qualname = self.current_qualname
-        local_taint = (
-            self.program.tainted_locals(self.module_facts, qualname)
-            if qualname is not None
-            else frozenset()
-        )
+        local_taint: frozenset[str] = frozenset()
+        if program is not None and facts is not None and qualname is not None:
+            local_taint = program.tainted_locals(facts, qualname)
         for sub in taint_walk(node):
-            if isinstance(sub, ast.Name) and sub.id in local_taint:
-                return True
-            if isinstance(sub, ast.Call):
+            if isinstance(sub, ast.Attribute):
+                if BOUND_NAME_RE.search(sub.attr):
+                    return True
+            elif isinstance(sub, ast.Name):
+                if BOUND_NAME_RE.search(sub.id) or sub.id in local_taint:
+                    return True
+            elif isinstance(sub, ast.Call) and program is not None:
                 key = self.resolve_call(sub)
-                if key is not None and key in self.program.returns_bound:
+                if key is not None and key in program.returns_bound:
                     return True
         return False
 
@@ -326,7 +326,13 @@ def _check_module(
                     snippet=lines[pragma.line - 1].strip()
                     if pragma.line <= len(lines) else "",
                 ))
-            elif not pragma.used and policy.select is None:
+            # Unused means unused by every rule it names, so a filtered
+            # run judges only pragmas whose codes are all active here;
+            # one that names no code waits for a full run.
+            elif not pragma.used and (
+                policy.select is None
+                or bool(pragma.codes) and set(pragma.codes) <= set(active)
+            ):
                 ctx.findings.append(Finding(
                     rule="S000", path=path, line=pragma.line, col=1,
                     message="unused `# sound: ok` pragma [pragma-hygiene]",

@@ -550,7 +550,9 @@ def cmd_node(args: argparse.Namespace) -> int:
         return 1
     print(f"{outcome.node_id}: {outcome.cells_computed} cells over "
           f"{outcome.shards_completed} shards"
-          + (f", fenced {outcome.fenced}x" if outcome.fenced else ""))
+          + (f", fenced {outcome.fenced}x" if outcome.fenced else "")
+          + (f"; INTERRUPTED ({outcome.interrupted}): left its shard to "
+             "the other nodes" if outcome.interrupted else ""))
     return 0
 
 
@@ -1093,7 +1095,7 @@ def _check_arguments(parser: argparse.ArgumentParser) -> None:
         nargs="*",
         default=["src/repro"],
         help="files or directories to check (default: src/repro; "
-        "directories are filtered by the [tool.repro.soundness] policy, "
+        "directories are filtered by the policy in repro.analysis.policy, "
         "explicit files are always checked)",
     )
     parser.add_argument(

@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 
 from ..obs import CampaignProgress, get_recorder
 from .checkpoint import _cell_key, _JournalWriter, load_lease_records, replay_journal
-from .lease import LeaseTable, assign_shards
+from .lease import Lease, LeaseTable, assign_shards
 from .result import CellResult, VerificationReport
 from .runner import (
     RunnerSettings,
@@ -74,6 +74,15 @@ logger = logging.getLogger("repro.core.coordinator")
 
 #: recv size per readable socket per loop turn.
 _RECV_CHUNK = 1 << 16
+
+#: Event-loop poll period in seconds (lease sweeps, grant attempts).
+POLL_INTERVAL = 0.1
+#: Per-socket send/recv timeout in seconds; a peer wedged longer than
+#: this on the TCP level is treated as disconnected.
+SOCKET_TIMEOUT = 10.0
+#: Cap in seconds on the exponential cooling-off window of an expired
+#: shard.
+MAX_BACKOFF = 30.0
 
 
 @dataclass(frozen=True)
@@ -93,22 +102,14 @@ class DistributedSettings:
     #: Seconds of node silence before its lease expires.
     lease_timeout: float = 10.0
     #: Base of the exponential cooling-off window an expired shard
-    #: sits out before it may be regranted.
+    #: sits out before it may be regranted (capped at MAX_BACKOFF).
     reassign_backoff: float = 0.5
-    max_backoff: float = 30.0
-    #: Event-loop poll period (lease sweeps, grant attempts).
-    poll_interval: float = 0.1
-    #: Per-socket send/recv timeout; a peer wedged longer than this on
-    #: the TCP level is treated as disconnected.
-    socket_timeout: float = 10.0
     #: fsync journal appends (same meaning as the checkpoint layer's).
     fsync: bool = False
 
     def __post_init__(self) -> None:
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.num_shards is not None and self.num_shards < 1:
             raise ValueError("num_shards must be >= 1 (or None)")
         if self.expected_nodes < 0:
@@ -201,7 +202,7 @@ class Coordinator:
             self.shards,
             lease_timeout=self.dist.lease_timeout,
             reassign_backoff=self.dist.reassign_backoff,
-            max_backoff=self.dist.max_backoff,
+            max_backoff=MAX_BACKOFF,
         )
         #: What remote ``repro node`` agents rebuild their pool from.
         self.welcome_config = dict(welcome_config or {})
@@ -324,7 +325,7 @@ class Coordinator:
                             self.interrupted, len(self.tasks) - len(self.results)
                         )
                         break
-                    events = self._sel.select(timeout=self.dist.poll_interval)
+                    events = self._sel.select(timeout=POLL_INTERVAL)
                     for key, _mask in events:
                         if key.data == "listener":
                             self._accept()
@@ -332,19 +333,9 @@ class Coordinator:
                             self._read(key.data, journal)
                     now = time.monotonic()
                     for lease in self.table.expire_due(now):
-                        self.stats.expired_leases += 1
-                        logger.warning(
-                            "lease expired: %s epoch %d held by %s "
-                            "(no heartbeat for %.1fs)",
-                            lease.shard_id, lease.epoch, lease.node_id,
-                            self.dist.lease_timeout,
-                        )
-                        rec.event(
-                            "lease.expired",
-                            node=lease.node_id,
-                            shard=lease.shard_id,
-                            epoch=lease.epoch,
-                            reason="lease-timeout",
+                        self._expired(
+                            lease, "lease-timeout",
+                            f"no heartbeat for {self.dist.lease_timeout:.1f}s",
                         )
                     self._grant_idle(journal, now)
             self._shutdown_nodes()
@@ -357,7 +348,7 @@ class Coordinator:
             sock, addr = self._listener.accept()
         except OSError:
             return
-        sock.settimeout(self.dist.socket_timeout)
+        sock.settimeout(SOCKET_TIMEOUT)
         conn = _Conn(sock, addr)
         self._conns[sock] = conn
         self._sel.register(sock, selectors.EVENT_READ, conn)
@@ -377,19 +368,24 @@ class Coordinator:
             del self._nodes[conn.node_id]
             get_recorder().event("node.disconnected", node=conn.node_id, reason=reason)
             now = time.monotonic()
-            for lease in self.table.expire_node(conn.node_id, now, reason):
-                self.stats.expired_leases += 1
-                logger.warning(
-                    "lease expired: %s epoch %d — %s %s",
-                    lease.shard_id, lease.epoch, conn.node_id, reason,
-                )
-                get_recorder().event(
-                    "lease.expired",
-                    node=conn.node_id,
-                    shard=lease.shard_id,
-                    epoch=lease.epoch,
-                    reason=reason,
-                )
+            for lease in self.table.expire_node(conn.node_id, now):
+                self._expired(lease, reason, reason)
+
+    def _expired(self, lease: Lease, reason: str, detail: str) -> None:
+        """Count, log and publish one expired lease; its shard's missing
+        cells go to the next steal grant."""
+        self.stats.expired_leases += 1
+        logger.warning(
+            "lease expired: %s epoch %d held by %s (%s)",
+            lease.shard_id, lease.epoch, lease.node_id, detail,
+        )
+        get_recorder().event(
+            "lease.expired",
+            node=lease.node_id,
+            shard=lease.shard_id,
+            epoch=lease.epoch,
+            reason=reason,
+        )
 
     def _read(self, conn: _Conn, journal: _JournalWriter) -> None:
         try:
@@ -512,9 +508,24 @@ class Coordinator:
             return
         if kind == "shard_done":
             conn.busy = False
-            if shard_id is None or not self.table.complete(shard_id, node_id, epoch):
+            if shard_id is None or not self.table.is_current(shard_id, node_id, epoch):
                 self._fence(conn, frame)
                 return
+            # A node that stopped early (a drained pool) may still say
+            # done: the shard completes only when every cell of it has
+            # an accepted result, and otherwise its missing cells are
+            # stolen like a dead node's.
+            indices = self.table.shard(shard_id).indices
+            missing = sum(1 for i in indices if i not in self.results)
+            if missing:
+                lease = self.table.expire(shard_id, time.monotonic())
+                assert lease is not None
+                self._expired(
+                    lease, "incomplete",
+                    f"shard_done with {missing} of {len(indices)} cells missing",
+                )
+                return
+            self.table.complete(shard_id, node_id, epoch)
             get_recorder().event(
                 "lease.completed", node=node_id, shard=shard_id, epoch=epoch
             )

@@ -112,8 +112,6 @@ class _ShardState:
     available_at: float = 0.0
     lease: Lease | None = None
     complete: bool = False
-    #: Why the last lease ended (telemetry only).
-    last_expiry_reason: str | None = None
     #: Node whose lease on this shard last expired. Used for steal
     #: anti-affinity: a silently dead node never EOFs its socket, so
     #: without this the grant loop could hand the shard straight back
@@ -255,9 +253,9 @@ class LeaseTable:
             return 0.0
         return min(self.max_backoff, self.reassign_backoff * (2 ** (expiries - 1)))
 
-    def expire(self, shard_id: str, now: float, reason: str = "timeout") -> Lease | None:
+    def expire(self, shard_id: str, now: float) -> Lease | None:
         """Tear down the live lease (missed heartbeats, dropped
-        connection, explicit release). The shard enters an
+        connection, a ``shard_done`` with cells missing). The shard enters an
         exponentially growing cooling-off window before it becomes
         claimable again; the epoch it was leased under is dead forever.
         Returns the expired lease (None if there was none)."""
@@ -268,7 +266,6 @@ class LeaseTable:
         state.lease = None
         state.expiries += 1
         state.available_at = now + self._backoff(state.expiries)
-        state.last_expiry_reason = reason
         state.last_failed_node = lease.node_id
         return lease
 
@@ -278,16 +275,16 @@ class LeaseTable:
         expired: list[Lease] = []
         for sid, state in sorted(self._shards.items()):
             if state.lease is not None and now >= state.lease.deadline:
-                expired.append(self.expire(sid, now, reason="lease-timeout"))  # type: ignore[arg-type]
+                expired.append(self.expire(sid, now))  # type: ignore[arg-type]
         return expired
 
-    def expire_node(self, node_id: str, now: float, reason: str) -> list[Lease]:
+    def expire_node(self, node_id: str, now: float) -> list[Lease]:
         """Expire every lease held by ``node_id`` (its connection
         dropped or its agent said goodbye)."""
         expired: list[Lease] = []
         for sid, state in sorted(self._shards.items()):
             if state.lease is not None and state.lease.node_id == node_id:
-                expired.append(self.expire(sid, now, reason=reason))  # type: ignore[arg-type]
+                expired.append(self.expire(sid, now))  # type: ignore[arg-type]
         return expired
 
     def complete(self, shard_id: str, node_id: str, epoch: int) -> bool:
@@ -314,34 +311,3 @@ class LeaseTable:
         increasing or fencing would readmit pre-crash zombies."""
         state = self._shards[shard_id]
         state.epoch = max(state.epoch, epoch)
-
-    # -- summaries -----------------------------------------------------
-    def to_dict(self, now: float) -> dict:
-        """Telemetry view of the whole table."""
-        shards = {}
-        for sid, state in sorted(self._shards.items()):
-            lease = state.lease
-            shards[sid] = {
-                "cells": len(state.shard.indices),
-                "epoch": state.epoch,
-                "expiries": state.expiries,
-                "complete": state.complete,
-                "node": lease.node_id if lease else None,
-                "lease_age": round(now - lease.granted_at, 3) if lease else None,
-                "cooling_for": (
-                    round(state.available_at - now, 3)
-                    if state.lease is None
-                    and not state.complete
-                    and now < state.available_at
-                    else None
-                ),
-                "last_expiry_reason": state.last_expiry_reason,
-            }
-        return shards
-
-
-# Backward-compatible re-export target for the shard field name used in
-# journal lines; kept here so checkpoint.py does not import coordinator.
-JOURNAL_SHARD_FIELD = "shard"
-JOURNAL_EPOCH_FIELD = "epoch"
-JOURNAL_LEASE_FIELD = "lease"

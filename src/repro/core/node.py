@@ -17,6 +17,11 @@ coordinator (:mod:`repro.core.coordinator`). The agent's whole job is:
    live telemetry already emits for workers);
 4. say ``shard_done`` and wait for the next grant or ``shutdown``.
 
+A signal (SIGINT/SIGTERM) drains the local pool mid-shard; the agent
+then leaves without ``shard_done``: it closes its socket, the
+coordinator expires the lease, and another node steals the cells the
+drained pool did not finish.
+
 Every frame the agent sends carries the ``(shard, epoch)`` it is
 working under. The agent never decides whether its work is still
 wanted — the coordinator's lease table does, by fencing frames from
@@ -49,6 +54,10 @@ from .wire import FrameError, parse_hostport, recv_frame, send_frame
 
 logger = logging.getLogger("repro.core.node")
 
+#: Seconds to keep retrying the initial TCP connect (the coordinator
+#: may still be binding when nodes launch).
+DIAL_TIMEOUT = 10.0
+
 
 @dataclass(frozen=True)
 class NodeSettings:
@@ -64,9 +73,6 @@ class NodeSettings:
     #: Heartbeat period in seconds. Must be well under the
     #: coordinator's lease timeout or healthy nodes get expired.
     heartbeat_interval: float = 0.5
-    #: How long to keep retrying the initial TCP connect (the
-    #: coordinator may still be binding when nodes launch).
-    dial_timeout: float = 10.0
 
     def resolved_node_id(self) -> str:
         return self.node_id or f"node-{os.getpid()}"
@@ -84,6 +90,9 @@ class NodeOutcome:
     fenced: int = 0
     #: The coordinator's campaign config from the welcome frame.
     config: dict = field(default_factory=dict)
+    #: Why the agent left mid-shard ("signal:SIGTERM", ...), or None
+    #: when the coordinator said shutdown.
+    interrupted: str | None = None
 
 
 class _Sender:
@@ -121,11 +130,11 @@ class _Sender:
 
 def _connect(settings: NodeSettings) -> socket.socket:
     host, port = parse_hostport(settings.connect)
-    deadline = time.monotonic() + settings.dial_timeout
+    deadline = time.monotonic() + DIAL_TIMEOUT
     delay = 0.05
     while True:
         try:
-            return socket.create_connection((host, port), timeout=settings.dial_timeout)
+            return socket.create_connection((host, port), timeout=DIAL_TIMEOUT)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
@@ -154,7 +163,8 @@ def run_node(
     factory_from_config: Callable[[dict], Callable[[], object]] | None = None,
     runner_settings=None,
 ) -> NodeOutcome:
-    """Run one node agent until the coordinator says ``shutdown``.
+    """Run one node agent until the coordinator says ``shutdown`` or a
+    signal interrupts a grant (``NodeOutcome.interrupted``).
 
     The closed-loop system comes either from ``system_factory``
     (programmatic use — the localhost ``run_distributed`` helper forks
@@ -307,13 +317,22 @@ def run_node(
                 "%s: granted %s epoch %d (%d cells)",
                 node_id, shard_id, epoch, len(tasks),
             )
-            run_supervised(
+            supervised = run_supervised(
                 system_factory,
                 tasks,
                 pool_settings,
                 on_result=on_result,
                 indices=[int(cell["index"]) for cell in cells],
             )
+            if supervised.interrupted:
+                # The shard is not done: leave without saying so, and
+                # the coordinator steals what the pool did not finish.
+                outcome.interrupted = supervised.interrupted
+                logger.warning(
+                    "%s: interrupted (%s) after %d of %d cells of %s; leaving",
+                    node_id, supervised.interrupted, streamed, len(tasks), shard_id,
+                )
+                break
             sender.send(
                 {"type": "shard_done", "node": node_id, "shard": shard_id,
                  "epoch": epoch, "cells": streamed}

@@ -64,6 +64,22 @@ class TestExtraction:
         facts = facts_of("def f(box):\n    return box.hi\n")
         assert facts.functions["f"].syntactic_return_bound
 
+    def test_nested_function_calls_belong_to_the_nested_function(self):
+        facts = facts_of(
+            """
+            def outer(x):
+                def inner(y):
+                    return helper(y)
+                return inner(x)
+            """
+        )
+        assert [site.parts for site in facts.functions["outer"].calls] == [
+            ("inner",)
+        ]
+        assert [site.parts for site in facts.functions["outer.inner"].calls] == [
+            ("helper",)
+        ]
+
     def test_module_level_structure(self):
         facts = facts_of(
             """

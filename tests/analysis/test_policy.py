@@ -1,8 +1,6 @@
-"""Policy matching and pyproject loading."""
+"""Policy matching: scope, sanctioned modules and per-package rules."""
 
-import pytest
-
-from repro.analysis import CheckError, Policy, load_policy
+from repro.analysis import Policy
 from repro.analysis.rules import ALL_CODES
 
 
@@ -50,32 +48,11 @@ class TestRulesFor:
         )
 
 
-class TestLoadPolicy:
-    def test_missing_file_yields_defaults(self, tmp_path):
-        policy = load_policy(tmp_path / "nope.toml")
-        assert policy.in_scope("src/repro/intervals/a.py")
-
-    def test_table_overrides(self, tmp_path):
-        config = tmp_path / "pyproject.toml"
-        config.write_text(
-            "[tool.repro.soundness]\n"
-            'include = ["repro/ode"]\n'
-            "exclude = []\n"
-            "[tool.repro.soundness.package-rules]\n"
-            '"repro/ode" = { disable = ["s005"] }\n'
-        )
-        policy = load_policy(config)
-        assert policy.in_scope("src/repro/ode/a.py")
-        assert not policy.in_scope("src/repro/intervals/a.py")
-        assert "S005" not in policy.rules_for("src/repro/ode/a.py", ALL_CODES)
-
-    def test_repo_pyproject_matches_defaults(self):
-        # The committed [tool.repro.soundness] table mirrors the built-in
-        # defaults; drift between them would be confusing.
-        assert load_policy("pyproject.toml") == load_policy("/nonexistent.toml")
-
-    def test_malformed_toml_is_check_error(self, tmp_path):
-        config = tmp_path / "pyproject.toml"
-        config.write_text("[tool.repro.soundness\n")
-        with pytest.raises(CheckError):
-            load_policy(config)
+class TestSanctioned:
+    def test_only_the_wrapper_module_is_sanctioned(self):
+        # mdp.py is out of scope for its own reasons; a bound it returns
+        # to an in-scope caller is still an S007 escape.
+        policy = Policy()
+        assert policy.is_sanctioned("src/repro/intervals/rounding.py")
+        assert not policy.in_scope("src/repro/acasxu/mdp.py")
+        assert not policy.is_sanctioned("src/repro/acasxu/mdp.py")

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import Policy, check_source, parse_pragma
+from repro.analysis import ALL_CODES, Policy, check_source, parse_pragma
 
 PATH = "src/repro/intervals/snippet.py"
 
@@ -158,3 +158,30 @@ class TestHygiene:
             policy=policy,
         )
         assert findings == []
+
+    # CI's two filtered steps: the S-rule pass and the C-rule pass.
+    S_STEP = Policy(select=tuple(c for c in ALL_CODES if c.startswith("S")))
+    C_STEP = Policy(select=tuple(c for c in ALL_CODES if c.startswith("C")))
+
+    def test_unused_pragma_reported_when_its_codes_ran(self):
+        findings = lint(
+            "def f(a, b):\n"
+            "    return a + b  # sound: ok [S001] nothing here needs this\n",
+            policy=self.S_STEP,
+        )
+        assert [f.rule for f in findings] == ["S000"]
+        assert "unused" in findings[0].message
+
+    def test_unused_pragma_not_judged_when_its_codes_did_not_run(self):
+        assert lint(
+            "def f(a, b):\n"
+            "    return a + b  # sound: ok [S001] nothing here needs this\n",
+            policy=self.C_STEP,
+        ) == []
+
+    def test_codeless_pragma_judged_only_on_a_full_run(self):
+        assert lint(
+            "def f(a, b):\n"
+            "    return a + b  # sound: ok nothing here needs this\n",
+            policy=self.S_STEP,
+        ) == []

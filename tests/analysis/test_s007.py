@@ -58,13 +58,32 @@ class TestScopeBoundaries:
         findings = check_paths([root], policy)
         assert s007_findings(findings) == []
 
-    def test_sanctioned_callee_is_quiet(self, tmp_path):
+    def test_excluded_callee_still_fires(self, tmp_path):
+        # Leaving the helper's module out of scope is not a sanction:
+        # nothing audits how it computed the bound it returns.
         root = write_tree(tmp_path, "def widest(box):\n    return box.lo\n")
         policy = Policy(
             include=("boundpkg/consumer.py",),
             exclude=("boundpkg/helpers.py",),
         )
-        findings = check_paths([root], policy)
+        flagged = s007_findings(check_paths([root], policy))
+        assert len(flagged) == 1
+        assert "helpers.py" in flagged[0].message
+
+    def test_sanctioned_callee_is_quiet(self, tmp_path):
+        # rounding.py implements the wrappers: its bounds are sanctioned.
+        rounding = tmp_path / "src" / "repro" / "intervals" / "rounding.py"
+        rounding.parent.mkdir(parents=True)
+        rounding.write_text("def widest(box):\n    return box.lo\n")
+        pkg = tmp_path / "src" / "boundpkg"
+        pkg.mkdir(parents=True)
+        (pkg / "consumer.py").write_text(
+            "from repro.intervals.rounding import widest\n\n"
+            "def shrink(box):\n    w = widest(box)\n    return w\n"
+        )
+        findings = check_paths(
+            [tmp_path], Policy(include=("boundpkg/consumer.py",))
+        )
         assert s007_findings(findings) == []
 
     def test_clean_helper_is_quiet(self, tmp_path):

@@ -20,25 +20,37 @@ Cell cost is tuned via ``substeps`` so shards take long enough that
 lease expiry, work-stealing and the zombie flush all land while the
 campaign is still running; the timings below keep a comfortable margin
 over the 1.5 s netsplit window.
+
+Two protocol tests script one side of the socket: a node that says
+``shard_done`` with half its cells must not complete the shard, and a
+node whose pool a signal drained must leave without saying it.
 """
 
 import json
+import socket
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.core import (
+    CellResult,
+    Coordinator,
     DistributedSettings,
+    NodeSettings,
     ReachSettings,
     RunnerSettings,
+    Verdict,
     assign_shards,
     canonical_journal_bytes,
     grid_partition,
     run_distributed,
+    run_node,
     verify_partition,
 )
 from repro.core.checkpoint import _cell_key
+from repro.core.wire import recv_frame, send_frame
 from repro.intervals import Box
 
 from .fixtures import make_system
@@ -202,3 +214,127 @@ class TestNodeLossDrill:
 
         # The merged journal is mathematically identical to single-host.
         assert canonical_journal_bytes(journal) == single_bytes
+
+
+def proved(cell):
+    """A stand-in result for one granted cell (the protocol, not the
+    mathematics, is under test here)."""
+    return CellResult(
+        cell_id=f"cell-{cell['index']}",
+        box=Box(cell["lo"], cell["hi"]),
+        command=cell["command"],
+        verdict=Verdict.PROVED_SAFE,
+        tags=dict(cell["tags"]),
+    )
+
+
+def half_node(address, node_id="half-0"):
+    """A node that streams the first half (rounded up) of every grant
+    and then says shard_done, as a node whose pool stopped early would."""
+    sock = socket.create_connection(address, timeout=10.0)
+    send_frame(sock, {"type": "hello", "node": node_id, "workers": 1, "pid": 0})
+    assert recv_frame(sock)["type"] == "welcome"
+    while True:
+        frame = recv_frame(sock)
+        if frame["type"] == "shutdown":
+            break
+        if frame["type"] != "grant":
+            continue
+        lease = {"node": node_id, "shard": frame["shard"], "epoch": frame["epoch"]}
+        cells = frame["cells"]
+        for cell in cells[: (len(cells) + 1) // 2]:
+            send_frame(sock, {
+                "type": "result", **lease, "index": cell["index"],
+                "key": cell["key"], "result": proved(cell).to_dict(),
+            })
+        send_frame(sock, {"type": "shard_done", **lease})
+    sock.close()
+
+
+class TestIncompleteShards:
+    def test_shard_done_with_missing_cells_does_not_complete(self, tmp_path):
+        cells = campaign_cells()[:12]
+        coordinator = Coordinator(
+            cells,
+            tmp_path / "journal.jsonl",
+            settings=RunnerSettings(reach=REACH),
+            dist=DistributedSettings(
+                num_shards=3, expected_nodes=1, reassign_backoff=0.0
+            ),
+        )
+        node = threading.Thread(target=half_node, args=(coordinator.start(),))
+        node.start()
+        try:
+            report = coordinator.serve()
+        finally:
+            node.join(timeout=10.0)
+        assert report.settings_summary.get("interrupted") is None
+        assert [cell.cell_id for cell in report.cells] == [
+            f"cell-{i}" for i in range(len(cells))
+        ]
+        stats = report.settings_summary["distributed"]
+        # Each shard came back short at least once, and its missing
+        # cells were granted again rather than dropped.
+        assert stats["expired_leases"] >= stats["shards"]
+        assert stats["stolen_cells"] > 0
+        assert stats["duplicate_results"] == 0
+        assert len(cell_records(tmp_path / "journal.jsonl")) == len(cells)
+
+    def test_interrupted_node_leaves_without_shard_done(self, monkeypatch):
+        """A signal drains the node's pool mid-grant: the agent returns
+        without claiming the shard, and the coordinator sees only the
+        results that finished, then EOF."""
+        from repro.core import supervisor
+
+        def drained(system_factory, tasks, settings, on_result=None, indices=None):
+            result = proved({"index": 0, "lo": [1.6], "hi": [1.7],
+                             "command": 1, "tags": {}})
+            on_result(0, result, 0)
+            return supervisor.SupervisorOutcome(
+                results={0: result}, interrupted="signal:SIGTERM"
+            )
+
+        monkeypatch.setattr(supervisor, "run_supervised", drained)
+        listener = socket.create_server(("127.0.0.1", 0))
+        seen = []
+
+        def coordinator():
+            conn, _ = listener.accept()
+            conn.settimeout(10.0)
+            seen.append(recv_frame(conn)["type"])
+            send_frame(conn, {"type": "welcome", "config": {}})
+            send_frame(conn, {"type": "grant", "shard": "shard-0", "epoch": 1,
+                              "cells": [
+                                  {"index": i, "key": f"k{i}", "lo": [1.6], "hi": [1.7],
+                                   "command": 1, "tags": {}}
+                                  for i in range(2)
+                              ]})
+            while True:
+                try:
+                    frame = recv_frame(conn)
+                except EOFError:
+                    break
+                if frame["type"] != "heartbeat":
+                    seen.append(frame["type"])
+                if frame["type"] == "shard_done":
+                    send_frame(conn, {"type": "shutdown"})
+            conn.close()
+
+        thread = threading.Thread(target=coordinator)
+        thread.start()
+        try:
+            outcome = run_node(
+                NodeSettings(
+                    connect="%s:%d" % listener.getsockname(),
+                    node_id="node-x",
+                    heartbeat_interval=60.0,
+                ),
+                system_factory=make_system,
+            )
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
+        assert seen == ["hello", "result"]
+        assert outcome.interrupted == "signal:SIGTERM"
+        assert outcome.cells_computed == 1
+        assert outcome.shards_completed == 0

@@ -114,7 +114,7 @@ class TestExpiryAndBackoff:
         t = table()
         t.grant("shard-0", "node-a", now=0.0)
         t.grant("shard-1", "node-b", now=0.0)
-        expired = t.expire_node("node-a", now=1.0, reason="disconnect")
+        expired = t.expire_node("node-a", now=1.0)
         assert [lease.shard_id for lease in expired] == ["shard-0"]
         assert t.lease_of("shard-0") is None
         assert t.lease_of("shard-1") is not None
@@ -166,18 +166,3 @@ class TestEpochFencing:
         t.expire("shard-0", now=0.0)
         t.restore_epoch("shard-0", 0)
         assert t.epoch("shard-0") == 1
-
-
-class TestTelemetryView:
-    def test_to_dict_reports_lease_state(self):
-        t = table()
-        t.grant("shard-0", "node-a", now=10.0)
-        t.grant("shard-1", "node-b", now=10.0)
-        t.expire("shard-1", now=12.0, reason="disconnect")
-        view = t.to_dict(now=12.5)
-        assert view["shard-0"]["node"] == "node-a"
-        assert view["shard-0"]["lease_age"] == pytest.approx(2.5)
-        assert view["shard-1"]["node"] is None
-        assert view["shard-1"]["last_expiry_reason"] == "disconnect"
-        assert view["shard-1"]["cooling_for"] == pytest.approx(0.5)
-        assert view["shard-2"]["epoch"] == 0
